@@ -8,6 +8,12 @@ namespace {
 
 constexpr float kMinTransmission = 1e-6f;  // clamp so log() stays finite
 
+/// Spans shorter than this stay on the calling thread: below it, opening
+/// a parallel region costs more than the loop.  Both Eq. 1 loops are
+/// element-wise, so the OpenMP split gives bitwise the same result at any
+/// thread count.
+constexpr std::size_t kParallelMin = std::size_t{1} << 15;
+
 inline float beer_one(float count, float dark, float blank)
 {
     const float denom = blank - dark;
@@ -21,7 +27,12 @@ inline float beer_one(float count, float dark, float blank)
 void beer_law(std::span<float> counts, const BeerLawScalar& cal)
 {
     require(cal.blank > cal.dark, "beer_law: blank must exceed dark");
-    for (float& c : counts) c = beer_one(c, cal.dark, cal.blank);
+    const index_t n = static_cast<index_t>(counts.size());
+#pragma omp parallel for schedule(static) if (counts.size() >= kParallelMin)
+    for (index_t i = 0; i < n; ++i) {
+        float& c = counts[static_cast<std::size_t>(i)];
+        c = beer_one(c, cal.dark, cal.blank);
+    }
 }
 
 void beer_law(std::span<float> counts, std::span<const float> dark, std::span<const float> blank)
@@ -31,9 +42,12 @@ void beer_law(std::span<float> counts, std::span<const float> dark, std::span<co
     require(counts.size() % dark.size() == 0,
             "beer_law: counts must be a whole number of projections");
     const std::size_t pix = dark.size();
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-        const std::size_t p = i % pix;
-        counts[i] = beer_one(counts[i], dark[p], blank[p]);
+    const index_t n = static_cast<index_t>(counts.size());
+#pragma omp parallel for schedule(static) if (counts.size() >= kParallelMin)
+    for (index_t i = 0; i < n; ++i) {
+        const std::size_t at = static_cast<std::size_t>(i);
+        const std::size_t p = at % pix;
+        counts[at] = beer_one(counts[at], dark[p], blank[p]);
     }
 }
 

@@ -253,7 +253,13 @@ void multiply_spectra(std::span<std::complex<double>> a, std::span<const std::co
 void multiply_spectra(std::span<std::complex<float>> a, std::span<const std::complex<float>> b)
 {
     require(a.size() == b.size(), "fft::multiply_spectra: size mismatch");
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] *= b[i];
+    // Explicit real/imag arithmetic, as in run_butterflies: operator*= goes
+    // through the NaN-recovering __mulsc3 libcall and stays scalar.
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const float ar = a[i].real(), ai = a[i].imag();
+        const float br = b[i].real(), bi = b[i].imag();
+        a[i] = {ar * br - ai * bi, ar * bi + ai * br};
+    }
 }
 
 std::vector<float> convolve_same(std::span<const float> signal, std::span<const float> kernel,

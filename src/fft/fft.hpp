@@ -5,7 +5,10 @@
 // Provides an iterative radix-2 decimation-in-time complex FFT plus helpers
 // for real input and power-of-two padded linear convolution.  Sizes are
 // restricted to powers of two — the filter engine always pads to
-// next_pow2(2 * Nu), so no general-size transform is required.
+// next_pow2(2 * Nu), so no general-size transform is required.  2 * Nu is
+// enough for a circular transform there: the Nu outputs only read ramp
+// taps |n| <= Nu - 1, which cannot alias at that length (argument in
+// filter/ramp.hpp).
 //
 // Performance layer (DESIGN.md §3e): transforms are driven by a cached
 // Plan (bit-reversal permutation + twiddle tables, built once per size in
@@ -84,7 +87,9 @@ std::vector<std::complex<double>> real_forward(std::span<const float> signal, in
 std::vector<std::complex<float>> real_forward_f(std::span<const float> signal, index_t n);
 
 /// Cyclic convolution theorem helper: multiply spectra element-wise in
-/// place (a *= b).  Sizes must match.
+/// place (a *= b).  Sizes must match.  The fp32 overload is written in
+/// explicit real/imag arithmetic so it vectorises; it skips std::complex's
+/// inf/NaN recovery, which finite filter data never needs.
 void multiply_spectra(std::span<std::complex<double>> a, std::span<const std::complex<double>> b);
 void multiply_spectra(std::span<std::complex<float>> a, std::span<const std::complex<float>> b);
 

@@ -58,15 +58,20 @@ FilterEngine::FilterEngine(const CbctGeometry& g, Window w, double extra_scale)
 {
     g.validate();
     nu_ = g.nu;
-    dsd2_ = g.dsd * g.dsd;
-    dv_ = g.dv;
-    cv_ = (static_cast<double>(g.nv) - 1.0) / 2.0 + g.sigma_v;
+    nv_ = g.nv;
 
+    // Eq. 2 cosine weights, evaluated once in double and rounded per pixel.
+    const double dsd2 = g.dsd * g.dsd;
     const double cu = (static_cast<double>(g.nu) - 1.0) / 2.0 + g.sigma_u;
-    pu2_.resize(static_cast<std::size_t>(g.nu));
-    for (index_t u = 0; u < g.nu; ++u) {
-        const double p = g.du * (static_cast<double>(u) - cu);
-        pu2_[static_cast<std::size_t>(u)] = p * p;
+    const double cv = (static_cast<double>(g.nv) - 1.0) / 2.0 + g.sigma_v;
+    weights_.resize(static_cast<std::size_t>(g.nv * g.nu));
+    for (index_t v = 0; v < g.nv; ++v) {
+        const double pv = g.dv * (static_cast<double>(v) - cv);
+        for (index_t u = 0; u < g.nu; ++u) {
+            const double pu = g.du * (static_cast<double>(u) - cu);
+            weights_[static_cast<std::size_t>(v * g.nu + u)] =
+                static_cast<float>(g.dsd / std::sqrt(pu * pu + pv * pv + dsd2));
+        }
     }
 
     // FDK angular quadrature + virtual->real detector change of variables
@@ -78,11 +83,15 @@ FilterEngine::FilterEngine(const CbctGeometry& g, Window w, double extra_scale)
                                : std::numbers::pi / static_cast<double>(g.num_proj);
     const double fdk_scale = angular * (g.dsd / g.dso) * extra_scale;
 
-    std::vector<float> taps = ramp_kernel(g.nu, g.du);
-    for (float& t : taps) t = static_cast<float>(t * fdk_scale);
+    // Circular kernel at the 2*Nu padding (see file header): taps fold
+    // modulo padded_, which only ever merges the unread n = +-Nu pair.
+    const std::vector<float> taps = ramp_kernel(g.nu, g.du);
     offset_ = g.nu;  // centre tap index: output sample i aligns with input i
-    padded_ = fft::next_pow2(nu_ + static_cast<index_t>(taps.size()) - 1);
-    kernel_spectrum_ = fft::real_forward(taps, padded_);
+    padded_ = fft::next_pow2(2 * nu_);
+    std::vector<float> circular(static_cast<std::size_t>(padded_), 0.0f);
+    for (std::size_t k = 0; k < taps.size(); ++k)
+        circular[k % static_cast<std::size_t>(padded_)] += static_cast<float>(taps[k] * fdk_scale);
+    kernel_spectrum_ = fft::real_forward(circular, padded_);
 
     // Apodisation in the frequency domain.  Bin k of the padded transform
     // corresponds to normalised frequency min(k, N-k) / (N/2).
@@ -106,14 +115,9 @@ FilterEngine::FilterEngine(const CbctGeometry& g, Window w, double extra_scale)
 
 void FilterEngine::weight_row(std::span<float> row, index_t v_global) const
 {
-    // Eq. 2 point-wise weight.
-    const double pv = dv_ * (static_cast<double>(v_global) - cv_);
-    const double pv2 = pv * pv;
-    for (index_t u = 0; u < nu_; ++u) {
-        const double wgt =
-            std::sqrt(dsd2_) / std::sqrt(pu2_[static_cast<std::size_t>(u)] + pv2 + dsd2_);
-        row[static_cast<std::size_t>(u)] = static_cast<float>(row[static_cast<std::size_t>(u)] * wgt);
-    }
+    require(v_global >= 0 && v_global < nv_, "FilterEngine: row outside the detector");
+    const std::size_t base = static_cast<std::size_t>(v_global * nu_);
+    for (std::size_t u = 0; u < row.size(); ++u) row[u] *= weights_[base + u];
 }
 
 void FilterEngine::apply_row(std::span<float> row, index_t v_global) const

@@ -16,6 +16,14 @@
 // Apodisation windows (Shepp-Logan / cosine / Hamming / Hann) are applied
 // in the frequency domain on top of the ramp, as in classical FBP codes.
 //
+// Padding: rows are convolved circularly at N = next_pow2(2 Nu), not at
+// the full linear length Nu + (2 Nu + 1) - 1.  Output u reads
+// sum_j x[j] tap(u - j) with u, j in [0, Nu), so only taps |n| <= Nu - 1
+// ever reach an output; at N >= 2 Nu those sit at distinct circular
+// indices and nothing wraps onto them.  The two outermost taps n = +-Nu
+// fold onto the one circular index no output reads (and are zero for even
+// Nu anyway), so the result equals the linear convolution exactly.
+//
 // FDK scaling: FilterEngine folds the angular quadrature and the
 // real-to-virtual-detector change of variables,
 //
@@ -54,8 +62,10 @@ double window_gain(Window w, double x);
 
 /// Row-parallel FDK filter: cosine weighting + windowed ramp convolution
 /// for every detector row of a projection stack.  One engine precomputes
-/// the padded kernel spectrum and the weight tables once and is then
-/// reusable across batches (this is the pipeline's "filter thread" work).
+/// the padded kernel spectrum and the Nv x Nu table of Eq. 2 cosine
+/// weights once and is then reusable across batches (this is the
+/// pipeline's "filter thread" work); weighting a row is one fp32 multiply
+/// per pixel.
 class FilterEngine {
 public:
     /// `extra_scale` multiplies the kernel on top of the FDK scale; the
@@ -94,12 +104,11 @@ private:
     void weight_row(std::span<float> row, index_t v_global) const;
 
     index_t nu_ = 0;
+    index_t nv_ = 0;
     index_t padded_ = 0;
     index_t offset_ = 0;
-    double dsd2_ = 0.0;
-    std::vector<double> pu2_;  ///< (du*(u - cu))^2 per detector column
-    double dv_ = 0.0;
-    double cv_ = 0.0;
+    /// Dsd / sqrt(pu^2 + pv^2 + Dsd^2) per detector pixel, row-major.
+    std::vector<float> weights_;
     const fft::Plan* plan_ = nullptr;  ///< borrowed from the process PlanCache
     std::vector<std::complex<double>> kernel_spectrum_;
     std::vector<std::complex<float>> kernel_spectrum_f_;

@@ -9,6 +9,47 @@
 #include "telemetry/metrics.hpp"
 
 namespace xct::io {
+namespace {
+
+// The codec loops run across OpenMP threads with results bitwise equal to
+// a serial scan at any thread count: quantise and dequantise are
+// element-wise, and the [lo, hi] reduction splits the band at fixed
+// kRangeChunk boundaries (independent of the thread count) and folds every
+// chunk from src[0] in serial order — so ties between +0 and -0 and a NaN
+// in src[0] resolve exactly as in one left-to-right pass.
+
+/// Bands shorter than this stay on the calling thread.
+constexpr std::size_t kParallelMin = std::size_t{1} << 15;
+constexpr std::size_t kRangeChunk = std::size_t{1} << 16;
+
+struct Extent {
+    float lo = 0.0f;
+    float hi = 0.0f;
+};
+
+Extent value_range(std::span<const float> src)
+{
+    const index_t chunks = static_cast<index_t>((src.size() + kRangeChunk - 1) / kRangeChunk);
+    std::vector<Extent> part(static_cast<std::size_t>(chunks));
+#pragma omp parallel for schedule(static) if (src.size() >= kParallelMin)
+    for (index_t c = 0; c < chunks; ++c) {
+        const std::size_t end = std::min(src.size(), static_cast<std::size_t>(c + 1) * kRangeChunk);
+        float lo = src[0], hi = src[0];
+        for (std::size_t i = static_cast<std::size_t>(c) * kRangeChunk; i < end; ++i) {
+            lo = std::min(lo, src[i]);
+            hi = std::max(hi, src[i]);
+        }
+        part[static_cast<std::size_t>(c)] = {lo, hi};
+    }
+    Extent r{src[0], src[0]};
+    for (const Extent& p : part) {
+        r.lo = std::min(r.lo, p.lo);
+        r.hi = std::max(r.hi, p.hi);
+    }
+    return r;
+}
+
+}  // namespace
 
 BandCodec band_codec_from_name(const std::string& name)
 {
@@ -39,11 +80,8 @@ EncodedBand encode_band(const ProjectionStack& band)
     e.views = band.views();
     e.cols = band.cols();
     e.band = band.band();
-    float lo = src[0], hi = src[0];
-    for (const float v : src) {
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-    }
+    const Extent range = value_range(src);
+    const float lo = range.lo, hi = range.hi;
     e.lo = lo;
     e.hi = hi;
     e.payload.resize(src.size());
@@ -52,10 +90,13 @@ EncodedBand encode_band(const ProjectionStack& band)
         // QuantizedTexture3 mapping, so the ablation's error story carries
         // over verbatim: |decode(encode(v)) - v| <= (hi-lo)/510.
         const float scale = 255.0f / (hi - lo);
-        for (std::size_t i = 0; i < src.size(); ++i) {
-            float t = (src[i] - lo) * scale;
+        const index_t n = static_cast<index_t>(src.size());
+#pragma omp parallel for schedule(static) if (src.size() >= kParallelMin)
+        for (index_t i = 0; i < n; ++i) {
+            const std::size_t at = static_cast<std::size_t>(i);
+            float t = (src[at] - lo) * scale;
             t = t < 0.0f ? 0.0f : (t > 255.0f ? 255.0f : t);
-            e.payload[i] = static_cast<std::uint8_t>(t + 0.5f);
+            e.payload[at] = static_cast<std::uint8_t>(t + 0.5f);
         }
     }
     // hi == lo: constant band, payload stays zero, decode returns lo.
@@ -89,8 +130,13 @@ ProjectionStack decode_band(const EncodedBand& e)
     // Same expression (and evaluation order) as QuantizedTexture3::fetch,
     // so the two q8 paths dequantise bit-identically.
     const float range = e.hi - e.lo;
-    for (std::size_t i = 0; i < dst.size(); ++i)
-        dst[i] = e.lo + static_cast<float>(transit[i]) * range / 255.0f;
+    const std::span<const std::uint8_t> q = transit.span();
+    const index_t n = static_cast<index_t>(dst.size());
+#pragma omp parallel for schedule(static) if (dst.size() >= kParallelMin)
+    for (index_t i = 0; i < n; ++i) {
+        const std::size_t at = static_cast<std::size_t>(i);
+        dst[at] = e.lo + static_cast<float>(q[at]) * range / 255.0f;
+    }
     telemetry::registry().counter(names::kMetricBandDecodes).add(1);
     return out;
 }

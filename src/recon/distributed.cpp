@@ -283,19 +283,13 @@ DistributedResult reconstruct_distributed(const DistributedConfig& cfg,
                             cfg.retry ? faults::with_retry(names::kSiteSourceLoad, *cfg.retry,
                                                            attempt)
                                       : attempt();
-                        if (t->source->raw_counts()) {
-                            require(cfg.beer.has_value(),
-                                    "reconstruct_distributed: source emits raw counts but no "
-                                    "Beer-law calibration configured");
-                            beer_law(delta, *cfg.beer);
-                        }
-                        if (t->parker) t->parker->apply(delta);
-                        tk_engine->apply(delta);
-                        // The dead rank would have shipped this band in the
-                        // configured wire format; replay its quantisation
-                        // too, or the takeover partial diverges bitwise.
-                        if (cfg.band_codec == io::BandCodec::Q8)
-                            t->bp.upload_band(io::encode_band(delta));
+                        // The dead rank's exact band preparation, wire
+                        // format included, or the partial diverges bitwise.
+                        const std::optional<io::EncodedBand> encoded = prepare_band(
+                            delta, t->source->raw_counts(), cfg.beer,
+                            t->parker ? &*t->parker : nullptr, *tk_engine, cfg.band_codec);
+                        if (encoded)
+                            t->bp.upload_band(*encoded);
                         else
                             t->bp.upload_band(delta);
                     }

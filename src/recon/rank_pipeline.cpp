@@ -46,20 +46,28 @@ void filter_item(const RankConfig& cfg, const filter::FilterEngine& engine,
                  const filter::ParkerWeights* parker, bool counts, LoadItem& item)
 {
     if (!item.delta) return;
-    if (counts) {
-        require(cfg.beer.has_value(),
-                "run_rank: source emits raw counts but no Beer-law calibration configured");
-        beer_law(*item.delta, *cfg.beer);
-    }
-    if (parker != nullptr) parker->apply(*item.delta);
-    engine.apply(*item.delta);
-    if (cfg.band_codec == io::BandCodec::Q8) {
-        item.encoded = io::encode_band(*item.delta);
-        item.delta.reset();
-    }
+    item.encoded = prepare_band(*item.delta, counts, cfg.beer, parker, engine, cfg.band_codec);
+    if (item.encoded) item.delta.reset();
 }
 
 }  // namespace
+
+std::optional<io::EncodedBand> prepare_band(ProjectionStack& band, bool raw_counts,
+                                            const std::optional<BeerLawScalar>& beer,
+                                            const filter::ParkerWeights* parker,
+                                            const filter::FilterEngine& engine,
+                                            io::BandCodec codec)
+{
+    if (raw_counts) {
+        require(beer.has_value(),
+                "prepare_band: source emits raw counts but no Beer-law calibration configured");
+        beer_law(band, *beer);
+    }
+    if (parker != nullptr) parker->apply(band);
+    engine.apply(band);
+    if (codec == io::BandCodec::Q8) return io::encode_band(band);
+    return std::nullopt;
+}
 
 RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reducer& reduce,
                    const Storer& store, const RankControl& ctl)

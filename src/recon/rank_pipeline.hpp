@@ -38,6 +38,10 @@
 #include "recon/source.hpp"
 #include "sim/device.hpp"
 
+namespace xct::filter {
+class ParkerWeights;
+}
+
 namespace xct::recon {
 
 /// Slab-granular checkpoint/restart configuration of one rank.
@@ -139,6 +143,19 @@ using Storer = std::function<void(const Volume& slab, const SlabPlan& plan)>;
 /// token whose cancellation was requested (checked at stage boundaries).
 RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reducer& reduce,
                    const Storer& store, const RankControl& ctl = {});
+
+/// Prepare one loaded band for upload: Eq. 1 when the source emits raw
+/// counts (`beer` must then be set), Parker weighting for short scans
+/// (`parker` non-null), the Eq. 2 filter, then the wire encoding.  `band`
+/// is weighted and filtered in place; returns its q8 form under
+/// BandCodec::Q8 and nullopt under Raw.  The live filter stage and the
+/// degraded-takeover replay both go through here, so a takeover rebuilds
+/// the dead rank's texture bitwise.
+std::optional<io::EncodedBand> prepare_band(ProjectionStack& band, bool raw_counts,
+                                            const std::optional<BeerLawScalar>& beer,
+                                            const filter::ParkerWeights* parker,
+                                            const filter::FilterEngine& engine,
+                                            io::BandCodec codec);
 
 /// Identity reducer for single-rank use.
 inline bool identity_reducer(Volume&, const SlabPlan&)

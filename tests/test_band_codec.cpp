@@ -19,6 +19,7 @@
 #include "recon/distributed.hpp"
 #include "recon/fdk.hpp"
 #include "recon/quality.hpp"
+#include "scoped_threads.hpp"
 #include "sim/device.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -168,6 +169,76 @@ TEST(BandCodec, ThrowClassFaultsFireBeforeTheTransitCopy)
     faults::ScopedPlan install(faults::FaultPlan::parse("band.decode:after=0,count=1"));
     EXPECT_THROW(decode_band(e), faults::TransientError);
     EXPECT_NO_THROW(decode_band(e));  // count=1 consumed
+}
+
+// ---- thread-count invariance --------------------------------------------
+
+using testutil::ScopedThreads;
+
+/// Large enough to cross the codec's parallel threshold and span two
+/// min/max chunks, with a +0 / -0 tie for the minimum in different chunks:
+/// a one-pass scan keeps the first (+0), which a thread-order-dependent
+/// reduction could get wrong.
+ProjectionStack wide_band()
+{
+    ProjectionStack s(4, Range{0, 100}, 251);
+    std::mt19937 rng(23);
+    std::uniform_real_distribution<float> dist(0.5f, 2.5f);
+    for (float& v : s.span()) v = dist(rng);
+    s.span()[5] = 0.0f;
+    s.span()[70000] = -0.0f;
+    return s;
+}
+
+TEST(BandCodec, EncodeIsBitwiseSerialAtAnyThreadCount)
+{
+    integrity::ScopedEnable on;
+    const ProjectionStack band = wide_band();
+    const std::span<const float> src = band.span();
+
+    // The single-threaded reference: one left-to-right pass.
+    float lo = src[0], hi = src[0];
+    for (const float v : src) {
+        lo = std::min(lo, v);
+        hi = std::max(hi, v);
+    }
+    const float scale = 255.0f / (hi - lo);
+    std::vector<std::uint8_t> payload(src.size());
+    for (std::size_t i = 0; i < src.size(); ++i) {
+        float t = (src[i] - lo) * scale;
+        t = t < 0.0f ? 0.0f : (t > 255.0f ? 255.0f : t);
+        payload[i] = static_cast<std::uint8_t>(t + 0.5f);
+    }
+    ASSERT_FALSE(std::signbit(lo));
+
+    for (const int threads : {1, 4}) {
+        ScopedThreads pin(threads);
+        const EncodedBand e = encode_band(band);
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(e.lo), std::bit_cast<std::uint32_t>(lo))
+            << threads << " threads";
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(e.hi), std::bit_cast<std::uint32_t>(hi))
+            << threads << " threads";
+        EXPECT_TRUE(e.payload == payload) << threads << " threads";
+        EXPECT_EQ(e.digest, integrity::checksum_of<std::uint8_t>(std::span(payload)))
+            << threads << " threads";
+    }
+}
+
+TEST(BandCodec, DecodeIsBitwiseSerialAtAnyThreadCount)
+{
+    const EncodedBand e = encode_band(wide_band());
+    std::vector<float> want(e.payload.size());
+    const float range = e.hi - e.lo;
+    for (std::size_t i = 0; i < want.size(); ++i)
+        want[i] = e.lo + static_cast<float>(e.payload[i]) * range / 255.0f;
+
+    for (const int threads : {1, 4}) {
+        ScopedThreads pin(threads);
+        const ProjectionStack back = decode_band(e);
+        ASSERT_EQ(back.span().size(), want.size());
+        EXPECT_EQ(std::memcmp(back.span().data(), want.data(), want.size() * sizeof(float)), 0)
+            << threads << " threads";
+    }
 }
 
 // ---- end-to-end pipeline contracts --------------------------------------

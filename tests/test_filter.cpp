@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <numbers>
+#include <random>
 
+#include "fft/fft.hpp"
 #include "filter/ramp.hpp"
 
 namespace xct::filter {
@@ -229,6 +231,124 @@ TEST(FilterEngine, ExtraScaleIsLinear)
     two.apply_row(b, 3);
     for (index_t u = 0; u < g.nu; ++u)
         ASSERT_NEAR(b[static_cast<std::size_t>(u)], 2.0f * a[static_cast<std::size_t>(u)], 1e-6f);
+}
+
+// ---- padding-independent oracle -----------------------------------------
+
+/// Direct O(Nu^2) double-precision evaluation of Eq. 2 for one row: the
+/// cosine weight, then the linear (never circular) convolution with the
+/// ramp_kernel taps and the FDK scale.  Shares no padding, transform or
+/// spectrum with FilterEngine, so an aliasing mistake shows here.
+std::vector<double> direct_filter(const CbctGeometry& g, std::span<const float> row, index_t v)
+{
+    const double angular = g.short_scan()
+                               ? g.scan_range / static_cast<double>(g.num_proj)
+                               : std::numbers::pi / static_cast<double>(g.num_proj);
+    const double scale = angular * (g.dsd / g.dso);
+    const double cu = (static_cast<double>(g.nu) - 1.0) / 2.0 + g.sigma_u;
+    const double cv = (static_cast<double>(g.nv) - 1.0) / 2.0 + g.sigma_v;
+    const double pv = g.dv * (static_cast<double>(v) - cv);
+    std::vector<double> x(row.size());
+    for (index_t u = 0; u < g.nu; ++u) {
+        const double pu = g.du * (static_cast<double>(u) - cu);
+        x[static_cast<std::size_t>(u)] = row[static_cast<std::size_t>(u)] * g.dsd /
+                                         std::sqrt(pu * pu + pv * pv + g.dsd * g.dsd);
+    }
+    const std::vector<float> taps = ramp_kernel(g.nu, g.du);
+    std::vector<double> y(row.size(), 0.0);
+    for (index_t i = 0; i < g.nu; ++i)
+        for (index_t j = 0; j < g.nu; ++j) {
+            const double tap = taps[static_cast<std::size_t>(g.nu + i - j)];
+            y[static_cast<std::size_t>(i)] += x[static_cast<std::size_t>(j)] * tap * scale;
+        }
+    return y;
+}
+
+CbctGeometry oracle_geo(index_t nu, bool short_scan)
+{
+    CbctGeometry g = geo();
+    g.nu = nu;
+    g.nv = 7;
+    g.du = 0.4;
+    g.sigma_u = 1.75;
+    g.sigma_v = -0.6;
+    g.dx = g.dy = g.dz = CbctGeometry::natural_pitch(g.du, g.dsd, g.dso, g.nu, g.vol.x);
+    if (short_scan) g.scan_range = std::numbers::pi + 2.0 * std::atan(0.5 * nu * g.du / g.dsd);
+    return g;
+}
+
+struct OracleCase {
+    index_t nu;
+    bool short_scan;
+};
+
+void PrintTo(const OracleCase& c, std::ostream* os)
+{
+    *os << "Nu=" << c.nu << (c.short_scan ? " short scan" : "");
+}
+
+class FilterOracle : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(FilterOracle, MatchesDirectConvolutionWithoutAliasing)
+{
+    const CbctGeometry g = oracle_geo(GetParam().nu, GetParam().short_scan);
+    ASSERT_EQ(g.short_scan(), GetParam().short_scan);
+    const FilterEngine eng(g);
+    EXPECT_EQ(eng.padded_len(), fft::next_pow2(2 * g.nu));
+
+    // Rows 1..5 of 7: two packed pairs plus the odd remainder row.
+    ProjectionStack in(2, Range{1, 6}, g.nu);
+    std::mt19937 rng(static_cast<std::uint32_t>(g.nu));
+    std::uniform_real_distribution<float> dist(0.0f, 3.0f);
+    for (float& v : in.span()) v = dist(rng);
+    ProjectionStack fast = in;
+    eng.apply(fast);
+
+    // Bounds relative to the largest oracle output of the stack.  The fp32
+    // path carries one rounding per FFT stage over log2(2 Nu) stages plus
+    // the fp32 weight and spectrum: measured <= 3.2e-7 up to Nu = 256, so
+    // 4e-6 keeps > 10x margin.  The double reference path only rounds the
+    // weight and the result to fp32: measured <= 1.4e-7, bound 1.5e-6.
+    // A transform padded below 2 Nu whose wrap reaches the outputs misses
+    // by 5e-3 .. 9e-2 on these widths.
+    constexpr double kFastBound = 4e-6;
+    constexpr double kReferenceBound = 1.5e-6;
+    double peak = 0.0, err_fast = 0.0, err_ref = 0.0;
+    for (index_t s = 0; s < in.views(); ++s)
+        for (index_t v = in.band().lo; v < in.band().hi; ++v) {
+            const std::vector<double> want = direct_filter(g, in.row(s, v), v);
+            std::vector<float> ref(in.row(s, v).begin(), in.row(s, v).end());
+            eng.apply_row_reference(ref, v);
+            for (index_t u = 0; u < g.nu; ++u) {
+                const std::size_t k = static_cast<std::size_t>(u);
+                peak = std::max(peak, std::abs(want[k]));
+                err_fast = std::max(err_fast, std::abs(fast.at(s, v, u) - want[k]));
+                err_ref = std::max(err_ref, std::abs(ref[k] - want[k]));
+            }
+        }
+    ASSERT_GT(peak, 0.0);
+    EXPECT_LE(err_fast, kFastBound * peak) << "Nu=" << g.nu << " rel " << err_fast / peak;
+    EXPECT_LE(err_ref, kReferenceBound * peak) << "Nu=" << g.nu << " rel " << err_ref / peak;
+}
+
+// 128 and 256 make 2 Nu a power of two, so the n = +-Nu taps wrap onto one
+// circular index; 125, 233 and 251 pad past 2 Nu.
+INSTANTIATE_TEST_SUITE_P(Widths, FilterOracle,
+                         ::testing::Values(OracleCase{2, false}, OracleCase{3, false},
+                                           OracleCase{64, false}, OracleCase{125, false},
+                                           OracleCase{128, false}, OracleCase{233, false},
+                                           OracleCase{251, false}, OracleCase{256, false},
+                                           OracleCase{128, true}, OracleCase{251, true}),
+                         [](const ::testing::TestParamInfo<OracleCase>& info) {
+                             return "Nu" + std::to_string(info.param.nu) +
+                                    (info.param.short_scan ? "ShortScan" : "");
+                         });
+
+TEST(FilterOracle, SingleColumnDetectorIsRejected)
+{
+    // Nu = 1 has no valid geometry (CbctGeometry::validate needs 2x2), so
+    // the smallest width the oracle can reach is Nu = 2.
+    EXPECT_THROW(FilterEngine(oracle_geo(1, false)), std::invalid_argument);
 }
 
 TEST(FilterEngine, RejectsWrongRowWidth)

@@ -1,10 +1,14 @@
 // Beer-law preprocessing tests (Eq. 1) and its synthetic inverse.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <random>
 #include <vector>
 
 #include "core/preprocess.hpp"
+#include "scoped_threads.hpp"
 
 namespace xct {
 namespace {
@@ -73,6 +77,48 @@ TEST(BeerLaw, RoundTripWithInverse)
     inverse_beer_law(counts, cal);
     beer_law(counts, cal);
     for (std::size_t i = 0; i < p.size(); ++i) EXPECT_NEAR(counts[i], p[i], 1e-3f);
+}
+
+using testutil::ScopedThreads;
+
+TEST(BeerLaw, IsBitwiseSerialAtAnyThreadCount)
+{
+    // 3 projections of 251 x 100 pixels: past the parallel threshold, with
+    // dead pixels and a per-pixel calibration.
+    const std::size_t pix = 251 * 100;
+    std::vector<float> counts(3 * pix), dark(pix), blank(pix);
+    std::mt19937 rng(7);
+    std::uniform_real_distribution<float> dist(-50.0f, 70000.0f);
+    for (float& c : counts) c = dist(rng);
+    for (std::size_t p = 0; p < pix; ++p) {
+        dark[p] = static_cast<float>(p % 13);
+        blank[p] = 60000.0f + static_cast<float>(p % 97);
+    }
+    const BeerLawScalar cal{12.0f, 65000.0f};
+
+    // The single-threaded reference, written out: Eq. 1 with the clamp.
+    const auto eq1 = [](float c, float d, float b) {
+        const float denom = b - d;
+        float t = (c - d) / denom;
+        t = std::max(t, 1e-6f);
+        return -std::log(t);
+    };
+    std::vector<float> want_scalar(counts.size()), want_pixel(counts.size());
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+        want_scalar[i] = eq1(counts[i], cal.dark, cal.blank);
+        want_pixel[i] = eq1(counts[i], dark[i % pix], blank[i % pix]);
+    }
+
+    for (const int threads : {1, 4}) {
+        ScopedThreads pin(threads);
+        std::vector<float> scalar = counts, pixel = counts;
+        beer_law(scalar, cal);
+        beer_law(pixel, dark, blank);
+        EXPECT_EQ(std::memcmp(scalar.data(), want_scalar.data(), scalar.size() * sizeof(float)), 0)
+            << threads << " threads";
+        EXPECT_EQ(std::memcmp(pixel.data(), want_pixel.data(), pixel.size() * sizeof(float)), 0)
+            << threads << " threads";
+    }
 }
 
 TEST(BeerLaw, StackOverloadProcessesEveryPixel)
