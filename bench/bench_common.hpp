@@ -9,12 +9,11 @@
 // reproduction targets (see EXPERIMENTS.md).
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/json.hpp"
 #include "io/datasets.hpp"
 
 namespace xct::bench {
@@ -41,22 +40,7 @@ inline double mib(std::uint64_t bytes)
 //
 // Benches emit flat one-level JSON objects of named sections so CI can
 // archive throughput numbers per PR.  Values are preformatted JSON
-// literals (json_num / json_str below), keeping the writer dependency-free.
-
-/// Render a double as a JSON number literal.
-inline std::string json_num(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.8g", v);
-    return buf;
-}
-
-/// Render a string as a JSON string literal (no escaping — callers pass
-/// identifier-like values such as backend names).
-inline std::string json_str(const std::string& s)
-{
-    return "\"" + s + "\"";
-}
+// literals (json_number / json_quote from core/json.hpp).
 
 /// Write `"section": { key: value, ... }` into the JSON object file at
 /// `path`.  `fresh` truncates the file first (each binary passes true for
@@ -66,30 +50,13 @@ inline void write_json_section(const std::string& path, const std::string& secti
                                const std::vector<std::pair<std::string, std::string>>& kv,
                                bool fresh = false)
 {
-    std::string body = "\"" + section + "\": {";
+    std::string body = json_quote(section) + ": {";
     for (std::size_t i = 0; i < kv.size(); ++i) {
         if (i != 0) body += ", ";
-        body += "\"" + kv[i].first + "\": " + kv[i].second;
+        body += json_quote(kv[i].first) + ": " + kv[i].second;
     }
     body += "}";
-
-    std::string content;
-    if (!fresh) {
-        std::ifstream in(path);
-        std::stringstream ss;
-        ss << in.rdbuf();
-        content = ss.str();
-    }
-    const std::size_t first = content.find_first_not_of(" \t\r\n");
-    const std::size_t last = content.find_last_not_of(" \t\r\n");
-    if (first == std::string::npos || content[first] != '{' || content[last] != '}') {
-        content = "{\n  " + body + "\n}\n";
-    } else {
-        const bool has_keys = content.find_first_not_of(" \t\r\n", first + 1) != last;
-        content.insert(last, std::string(has_keys ? ",\n  " : "\n  ") + body + "\n");
-    }
-    std::ofstream out(path, std::ios::trunc);
-    out << content;
+    append_json_members(path, body, fresh);
 }
 
 }  // namespace xct::bench

@@ -116,7 +116,7 @@ int main()
     std::printf("%-8s %-12s %-12s %-12s %-10s %-10s\n", "output", "simd", "scalar",
                 "rtk-style", "simd/scal", "simd/rtk");
     std::vector<std::pair<std::string, std::string>> kv;
-    kv.emplace_back("simd_backend", bench::json_str(simd::backend_name()));
+    kv.emplace_back("simd_backend", json_quote(simd::backend_name()));
     for (index_t n : {24, 40, 56}) {
         const io::Dataset ds = io::dataset_by_name("tomo_00030").scaled(12.0).with_volume(n);
         const CbctGeometry& g = ds.geometry;
@@ -129,9 +129,9 @@ int main()
         std::printf("%-8lld %-12.4f %-12.4f %-12.4f %-10.2f %-10.2f\n",
                     static_cast<long long>(n), ours, scal, rtk, ours / scal, ours / rtk);
         const std::string sn = std::to_string(static_cast<long long>(n));
-        kv.emplace_back("gups_simd_n" + sn, bench::json_num(ours));
-        kv.emplace_back("gups_scalar_n" + sn, bench::json_num(scal));
-        kv.emplace_back("gups_rtk_n" + sn, bench::json_num(rtk));
+        kv.emplace_back("gups_simd_n" + sn, json_number(ours));
+        kv.emplace_back("gups_scalar_n" + sn, json_number(scal));
+        kv.emplace_back("gups_rtk_n" + sn, json_number(rtk));
     }
     bench::write_json_section("BENCH_pr4.json", "roofline", kv);
     bench::note("expected simd/rtk >= 1: the streaming offsets cost almost nothing (Sec. 6.2)");

@@ -293,13 +293,13 @@ void emit_bench_json(const std::string& path)
 
         bench::write_json_section(
             path, "backproj",
-            {{"simd_backend", bench::json_str(simd::backend_name())},
-             {"simd_lanes", bench::json_num(static_cast<double>(simd::kLanes))},
-             {"updates_per_s_scalar", bench::json_num(updates / t_scalar)},
-             {"updates_per_s_simd", bench::json_num(updates / t_simd)},
-             {"views_per_s_simd", bench::json_num(static_cast<double>(g.num_proj) / t_simd)},
-             {"speedup", bench::json_num(t_scalar / t_simd)},
-             {"warm_heap_events", bench::json_num(static_cast<double>(heap_delta))}},
+            {{"simd_backend", json_quote(simd::backend_name())},
+             {"simd_lanes", json_number(static_cast<double>(simd::kLanes))},
+             {"updates_per_s_scalar", json_number(updates / t_scalar)},
+             {"updates_per_s_simd", json_number(updates / t_simd)},
+             {"views_per_s_simd", json_number(static_cast<double>(g.num_proj) / t_simd)},
+             {"speedup", json_number(t_scalar / t_simd)},
+             {"warm_heap_events", json_number(static_cast<double>(heap_delta))}},
             /*fresh=*/true);
     }
 
@@ -334,14 +334,14 @@ void emit_bench_json(const std::string& path)
 
         bench::write_json_section(
             path, "filter",
-            {{"padded_len", bench::json_num(static_cast<double>(eng.padded_len()))},
-             {"rows_per_s_reference", bench::json_num(rows / t_ref)},
-             {"rows_per_s_fp32", bench::json_num(rows / t_f32)},
+            {{"padded_len", json_number(static_cast<double>(eng.padded_len()))},
+             {"rows_per_s_reference", json_number(rows / t_ref)},
+             {"rows_per_s_fp32", json_number(rows / t_f32)},
              // Element rate in TH_flt's units, so the autotune calibrator
              // can seed the model straight from this file.
-             {"elems_per_s_fp32", bench::json_num(static_cast<double>(stack.count()) / t_f32)},
-             {"speedup", bench::json_num(t_ref / t_f32)},
-             {"warm_heap_events", bench::json_num(static_cast<double>(heap_delta))}});
+             {"elems_per_s_fp32", json_number(static_cast<double>(stack.count()) / t_f32)},
+             {"speedup", json_number(t_ref / t_f32)},
+             {"warm_heap_events", json_number(static_cast<double>(heap_delta))}});
     }
 
     // Raw FFT round-trip cost per transform (context for the filter row
@@ -375,11 +375,11 @@ void emit_bench_json(const std::string& path)
         });
         bench::write_json_section(
             path, "fft",
-            {{"n", bench::json_num(static_cast<double>(n))},
-             {"us_per_transform_reference", bench::json_num(per(t_refr) * 1e6)},
-             {"us_per_transform_planned_f64", bench::json_num(per(t_plan) * 1e6)},
-             {"us_per_transform_planned_f32", bench::json_num(per(t_f32) * 1e6)},
-             {"speedup_f32_vs_reference", bench::json_num(t_refr / t_f32)}});
+            {{"n", json_number(static_cast<double>(n))},
+             {"us_per_transform_reference", json_number(per(t_refr) * 1e6)},
+             {"us_per_transform_planned_f64", json_number(per(t_plan) * 1e6)},
+             {"us_per_transform_planned_f32", json_number(per(t_f32) * 1e6)},
+             {"speedup_f32_vs_reference", json_number(t_refr / t_f32)}});
     }
 
     // Integrity layer (DESIGN.md §3f): raw xxh64 throughput (fast vs the
@@ -425,11 +425,11 @@ void emit_bench_json(const std::string& path)
 
         bench::write_json_section(
             path, "integrity",
-            {{"digest_gib_per_s", bench::json_num(gib / t_fast)},
-             {"digest_reference_gib_per_s", bench::json_num(gib / t_refr)},
-             {"fdk_seconds_integrity_off", bench::json_num(t_off)},
-             {"fdk_seconds_integrity_on", bench::json_num(t_on)},
-             {"overhead_percent", bench::json_num((t_on / t_off - 1.0) * 100.0)}});
+            {{"digest_gib_per_s", json_number(gib / t_fast)},
+             {"digest_reference_gib_per_s", json_number(gib / t_refr)},
+             {"fdk_seconds_integrity_off", json_number(t_off)},
+             {"fdk_seconds_integrity_on", json_number(t_on)},
+             {"overhead_percent", json_number((t_on / t_off - 1.0) * 100.0)}});
     }
 
     // Flight recorder (DESIGN.md §3g): the warm per-span cost of the
@@ -467,11 +467,11 @@ void emit_bench_json(const std::string& path)
 
         bench::write_json_section(
             path, "flight",
-            {{"ns_per_span", bench::json_num(t_span * 1e9)},
-             {"spans_per_s", bench::json_num(1.0 / t_span)},
-             {"warm_heap_events", bench::json_num(static_cast<double>(warm_heap))},
-             {"fdk_spans", bench::json_num(fdk_spans)},
-             {"overhead_percent", bench::json_num(overhead)}});
+            {{"ns_per_span", json_number(t_span * 1e9)},
+             {"spans_per_s", json_number(1.0 / t_span)},
+             {"warm_heap_events", json_number(static_cast<double>(warm_heap))},
+             {"fdk_spans", json_number(fdk_spans)},
+             {"overhead_percent", json_number(overhead)}});
     }
 
     // Bytes moved by the simulated device over a fixed single-rank run —
@@ -518,14 +518,14 @@ void emit_bench_json(const std::string& path)
 
         bench::write_json_section(
             path, "transport",
-            {{"h2d_bytes", bench::json_num(static_cast<double>(h2d))},
-             {"d2h_bytes", bench::json_num(static_cast<double>(d2h))},
-             {"h2d_bytes_q8", bench::json_num(static_cast<double>(h2d_q8))},
+            {{"h2d_bytes", json_number(static_cast<double>(h2d))},
+             {"d2h_bytes", json_number(static_cast<double>(d2h))},
+             {"h2d_bytes_q8", json_number(static_cast<double>(h2d_q8))},
              {"q8_bytes_over_raw",
-              bench::json_num(static_cast<double>(h2d_q8) / static_cast<double>(h2d))},
-             {"q8_psnr_db", bench::json_num(recon::psnr(raw, q8))},
+              json_number(static_cast<double>(h2d_q8) / static_cast<double>(h2d))},
+             {"q8_psnr_db", json_number(recon::psnr(raw, q8))},
              {"q8_max_err_vs_bound",
-              bench::json_num(static_cast<double>(max_err) /
+              json_number(static_cast<double>(max_err) /
                               static_cast<double>(io::q8_error_bound(enc)))}});
     }
 
@@ -555,16 +555,16 @@ void emit_bench_json(const std::string& path)
 
         bench::write_json_section(
             path, "autotune",
-            {{"picked_ng", bench::json_num(static_cast<double>(plan.layout.num_groups))},
-             {"picked_nr", bench::json_num(static_cast<double>(plan.layout.ranks_per_group))},
-             {"picked_nc", bench::json_num(static_cast<double>(plan.batches))},
-             {"picked_queue_depth", bench::json_num(static_cast<double>(plan.queue_depth))},
-             {"candidates_scored", bench::json_num(static_cast<double>(plan.candidates_scored))},
-             {"planned_runtime_seconds", bench::json_num(plan.predicted_runtime_s)},
-             {"fixed_runtime_seconds", bench::json_num(fixed_runtime)},
+            {{"picked_ng", json_number(static_cast<double>(plan.layout.num_groups))},
+             {"picked_nr", json_number(static_cast<double>(plan.layout.ranks_per_group))},
+             {"picked_nc", json_number(static_cast<double>(plan.batches))},
+             {"picked_queue_depth", json_number(static_cast<double>(plan.queue_depth))},
+             {"candidates_scored", json_number(static_cast<double>(plan.candidates_scored))},
+             {"planned_runtime_seconds", json_number(plan.predicted_runtime_s)},
+             {"fixed_runtime_seconds", json_number(fixed_runtime)},
              {"planned_over_fixed_runtime",
-              bench::json_num(plan.predicted_runtime_s / fixed_runtime)},
-             {"jobs_per_hour", bench::json_num(3600.0 / plan.predicted_runtime_s)}});
+              json_number(plan.predicted_runtime_s / fixed_runtime)},
+             {"jobs_per_hour", json_number(3600.0 / plan.predicted_runtime_s)}});
     }
 }
 

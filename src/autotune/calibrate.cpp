@@ -1,93 +1,36 @@
 #include "autotune/calibrate.hpp"
 
-#include <cctype>
-#include <cstdlib>
 #include <fstream>
-#include <iomanip>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/decompose.hpp"
+#include "core/json.hpp"
 
 namespace xct::autotune {
 
 namespace {
+
+constexpr const char* kMachineSchema = "xct.machine.v1";
 
 std::size_t idx(Param p)
 {
     return static_cast<std::size_t>(p);
 }
 
-/// Minimal reader for the flat one-or-two-level JSON this repo's bench
-/// writer emits: quoted keys, numeric or string scalar values, no arrays
-/// and no escape sequences.  Numeric leaves land in the map as
-/// "section.key" (or bare "key" at the top level); everything else is
-/// skipped.
-std::map<std::string, double> parse_numeric_keys(const std::string& text)
-{
-    std::map<std::string, double> out;
-    std::string section;
-    index_t depth = 0;
-    std::size_t i = 0;
-    const std::size_t n = text.size();
-    const auto skip_ws = [&] {
-        while (i < n && std::isspace(static_cast<unsigned char>(text[i]))) ++i;
-    };
-    while (i < n) {
-        const char c = text[i];
-        if (c == '{') {
-            ++depth;
-            ++i;
-            continue;
-        }
-        if (c == '}') {
-            --depth;
-            if (depth <= 1) section.clear();
-            ++i;
-            continue;
-        }
-        if (c != '"') {
-            ++i;
-            continue;
-        }
-        const std::size_t e = text.find('"', i + 1);
-        if (e == std::string::npos) break;
-        const std::string key = text.substr(i + 1, e - i - 1);
-        i = e + 1;
-        skip_ws();
-        if (i >= n || text[i] != ':') continue;
-        ++i;
-        skip_ws();
-        if (i >= n) break;
-        if (text[i] == '{') {
-            section = key;  // the '{' is consumed by the next iteration
-            continue;
-        }
-        if (text[i] == '"') {  // string value: skip
-            const std::size_t e2 = text.find('"', i + 1);
-            i = e2 == std::string::npos ? n : e2 + 1;
-            continue;
-        }
-        char* end = nullptr;
-        const double v = std::strtod(text.c_str() + i, &end);
-        if (end != text.c_str() + i) {
-            out[section.empty() ? key : section + "." + key] = v;
-            i = static_cast<std::size_t>(end - text.c_str());
-        } else {
-            ++i;
-        }
-    }
-    return out;
-}
-
-std::string read_text(const std::string& path)
+/// Parse the JSON file at `path`; every failure is a std::runtime_error
+/// naming the path.
+Json read_json(const std::string& path)
 {
     std::ifstream in(path);
     if (!in) throw std::runtime_error("autotune: cannot read " + path);
     std::ostringstream ss;
     ss << in.rdbuf();
-    return ss.str();
+    try {
+        return Json::parse(ss.str());
+    } catch (const std::invalid_argument& e) {
+        throw std::runtime_error("autotune: " + path + ": " + e.what());
+    }
 }
 
 }  // namespace
@@ -103,16 +46,18 @@ void Calibrator::observe(Param p, double work, double seconds)
 
 void Calibrator::observe_bench_file(const std::string& path)
 {
-    const auto kv = parse_numeric_keys(read_text(path));
-    const auto take = [&](const char* key, Param p) {
-        const auto it = kv.find(key);
-        if (it == kv.end()) return false;
-        observe(p, it->second, 1.0);  // the bench reports a rate: work per 1 s
+    const Json doc = read_json(path);
+    const auto take = [&](const char* section, const char* key, Param p) {
+        const Json* s = doc.find(section);
+        const Json* v = s != nullptr ? s->find(key) : nullptr;
+        if (v == nullptr) return false;
+        // The bench reports a rate: work per 1 s.
+        observe(p, v->as_number(std::string(section) + "." + key), 1.0);
         return true;
     };
-    if (!take("backproj.updates_per_s_simd", Param::ThBp))
-        take("backproj.updates_per_s_scalar", Param::ThBp);
-    take("filter.elems_per_s_fp32", Param::ThFlt);
+    if (!take("backproj", "updates_per_s_simd", Param::ThBp))
+        take("backproj", "updates_per_s_scalar", Param::ThBp);
+    take("filter", "elems_per_s_fp32", Param::ThFlt);
 }
 
 void Calibrator::observe_run(const perfmodel::RunConfig& cfg,
@@ -174,16 +119,15 @@ perfmodel::MachineParams Calibrator::fit(const perfmodel::MachineParams& base) c
 std::string machine_json(const perfmodel::MachineParams& m)
 {
     std::ostringstream ss;
-    ss << std::setprecision(17);
     ss << "{\n";
-    ss << "  \"schema\": \"xct.machine.v1\",\n";
-    ss << "  \"bw_load_gbps\": " << m.bw_load_gbps << ",\n";
-    ss << "  \"bw_store_gbps\": " << m.bw_store_gbps << ",\n";
-    ss << "  \"th_flt_geps\": " << m.th_flt_geps << ",\n";
-    ss << "  \"th_bp_gups\": " << m.th_bp_gups << ",\n";
-    ss << "  \"th_reduce_gbps\": " << m.th_reduce_gbps << ",\n";
-    ss << "  \"bw_h2d_gbps\": " << m.bw_h2d_gbps << ",\n";
-    ss << "  \"bw_d2h_gbps\": " << m.bw_d2h_gbps << "\n";
+    ss << "  \"schema\": \"" << kMachineSchema << "\",\n";
+    ss << "  \"bw_load_gbps\": " << json_number(m.bw_load_gbps) << ",\n";
+    ss << "  \"bw_store_gbps\": " << json_number(m.bw_store_gbps) << ",\n";
+    ss << "  \"th_flt_geps\": " << json_number(m.th_flt_geps) << ",\n";
+    ss << "  \"th_bp_gups\": " << json_number(m.th_bp_gups) << ",\n";
+    ss << "  \"th_reduce_gbps\": " << json_number(m.th_reduce_gbps) << ",\n";
+    ss << "  \"bw_h2d_gbps\": " << json_number(m.bw_h2d_gbps) << ",\n";
+    ss << "  \"bw_d2h_gbps\": " << json_number(m.bw_d2h_gbps) << "\n";
     ss << "}\n";
     return ss.str();
 }
@@ -197,16 +141,21 @@ void write_machine_json(const std::string& path, const perfmodel::MachineParams&
 
 perfmodel::MachineParams read_machine_json(const std::string& path)
 {
-    const auto kv = parse_numeric_keys(read_text(path));
+    const Json doc = read_json(path);
+    const Json* schema = doc.find("schema");
+    if (schema == nullptr || schema->type != Json::Type::String ||
+        schema->string != kMachineSchema)
+        throw std::runtime_error("autotune: " + path + " is not an " + kMachineSchema +
+                                 " document");
     perfmodel::MachineParams m;
     const auto need = [&](const char* key, double& field) {
-        const auto it = kv.find(key);
-        if (it == kv.end())
+        const Json* v = doc.find(key);
+        if (v == nullptr)
             throw std::runtime_error("autotune: " + path + " is missing key '" + key + "'");
-        if (it->second <= 0.0)
+        if (v->type != Json::Type::Number || v->number <= 0.0)
             throw std::runtime_error("autotune: " + path + " key '" + key +
-                                     "' must be positive");
-        field = it->second;
+                                     "' must be a positive number");
+        field = v->number;
     };
     need("bw_load_gbps", m.bw_load_gbps);
     need("bw_store_gbps", m.bw_store_gbps);

@@ -66,7 +66,8 @@ public:
     /// Seed kernel rates from a BENCH_*.json document: reads
     /// backproj.updates_per_s_{simd,scalar} and filter.elems_per_s_fp32
     /// when present.  Throws std::runtime_error when the file is
-    /// unreadable; unknown keys are ignored.
+    /// unreadable or not JSON, std::invalid_argument when one of those
+    /// keys is not a number; unknown keys are ignored.
     void observe_bench_file(const std::string& path);
 
     /// Fold one run's measured per-rank stats in.  Work terms (elements
@@ -96,8 +97,8 @@ private:
 /// the CI bench-trend job uploads as its calibrated-machine artifact.
 std::string machine_json(const perfmodel::MachineParams& m);
 void write_machine_json(const std::string& path, const perfmodel::MachineParams& m);
-/// Parse a machine_json document.  Throws std::runtime_error on missing
-/// file or missing keys.
+/// Parse a machine_json document.  Throws std::runtime_error on a missing
+/// file, malformed JSON, a wrong schema, or a missing or non-positive key.
 perfmodel::MachineParams read_machine_json(const std::string& path);
 
 }  // namespace xct::autotune

@@ -91,14 +91,16 @@ void Engine::recover()
                 if (it == jobs_.end()) break;
                 try {
                     const Json p = Json::parse(r.payload);
-                    it->second.device_bytes = static_cast<std::uint64_t>(
-                        p.find("device_bytes") ? p.find("device_bytes")->number : 0.0);
-                    it->second.predicted_s =
-                        p.find("predicted_s") ? p.find("predicted_s")->number : 0.0;
-                    it->second.deadline_unix =
-                        p.find("deadline_unix") ? p.find("deadline_unix")->number : 0.0;
-                    it->second.submitted_unix =
-                        p.find("submitted_unix") ? p.find("submitted_unix")->number : 0.0;
+                    const auto num = [&p](const std::string& key) {
+                        const Json* v = p.find(key);
+                        return v != nullptr ? v->as_number(key) : 0.0;
+                    };
+                    const Json* bytes = p.find("device_bytes");
+                    it->second.device_bytes =
+                        bytes != nullptr ? bytes->as_integer<std::uint64_t>("device_bytes") : 0;
+                    it->second.predicted_s = num("predicted_s");
+                    it->second.deadline_unix = num("deadline_unix");
+                    it->second.submitted_unix = num("submitted_unix");
                 } catch (const std::invalid_argument&) {
                 }
                 break;

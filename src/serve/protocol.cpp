@@ -1,8 +1,5 @@
 #include "serve/protocol.hpp"
 
-#include <cctype>
-#include <cmath>
-#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 
@@ -10,193 +7,17 @@ namespace xct::serve {
 
 namespace {
 
-[[noreturn]] void bad(const std::string& what, std::size_t at)
-{
-    throw std::invalid_argument("json: " + what + " at byte " + std::to_string(at));
-}
-
-class Parser {
-public:
-    explicit Parser(const std::string& text) : s_(text) {}
-
-    Json parse_document()
-    {
-        Json v = parse_value();
-        skip_ws();
-        if (i_ != s_.size()) bad("trailing data", i_);
-        return v;
-    }
-
-private:
-    const std::string& s_;
-    std::size_t i_ = 0;
-
-    void skip_ws()
-    {
-        while (i_ < s_.size() &&
-               (s_[i_] == ' ' || s_[i_] == '\t' || s_[i_] == '\n' || s_[i_] == '\r'))
-            ++i_;
-    }
-
-    char peek()
-    {
-        if (i_ >= s_.size()) bad("unexpected end", i_);
-        return s_[i_];
-    }
-
-    void expect(char c)
-    {
-        if (peek() != c) bad(std::string("expected '") + c + "'", i_);
-        ++i_;
-    }
-
-    bool consume_literal(const char* lit)
-    {
-        std::size_t n = 0;
-        while (lit[n] != '\0') ++n;
-        if (s_.compare(i_, n, lit) != 0) return false;
-        i_ += n;
-        return true;
-    }
-
-    Json parse_value()
-    {
-        skip_ws();
-        const char c = peek();
-        if (c == '{') return parse_object();
-        if (c == '[') return parse_array();
-        if (c == '"') {
-            Json v;
-            v.type = Json::Type::String;
-            v.string = parse_string();
-            return v;
-        }
-        if (c == 't' || c == 'f') {
-            Json v;
-            v.type = Json::Type::Bool;
-            if (consume_literal("true"))
-                v.boolean = true;
-            else if (consume_literal("false"))
-                v.boolean = false;
-            else
-                bad("bad literal", i_);
-            return v;
-        }
-        if (c == 'n') {
-            if (!consume_literal("null")) bad("bad literal", i_);
-            return Json{};
-        }
-        return parse_number();
-    }
-
-    Json parse_object()
-    {
-        expect('{');
-        Json v;
-        v.type = Json::Type::Object;
-        skip_ws();
-        if (peek() == '}') {
-            ++i_;
-            return v;
-        }
-        while (true) {
-            skip_ws();
-            std::string key = parse_string();
-            skip_ws();
-            expect(':');
-            v.object.emplace_back(std::move(key), parse_value());
-            skip_ws();
-            if (peek() == ',') {
-                ++i_;
-                continue;
-            }
-            expect('}');
-            return v;
-        }
-    }
-
-    Json parse_array()
-    {
-        expect('[');
-        Json v;
-        v.type = Json::Type::Array;
-        skip_ws();
-        if (peek() == ']') {
-            ++i_;
-            return v;
-        }
-        while (true) {
-            v.array.push_back(parse_value());
-            skip_ws();
-            if (peek() == ',') {
-                ++i_;
-                continue;
-            }
-            expect(']');
-            return v;
-        }
-    }
-
-    std::string parse_string()
-    {
-        expect('"');
-        std::string out;
-        while (true) {
-            if (i_ >= s_.size()) bad("unterminated string", i_);
-            const char c = s_[i_++];
-            if (c == '"') return out;
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
-            if (i_ >= s_.size()) bad("unterminated escape", i_);
-            const char e = s_[i_++];
-            switch (e) {
-                case '"': out.push_back('"'); break;
-                case '\\': out.push_back('\\'); break;
-                case '/': out.push_back('/'); break;
-                case 'n': out.push_back('\n'); break;
-                case 't': out.push_back('\t'); break;
-                case 'r': out.push_back('\r'); break;
-                case 'b': out.push_back('\b'); break;
-                case 'f': out.push_back('\f'); break;
-                default: bad("unsupported escape", i_ - 1);
-            }
-        }
-    }
-
-    Json parse_number()
-    {
-        const std::size_t start = i_;
-        while (i_ < s_.size() &&
-               (std::isdigit(static_cast<unsigned char>(s_[i_])) || s_[i_] == '-' ||
-                s_[i_] == '+' || s_[i_] == '.' || s_[i_] == 'e' || s_[i_] == 'E'))
-            ++i_;
-        if (i_ == start) bad("expected value", i_);
-        Json v;
-        v.type = Json::Type::Number;
-        std::size_t used = 0;
-        try {
-            v.number = std::stod(s_.substr(start, i_ - start), &used);
-        } catch (const std::exception&) {
-            bad("bad number", start);
-        }
-        if (used != i_ - start) bad("bad number", start);
-        return v;
-    }
-};
-
-const Json& member(const Json& j, const std::string& key)
-{
-    const Json* m = j.find(key);
-    if (m == nullptr) throw std::invalid_argument("json: missing field \"" + key + "\"");
-    return *m;
-}
-
 double num_or(const Json& j, const std::string& key, double fallback)
 {
     const Json* m = j.find(key);
     return m != nullptr ? m->as_number(key) : fallback;
+}
+
+template <class T>
+T int_or(const Json& j, const std::string& key, T fallback)
+{
+    const Json* m = j.find(key);
+    return m != nullptr ? m->as_integer<T>(key) : fallback;
 }
 
 std::string str_or(const Json& j, const std::string& key, const std::string& fallback)
@@ -205,69 +26,7 @@ std::string str_or(const Json& j, const std::string& key, const std::string& fal
     return m != nullptr ? m->as_string(key) : fallback;
 }
 
-index_t idx(double v, const std::string& what)
-{
-    if (!std::isfinite(v) || v != std::floor(v))
-        throw std::invalid_argument("json: " + what + " must be an integer");
-    return static_cast<index_t>(v);
-}
-
 }  // namespace
-
-Json Json::parse(const std::string& text)
-{
-    return Parser(text).parse_document();
-}
-
-const Json* Json::find(const std::string& key) const
-{
-    if (type != Type::Object) return nullptr;
-    for (const auto& [k, v] : object)
-        if (k == key) return &v;
-    return nullptr;
-}
-
-double Json::as_number(const std::string& what) const
-{
-    if (type != Type::Number) throw std::invalid_argument("json: " + what + " must be a number");
-    return number;
-}
-
-const std::string& Json::as_string(const std::string& what) const
-{
-    if (type != Type::String) throw std::invalid_argument("json: " + what + " must be a string");
-    return string;
-}
-
-bool Json::as_bool(const std::string& what) const
-{
-    if (type != Type::Bool) throw std::invalid_argument("json: " + what + " must be a boolean");
-    return boolean;
-}
-
-std::string json_quote(const std::string& s)
-{
-    std::string out = "\"";
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            default: out.push_back(c);
-        }
-    }
-    out.push_back('"');
-    return out;
-}
-
-std::string json_number(double v)
-{
-    std::ostringstream ss;
-    ss << std::setprecision(17) << v;
-    return ss.str();
-}
 
 std::string encode_spec(const JobSpec& spec)
 {
@@ -279,6 +38,8 @@ std::string encode_spec(const JobSpec& spec)
        << ",\"du\":" << json_number(g.du) << ",\"dv\":" << json_number(g.dv) << ",\"vol\":["
        << g.vol.x << "," << g.vol.y << "," << g.vol.z << "],\"dx\":" << json_number(g.dx)
        << ",\"dy\":" << json_number(g.dy) << ",\"dz\":" << json_number(g.dz)
+       << ",\"sigma_u\":" << json_number(g.sigma_u) << ",\"sigma_v\":" << json_number(g.sigma_v)
+       << ",\"sigma_cor\":" << json_number(g.sigma_cor)
        << ",\"scan_range\":" << json_number(g.scan_range) << "}"
        << ",\"phantom_seed\":" << spec.phantom_seed << ",\"batches\":" << spec.batches
        << ",\"device_capacity\":" << spec.device_capacity
@@ -292,28 +53,31 @@ std::string encode_spec(const JobSpec& spec)
 JobSpec decode_spec(const Json& j)
 {
     JobSpec spec;
-    const Json& g = member(j, "geometry");
-    spec.geometry.dso = member(g, "dso").as_number("dso");
-    spec.geometry.dsd = member(g, "dsd").as_number("dsd");
-    spec.geometry.num_proj = idx(member(g, "num_proj").as_number("num_proj"), "num_proj");
-    spec.geometry.nu = idx(member(g, "nu").as_number("nu"), "nu");
-    spec.geometry.nv = idx(member(g, "nv").as_number("nv"), "nv");
+    const Json& g = j.at("geometry");
+    spec.geometry.dso = g.at("dso").as_number("dso");
+    spec.geometry.dsd = g.at("dsd").as_number("dsd");
+    spec.geometry.num_proj = g.at("num_proj").as_integer<index_t>("num_proj");
+    spec.geometry.nu = g.at("nu").as_integer<index_t>("nu");
+    spec.geometry.nv = g.at("nv").as_integer<index_t>("nv");
     spec.geometry.du = num_or(g, "du", 1.0);
     spec.geometry.dv = num_or(g, "dv", 1.0);
-    const Json& vol = member(g, "vol");
+    const Json& vol = g.at("vol");
     if (vol.type != Json::Type::Array || vol.array.size() != 3)
         throw std::invalid_argument("json: vol must be [nx, ny, nz]");
-    spec.geometry.vol = Dim3{idx(vol.array[0].as_number("vol"), "vol"),
-                             idx(vol.array[1].as_number("vol"), "vol"),
-                             idx(vol.array[2].as_number("vol"), "vol")};
+    spec.geometry.vol = Dim3{vol.array[0].as_integer<index_t>("vol"),
+                             vol.array[1].as_integer<index_t>("vol"),
+                             vol.array[2].as_integer<index_t>("vol")};
     spec.geometry.dx = num_or(g, "dx", 1.0);
     spec.geometry.dy = num_or(g, "dy", 1.0);
     spec.geometry.dz = num_or(g, "dz", 1.0);
+    // Journals written before the offsets were carried replay as zeros.
+    spec.geometry.sigma_u = num_or(g, "sigma_u", 0.0);
+    spec.geometry.sigma_v = num_or(g, "sigma_v", 0.0);
+    spec.geometry.sigma_cor = num_or(g, "sigma_cor", 0.0);
     spec.geometry.scan_range = num_or(g, "scan_range", spec.geometry.scan_range);
-    spec.phantom_seed = static_cast<std::uint64_t>(num_or(j, "phantom_seed", 0.0));
-    spec.batches = idx(num_or(j, "batches", 8.0), "batches");
-    spec.device_capacity =
-        static_cast<std::size_t>(num_or(j, "device_capacity", 64.0 * (1 << 20)));
+    spec.phantom_seed = int_or<std::uint64_t>(j, "phantom_seed", 0);
+    spec.batches = int_or<index_t>(j, "batches", 8);
+    spec.device_capacity = int_or<std::size_t>(j, "device_capacity", 64u << 20);
     spec.priority = priority_from(str_or(j, "priority", "normal"));
     spec.tenant = str_or(j, "tenant", "default");
     spec.deadline_s = num_or(j, "deadline_s", 0.0);
@@ -340,8 +104,8 @@ std::string encode_status(const JobStatus& st)
 JobStatus decode_status(const Json& j)
 {
     JobStatus st;
-    st.id = static_cast<JobId>(member(j, "id").as_number("id"));
-    const std::string& state = member(j, "state").as_string("state");
+    st.id = j.at("id").as_integer<JobId>("id");
+    const std::string& state = j.at("state").as_string("state");
     const JobState states[] = {JobState::Queued,   JobState::Running, JobState::Done,
                                JobState::Cancelled, JobState::Rejected, JobState::Shed,
                                JobState::Failed};
@@ -356,10 +120,10 @@ JobStatus decode_status(const Json& j)
     st.priority = priority_from(str_or(j, "priority", "normal"));
     st.reason = str_or(j, "reason", "");
     st.progress = num_or(j, "progress", 0.0);
-    st.total_slabs = idx(num_or(j, "total_slabs", 0.0), "total_slabs");
-    st.completed_slabs = idx(num_or(j, "completed_slabs", 0.0), "completed_slabs");
+    st.total_slabs = int_or<index_t>(j, "total_slabs", 0);
+    st.completed_slabs = int_or<index_t>(j, "completed_slabs", 0);
     st.predicted_s = num_or(j, "predicted_s", 0.0);
-    st.device_bytes = static_cast<std::uint64_t>(num_or(j, "device_bytes", 0.0));
+    st.device_bytes = int_or<std::uint64_t>(j, "device_bytes", 0);
     st.output = str_or(j, "output", "");
     return st;
 }
@@ -381,11 +145,11 @@ Request decode_request(const std::string& line)
 {
     const Json j = Json::parse(line);
     Request r;
-    r.op = member(j, "op").as_string("op");
-    if (r.op == "submit") r.spec = decode_spec(member(j, "spec"));
+    r.op = j.at("op").as_string("op");
+    if (r.op == "submit") r.spec = decode_spec(j.at("spec"));
     if (r.op == "status" || r.op == "cancel" || r.op == "wait" || r.op == "fetch_slice")
-        r.id = static_cast<JobId>(member(j, "id").as_number("id"));
-    if (r.op == "fetch_slice") r.slice = idx(member(j, "slice").as_number("slice"), "slice");
+        r.id = j.at("id").as_integer<JobId>("id");
+    if (r.op == "fetch_slice") r.slice = j.at("slice").as_integer<index_t>("slice");
     if (r.op == "wait") r.timeout_s = num_or(j, "timeout_s", 60.0);
     return r;
 }

@@ -3,57 +3,33 @@
 //
 // One request per connection, newline-delimited: the client writes a
 // single-line JSON object, the daemon answers with a single-line JSON
-// object carrying "ok" plus op-specific fields.  The parser is a small
-// self-contained recursive-descent JSON reader (objects, arrays, strings
-// with basic escapes, numbers, booleans, null) — the tree bans external
-// dependencies, and the grammar the API needs is tiny.
+// object carrying "ok" plus op-specific fields.  Documents go through the
+// core codec (core/json.hpp); every integer field is decoded through the
+// checked Json::as_integer, so an out-of-range or fractional value is a
+// field-named error, never a cast.
 //
-// Doubles are printed at max_digits10 so a spec survives the
+// Doubles print at round-trip precision, so a spec survives the
 // encode->decode round trip bit-exactly; the journal stores specs in this
 // same encoding, which is why replayed jobs reconstruct identical volumes.
 
 #include <string>
-#include <vector>
 
+#include "core/json.hpp"
 #include "serve/job.hpp"
 
 namespace xct::serve {
 
-/// Parsed JSON value (tree-owned, no sharing).
-class Json {
-public:
-    enum class Type { Null, Bool, Number, String, Array, Object };
-
-    Type type = Type::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string string;
-    std::vector<Json> array;
-    std::vector<std::pair<std::string, Json>> object;  // insertion order
-
-    /// Parse one JSON document; throws std::invalid_argument with a byte
-    /// offset on malformed input.
-    static Json parse(const std::string& text);
-
-    /// Object member lookup; nullptr when absent or not an object.
-    const Json* find(const std::string& key) const;
-
-    /// Typed accessors; throw std::invalid_argument (naming `what`) on a
-    /// type mismatch so API errors carry the offending field.
-    double as_number(const std::string& what) const;
-    const std::string& as_string(const std::string& what) const;
-    bool as_bool(const std::string& what) const;
-};
-
-/// Escape `s` into a JSON string literal (quotes included).
-std::string json_quote(const std::string& s);
-/// Print a double at round-trip precision.
-std::string json_number(double v);
+// The codec lives in core; these names stay for code that spells them
+// through serve (bench/e2e).
+using xct::Json;
+using xct::json_number;
+using xct::json_quote;
 
 // ---- JobSpec / JobStatus wire forms ------------------------------------
 
 std::string encode_spec(const JobSpec& spec);
-/// Throws std::invalid_argument on missing/ill-typed fields.
+/// Throws std::invalid_argument on missing/ill-typed fields.  The Table 4
+/// offsets (sigma_u, sigma_v, sigma_cor) default to 0 when absent.
 JobSpec decode_spec(const Json& j);
 
 std::string encode_status(const JobStatus& st);

@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <numeric>
 #include <sstream>
 
 #include "autotune/calibrate.hpp"
 #include "autotune/planner.hpp"
+#include "core/json.hpp"
 #include "core/names.hpp"
 #include "integrity/integrity.hpp"
 #include "io/datasets.hpp"
@@ -227,13 +226,6 @@ double sorted_quantile(const std::vector<double>& sorted, double q)
     return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-std::string num(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
 }  // namespace
 
 SoakSummary run(const SoakConfig& cfg)
@@ -428,8 +420,8 @@ std::vector<std::string> check_invariants(const SoakSummary& s)
     if (s.live_jobs > 0 && !s.live_bitwise_identical)
         violations.push_back("fidelity: live-tier recovered volume differs from the clean run");
     if (s.p99_vs_predicted > 1.0)
-        violations.push_back("tail: p99 latency-vs-bound ratio " + num(s.p99_vs_predicted) +
-                             " exceeds 1.0 (perfmodel bound)");
+        violations.push_back("tail: p99 latency-vs-bound ratio " +
+                             json_number(s.p99_vs_predicted) + " exceeds 1.0 (perfmodel bound)");
     return violations;
 }
 
@@ -445,18 +437,18 @@ std::string deterministic_json(const SoakSummary& s)
     os << ", \"injected\": " << s.injected;
     os << ", \"detected\": " << s.detected;
     os << ", \"detection_ratio\": "
-       << (s.injected > 0 ? num(static_cast<double>(s.detected) /
-                                static_cast<double>(s.injected))
-                          : "0");
+       << (s.injected > 0
+               ? json_number(static_cast<double>(s.detected) / static_cast<double>(s.injected))
+               : "0");
     os << ", \"sites_match\": " << (s.sites_match ? 1 : 0);
     os << ", \"stall_injected\": " << s.stall_injected;
     os << ", \"stall_detected\": " << s.stall_detected;
-    os << ", \"makespan_hours\": " << num(s.makespan_s / 3600.0);
-    os << ", \"jobs_per_hour\": " << num(s.jobs_per_hour);
-    os << ", \"latency_p50_s\": " << num(s.latency_p50_s);
-    os << ", \"latency_p95_s\": " << num(s.latency_p95_s);
-    os << ", \"latency_p99_s\": " << num(s.latency_p99_s);
-    os << ", \"p99_vs_predicted\": " << num(s.p99_vs_predicted);
+    os << ", \"makespan_hours\": " << json_number(s.makespan_s / 3600.0);
+    os << ", \"jobs_per_hour\": " << json_number(s.jobs_per_hour);
+    os << ", \"latency_p50_s\": " << json_number(s.latency_p50_s);
+    os << ", \"latency_p95_s\": " << json_number(s.latency_p95_s);
+    os << ", \"latency_p99_s\": " << json_number(s.latency_p99_s);
+    os << ", \"p99_vs_predicted\": " << json_number(s.p99_vs_predicted);
     os << ", \"live_jobs\": " << s.live_jobs;
     os << ", \"live_bitwise_identical\": " << (s.live_bitwise_identical ? 1 : 0);
     os << ", \"autotuned\": " << (s.autotuned ? 1 : 0);
@@ -466,41 +458,21 @@ std::string deterministic_json(const SoakSummary& s)
 
 void write_bench_json(const std::string& path, const SoakSummary& s, bool fresh)
 {
-    // Same merge discipline as bench/bench_common.hpp write_json_section
-    // (soak sits in src/ and cannot include the bench tree).
-    std::string wall = "\"soak_wall\": {\"harness_seconds\": " + num(s.harness_wall_s) +
-                       ", \"live_seconds\": " + num(s.live_wall_s) + "}";
+    std::string wall = "\"soak_wall\": {\"harness_seconds\": " + json_number(s.harness_wall_s) +
+                       ", \"live_seconds\": " + json_number(s.live_wall_s) + "}";
     if (s.calibrated) {
         // Live-tier-fitted machine params are host readings, so they sit
         // with the wall-clock books, outside the replay compare.
         const perfmodel::MachineParams& m = s.calibrated_machine;
-        wall += ",\n  \"soak_machine\": {\"bw_load_gbps\": " + num(m.bw_load_gbps) +
-                ", \"bw_store_gbps\": " + num(m.bw_store_gbps) +
-                ", \"th_flt_geps\": " + num(m.th_flt_geps) +
-                ", \"th_bp_gups\": " + num(m.th_bp_gups) +
-                ", \"th_reduce_gbps\": " + num(m.th_reduce_gbps) +
-                ", \"bw_h2d_gbps\": " + num(m.bw_h2d_gbps) +
-                ", \"bw_d2h_gbps\": " + num(m.bw_d2h_gbps) + "}";
+        wall += ",\n  \"soak_machine\": {\"bw_load_gbps\": " + json_number(m.bw_load_gbps) +
+                ", \"bw_store_gbps\": " + json_number(m.bw_store_gbps) +
+                ", \"th_flt_geps\": " + json_number(m.th_flt_geps) +
+                ", \"th_bp_gups\": " + json_number(m.th_bp_gups) +
+                ", \"th_reduce_gbps\": " + json_number(m.th_reduce_gbps) +
+                ", \"bw_h2d_gbps\": " + json_number(m.bw_h2d_gbps) +
+                ", \"bw_d2h_gbps\": " + json_number(m.bw_d2h_gbps) + "}";
     }
-    const std::string body = deterministic_json(s) + ",\n  " + wall;
-
-    std::string content;
-    if (!fresh) {
-        std::ifstream in(path);
-        std::stringstream ss;
-        ss << in.rdbuf();
-        content = ss.str();
-    }
-    const std::size_t first = content.find_first_not_of(" \t\r\n");
-    const std::size_t last = content.find_last_not_of(" \t\r\n");
-    if (first == std::string::npos || content[first] != '{' || content[last] != '}') {
-        content = "{\n  " + body + "\n}\n";
-    } else {
-        const bool has_keys = content.find_first_not_of(" \t\r\n", first + 1) != last;
-        content.insert(last, std::string(has_keys ? ",\n  " : "\n  ") + body + "\n");
-    }
-    std::ofstream out(path, std::ios::trunc);
-    out << content;
+    append_json_members(path, deterministic_json(s) + ",\n  " + wall, fresh);
 }
 
 }  // namespace xct::soak

@@ -138,7 +138,8 @@ std::vector<std::string> check_invariants(const SoakSummary& s);
 /// Serialise the summary as a BENCH-style flat JSON document: the
 /// deterministic `soak` section plus the wall-clock `soak_wall` section.
 /// `fresh` truncates the file; otherwise the sections merge into an
-/// existing BENCH document (bench-trend appends to BENCH_pr4.json).
+/// existing BENCH document (bench-trend appends to BENCH_pr4.json) through
+/// append_json_members, which refuses a file that is not a JSON object.
 void write_bench_json(const std::string& path, const SoakSummary& s, bool fresh = true);
 
 /// The deterministic `soak` section body alone (replay tests compare it).

@@ -6,33 +6,11 @@
 #include <fstream>
 #include <set>
 
+#include "core/json.hpp"
+
 namespace xct::telemetry {
 
 namespace {
-
-std::string json_escape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
 
 std::string fmt_double(double v)
 {
@@ -75,8 +53,8 @@ void write_chrome_trace(std::ostream& os, const std::vector<TraceEvent>& events)
         const double begin = std::max(0.0, e.begin);
         const double dur = std::max(0.0, e.end - begin);
         sep();
-        os << "{\"name\":\"" << json_escape(e.name) << "\",\"cat\":\"" << json_escape(e.cat)
-           << "\",\"ph\":\"X\",\"ts\":" << fmt_double(begin * 1e6)
+        os << "{\"name\":" << json_quote(e.name) << ",\"cat\":" << json_quote(e.cat)
+           << ",\"ph\":\"X\",\"ts\":" << fmt_double(begin * 1e6)
            << ",\"dur\":" << fmt_double(dur * 1e6) << ",\"pid\":" << e.rank
            << ",\"tid\":" << e.lane;
         if (e.item >= 0 || e.bytes > 0) {
@@ -124,21 +102,21 @@ void write_metrics_json(std::ostream& os, const MetricsSnapshot& s)
 {
     os << "{\n  \"counters\": {";
     for (std::size_t i = 0; i < s.counters.size(); ++i)
-        os << (i ? "," : "") << "\n    \"" << json_escape(s.counters[i].name)
-           << "\": " << s.counters[i].value;
+        os << (i ? "," : "") << "\n    " << json_quote(s.counters[i].name) << ": "
+           << s.counters[i].value;
     os << "\n  },\n  \"gauges\": {";
     for (std::size_t i = 0; i < s.gauges.size(); ++i)
-        os << (i ? "," : "") << "\n    \"" << json_escape(s.gauges[i].name)
-           << "\": " << fmt_double(s.gauges[i].value);
+        os << (i ? "," : "") << "\n    " << json_quote(s.gauges[i].name) << ": "
+           << json_number(s.gauges[i].value);
     os << "\n  },\n  \"histograms\": {";
     for (std::size_t i = 0; i < s.histograms.size(); ++i) {
         const auto& h = s.histograms[i];
-        os << (i ? "," : "") << "\n    \"" << json_escape(h.name) << "\": {\"bounds\": [";
+        os << (i ? "," : "") << "\n    " << json_quote(h.name) << ": {\"bounds\": [";
         for (std::size_t b = 0; b < h.bounds.size(); ++b)
-            os << (b ? "," : "") << fmt_double(h.bounds[b]);
+            os << (b ? "," : "") << json_number(h.bounds[b]);
         os << "], \"counts\": [";
         for (std::size_t b = 0; b < h.counts.size(); ++b) os << (b ? "," : "") << h.counts[b];
-        os << "], \"count\": " << h.count << ", \"sum\": " << fmt_double(h.sum) << "}";
+        os << "], \"count\": " << h.count << ", \"sum\": " << json_number(h.sum) << "}";
     }
     os << "\n  }\n}\n";
 }

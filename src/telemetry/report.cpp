@@ -1,10 +1,10 @@
 #include "telemetry/report.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <map>
 
+#include "core/json.hpp"
 #include "core/names.hpp"
 
 namespace xct::telemetry::report {
@@ -57,41 +57,12 @@ double perfmodel::BatchTimes::* batch_field(const std::string& stage)
     return nullptr;
 }
 
-// ---- JSON helpers (self-contained; the report schema is typed here) -----
-
-std::string esc(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        if (c == '"' || c == '\\') out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-std::string num(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
-
-std::string num(std::uint64_t v)
-{
-    return std::to_string(v);
-}
-
-std::string num(index_t v)
-{
-    return std::to_string(static_cast<long long>(v));
-}
-
 std::string batch_times_json(const perfmodel::BatchTimes& t)
 {
-    return "{\"load\": " + num(t.load) + ", \"filter\": " + num(t.filter) +
-           ", \"h2d\": " + num(t.h2d) + ", \"bp\": " + num(t.bp) + ", \"d2h\": " + num(t.d2h) +
-           ", \"reduce\": " + num(t.reduce) + ", \"store\": " + num(t.store) + "}";
+    return "{\"load\": " + json_number(t.load) + ", \"filter\": " + json_number(t.filter) +
+           ", \"h2d\": " + json_number(t.h2d) + ", \"bp\": " + json_number(t.bp) +
+           ", \"d2h\": " + json_number(t.d2h) + ", \"reduce\": " + json_number(t.reduce) +
+           ", \"store\": " + json_number(t.store) + "}";
 }
 
 }  // namespace
@@ -223,35 +194,34 @@ RunReport build(const perfmodel::RunConfig& cfg, const perfmodel::MachineParams&
 
 void write_json(std::ostream& os, const RunReport& r)
 {
+    const CbctGeometry& g = r.config.geometry;
     os << "{\n  \"schema\": \"xct.report.v1\",\n";
-    os << "  \"config\": {\"volume\": [" << num(r.config.geometry.vol.x) << ", "
-       << num(r.config.geometry.vol.y) << ", " << num(r.config.geometry.vol.z)
-       << "], \"detector\": [" << num(r.config.geometry.nu) << ", "
-       << num(r.config.geometry.nv) << "], \"views\": " << num(r.config.geometry.num_proj)
-       << ", \"groups\": " << num(r.config.layout.num_groups)
-       << ", \"ranks_per_group\": " << num(r.config.layout.ranks_per_group)
-       << ", \"batches\": " << num(r.config.batches) << "},\n";
-    os << "  \"model\": {\"runtime_s\": " << num(r.predicted_runtime_s)
-       << ", \"gups\": " << num(r.predicted_gups) << ", \"binding_stage\": \""
-       << esc(r.binding_stage) << "\"},\n";
-    os << "  \"measured\": {\"wall_s\": " << num(r.measured_wall_s)
-       << ", \"efficiency\": " << num(r.efficiency)
-       << ", \"straggler_k\": " << num(r.straggler_k) << "},\n";
+    os << "  \"config\": {\"volume\": [" << g.vol.x << ", " << g.vol.y << ", " << g.vol.z
+       << "], \"detector\": [" << g.nu << ", " << g.nv << "], \"views\": " << g.num_proj
+       << ", \"groups\": " << r.config.layout.num_groups
+       << ", \"ranks_per_group\": " << r.config.layout.ranks_per_group
+       << ", \"batches\": " << r.config.batches << "},\n";
+    os << "  \"model\": {\"runtime_s\": " << json_number(r.predicted_runtime_s)
+       << ", \"gups\": " << json_number(r.predicted_gups)
+       << ", \"binding_stage\": " << json_quote(r.binding_stage) << "},\n";
+    os << "  \"measured\": {\"wall_s\": " << json_number(r.measured_wall_s)
+       << ", \"efficiency\": " << json_number(r.efficiency)
+       << ", \"straggler_k\": " << json_number(r.straggler_k) << "},\n";
 
     os << "  \"stages\": [";
     for (std::size_t i = 0; i < r.stages.size(); ++i) {
         const StageReport& s = r.stages[i];
-        os << (i ? ",\n    " : "\n    ") << "{\"stage\": \"" << esc(s.stage)
-           << "\", \"measured_s\": " << num(s.measured_s)
-           << ", \"predicted_s\": " << num(s.predicted_s)
-           << ", \"efficiency\": " << num(s.efficiency) << "}";
+        os << (i ? ",\n    " : "\n    ") << "{\"stage\": " << json_quote(s.stage)
+           << ", \"measured_s\": " << json_number(s.measured_s)
+           << ", \"predicted_s\": " << json_number(s.predicted_s)
+           << ", \"efficiency\": " << json_number(s.efficiency) << "}";
     }
     os << "\n  ],\n";
 
     os << "  \"batches\": [";
     for (std::size_t i = 0; i < r.batches.size(); ++i) {
         const BatchReport& b = r.batches[i];
-        os << (i ? ",\n    " : "\n    ") << "{\"batch\": " << num(b.batch)
+        os << (i ? ",\n    " : "\n    ") << "{\"batch\": " << b.batch
            << ", \"measured\": " << batch_times_json(b.measured)
            << ", \"predicted\": " << batch_times_json(b.predicted) << "}";
     }
@@ -260,12 +230,13 @@ void write_json(std::ostream& os, const RunReport& r)
     os << "  \"ranks\": [";
     for (std::size_t i = 0; i < r.ranks.size(); ++i) {
         const RankReport& k = r.ranks[i];
-        os << (i ? ",\n    " : "\n    ") << "{\"rank\": " << num(k.rank.value())
-           << ", \"group\": " << num(k.group.value()) << ", \"wall_s\": " << num(k.wall_s)
-           << ", \"busy_s\": " << num(k.busy_s) << ", \"overlap\": " << num(k.overlap)
-           << ", \"efficiency\": " << num(k.efficiency) << ", \"flags\": [";
+        os << (i ? ",\n    " : "\n    ") << "{\"rank\": " << k.rank.value()
+           << ", \"group\": " << k.group.value() << ", \"wall_s\": " << json_number(k.wall_s)
+           << ", \"busy_s\": " << json_number(k.busy_s)
+           << ", \"overlap\": " << json_number(k.overlap)
+           << ", \"efficiency\": " << json_number(k.efficiency) << ", \"flags\": [";
         for (std::size_t f = 0; f < k.flags.size(); ++f)
-            os << (f ? ", " : "") << "\"" << esc(k.flags[f]) << "\"";
+            os << (f ? ", " : "") << json_quote(k.flags[f]);
         os << "]}";
     }
     os << "\n  ],\n";
@@ -273,9 +244,10 @@ void write_json(std::ostream& os, const RunReport& r)
     os << "  \"fleet\": [";
     for (std::size_t i = 0; i < r.fleet.size(); ++i) {
         const FleetStage& f = r.fleet[i];
-        os << (i ? ",\n    " : "\n    ") << "{\"stage\": \"" << esc(f.stage)
-           << "\", \"ranks\": " << num(f.ranks) << ", \"p50_s\": " << num(f.p50_s)
-           << ", \"p95_s\": " << num(f.p95_s) << ", \"p99_s\": " << num(f.p99_s) << "}";
+        os << (i ? ",\n    " : "\n    ") << "{\"stage\": " << json_quote(f.stage)
+           << ", \"ranks\": " << f.ranks << ", \"p50_s\": " << json_number(f.p50_s)
+           << ", \"p95_s\": " << json_number(f.p95_s) << ", \"p99_s\": " << json_number(f.p99_s)
+           << "}";
     }
     os << "\n  ]\n}\n";
 }

@@ -10,6 +10,7 @@
 
 #include "autotune/calibrate.hpp"
 #include "autotune/planner.hpp"
+#include "core/json.hpp"
 
 namespace xct::autotune {
 namespace {
@@ -244,6 +245,32 @@ TEST(Calibrate, MachineJsonRoundTripsAndValidates)
         std::ofstream(tmp) << text;
     }
     EXPECT_THROW(read_machine_json(tmp.string()), std::runtime_error);
+
+    // Non-finite values, a wrong schema, a truncated file and non-JSON
+    // text that merely contains the seven keys are all rejected.
+    const std::string good = machine_json(m);
+    const auto replaced = [&](const std::string& from, const std::string& to) {
+        std::string text = good;
+        text.replace(text.find(from), from.size(), to);
+        return text;
+    };
+    const std::string value = json_number(m.th_bp_gups);
+    const std::string bad_docs[] = {
+        replaced("\"th_bp_gups\": " + value, "\"th_bp_gups\": nan"),
+        replaced("\"th_bp_gups\": " + value, "\"th_bp_gups\": inf"),
+        replaced("\"th_bp_gups\": " + value, "\"th_bp_gups\": 1e999"),
+        replaced("\"th_bp_gups\": " + value, "\"th_bp_gups\": \"fast\""),
+        replaced("xct.machine.v1", "xct.machine.v0"),
+        good.substr(0, good.size() / 2),
+        "bw_load_gbps: 1 \"bw_load_gbps\": 1 \"bw_store_gbps\": 1 \"th_flt_geps\": 1 "
+        "\"th_bp_gups\": 1 \"th_reduce_gbps\": 1 \"bw_h2d_gbps\": 1 \"bw_d2h_gbps\": 1\n",
+    };
+    for (const std::string& text : bad_docs) {
+        std::ofstream(tmp) << text;
+        EXPECT_THROW(read_machine_json(tmp.string()), std::runtime_error) << text;
+    }
+    std::ofstream(tmp) << good;
+    EXPECT_NO_THROW(read_machine_json(tmp.string()));
     std::filesystem::remove(tmp);
 }
 

@@ -50,6 +50,17 @@ TEST(BenchGateParse, RejectsMalformedAndOverNestedInput)
     EXPECT_THROW(doc(R"({"a": {"b": {"c": 1}}})"), std::invalid_argument);
     EXPECT_THROW(doc(R"({"a": {"b": )"), std::invalid_argument);
     EXPECT_THROW(parse_file("/nonexistent/BENCH.json"), std::invalid_argument);
+    // A trailing-garbage number, a missing comma, stray commas and
+    // trailing data are malformed, not silently skipped.
+    EXPECT_THROW(doc(R"({"a": {"b": 1x}})"), std::invalid_argument);
+    EXPECT_THROW(doc(R"({"a": {"b": 1 "c": 2}})"), std::invalid_argument);
+    EXPECT_THROW(doc(R"({"a": {"b": 1,, "c": 2}})"), std::invalid_argument);
+    EXPECT_THROW(doc(R"({"a": {"b": 1,}})"), std::invalid_argument);
+    EXPECT_THROW(doc(R"({, "a": {"b": 1}})"), std::invalid_argument);
+    EXPECT_THROW(doc(R"({"a": {"b": 1}} {"c": {}})"), std::invalid_argument);
+    EXPECT_THROW(doc(R"({"a": {"b": 1, "b": 2}})"), std::invalid_argument);
+    EXPECT_THROW(doc(R"({"a": {"b": true}})"), std::invalid_argument);
+    EXPECT_THROW(doc(R"({"a": 1})"), std::invalid_argument);
 }
 
 TEST(BenchGateGlob, MatchesLiteralPrefixSuffixAndInfixStars)

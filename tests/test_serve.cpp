@@ -5,6 +5,8 @@
 // volumes bitwise identical to an uninterrupted run.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +19,7 @@
 #include "serve/engine.hpp"
 #include "serve/journal.hpp"
 #include "serve/protocol.hpp"
+#include "serve/socket.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace xct::serve {
@@ -148,6 +151,135 @@ TEST(ServeJournal, CorruptedFrameIsRejectedOnReplay)
     ASSERT_EQ(j2.recovered().size(), 1u);
     EXPECT_EQ(j2.recovered()[0].payload, "good");
     EXPECT_EQ(j2.truncated_frames(), 1u);
+}
+
+// ---- protocol and transport ---------------------------------------------
+
+std::uint64_t bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+/// The invalid_argument message `fn` throws; empty when it does not throw.
+std::string parse_error(const std::function<void()>& fn)
+{
+    try {
+        fn();
+    } catch (const std::invalid_argument& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(ServeProtocol, SpecRoundTripCarriesTheCalibrationOffsetsBitForBit)
+{
+    JobSpec spec = small_spec();
+    spec.geometry.sigma_u = -2.3456789012345678;
+    spec.geometry.sigma_v = 0.1 + 0.2;
+    spec.geometry.sigma_cor = 1e-300;
+    const JobSpec back = decode_spec(Json::parse(encode_spec(spec)));
+    EXPECT_EQ(bits(back.geometry.sigma_u), bits(spec.geometry.sigma_u));
+    EXPECT_EQ(bits(back.geometry.sigma_v), bits(spec.geometry.sigma_v));
+    EXPECT_EQ(bits(back.geometry.sigma_cor), bits(spec.geometry.sigma_cor));
+    EXPECT_EQ(bits(back.geometry.dx), bits(spec.geometry.dx));
+    EXPECT_EQ(back.geometry.vol, spec.geometry.vol);
+
+    // A journal record in the older encoding (no offsets, `%.17g` doubles)
+    // replays to the same job with zero offsets.
+    const JobSpec legacy = decode_spec(Json::parse(
+        R"({"geometry":{"dso":100,"dsd":250,"num_proj":16,"nu":32,"nv":32,"du":0.5,)"
+        R"("dv":0.5,"vol":[16,16,16],"dx":0.10000000000000001,"dy":0.1,"dz":0.1,)"
+        R"("scan_range":6.2831853071795862},"phantom_seed":0,"batches":4,)"
+        R"("device_capacity":67108864,"priority":"normal","tenant":"default",)"
+        R"("deadline_s":0,"output":""})"));
+    EXPECT_EQ(legacy.geometry.sigma_u, 0.0);
+    EXPECT_EQ(legacy.geometry.sigma_v, 0.0);
+    EXPECT_EQ(legacy.geometry.sigma_cor, 0.0);
+    EXPECT_EQ(bits(legacy.geometry.dx), bits(0.1));
+    EXPECT_EQ(bits(legacy.geometry.scan_range), bits(CbctGeometry{}.scan_range));
+    EXPECT_EQ(legacy.batches, 4);
+}
+
+TEST(ServeProtocol, IntegerFieldsAreCheckedAndNamed)
+{
+    EXPECT_EQ(decode_request(R"({"op":"status","id":7})").id, 7u);
+    const std::pair<const char*, const char*> bad_requests[] = {
+        {R"({"op":"status","id":-1})", "id"},
+        {R"({"op":"cancel","id":1.5})", "id"},
+        {R"({"op":"wait","id":1e30})", "id"},
+        {R"({"op":"fetch_slice","id":1,"slice":-1e300})", "slice"},
+        {R"({"op":"fetch_slice","id":1,"slice":0.5})", "slice"},
+        {R"({"op":"status","id":"7"})", "id"},
+    };
+    for (const auto& [line, field] : bad_requests)
+        EXPECT_NE(parse_error([&] { decode_request(line); }).find(std::string(field) + " must be"),
+                  std::string::npos)
+            << line;
+
+    // `doc` with the value of `key` replaced by the literal `value`.
+    std::string doc = encode_spec(small_spec());
+    const auto with = [&](const std::string& key, const std::string& value) {
+        std::string s = doc;
+        const std::size_t at = s.find("\"" + key + "\":");
+        const std::size_t from = at + key.size() + 3;
+        s.replace(from, s.find_first_of(",]}", from) - from, value);
+        return s;
+    };
+    for (const auto& [key, value] :
+         std::vector<std::pair<std::string, std::string>>{{"batches", "1e300"},
+                                                          {"device_capacity", "-1"},
+                                                          {"phantom_seed", "-5"},
+                                                          {"num_proj", "16.5"},
+                                                          {"nu", "9223372036854775808"}})
+        EXPECT_NE(parse_error([&] { decode_spec(Json::parse(with(key, value))); })
+                      .find(key + " must be"),
+                  std::string::npos)
+            << key << "=" << value;
+
+    JobStatus st;
+    st.id = 3;
+    doc = encode_status(st);
+    EXPECT_EQ(decode_status(Json::parse(doc)).id, 3u);
+    EXPECT_NE(parse_error([&] { decode_status(Json::parse(with("device_bytes", "-1"))); })
+                  .find("device_bytes must be"),
+              std::string::npos);
+}
+
+TEST(ServeSocket, HostileLineIsRejectedAndTheServerKeepsAnswering)
+{
+    const auto dir = fresh_dir("socket_hostile");
+    UnixServer server(dir / "s.sock");
+    std::atomic<bool> stop{false};
+    std::thread loop([&] {
+        server.run(
+            [](const std::string& line) {
+                const Request r = decode_request(line);
+                if (r.op != "ping") throw std::invalid_argument("unexpected op " + r.op);
+                return std::string("{\"ok\":true,\"pong\":true}");
+            },
+            stop);
+    });
+    struct StopAndJoin {
+        std::atomic<bool>& stop;
+        std::thread& loop;
+        ~StopAndJoin()
+        {
+            stop.store(true);
+            loop.join();
+        }
+    } guard{stop, loop};
+
+    // One request line of 200 kB of '[': a recursive reader without a
+    // nesting cap overflows the stack here.
+    const Json reply = Json::parse(unix_request(server.path(), std::string(200000, '[')));
+    EXPECT_FALSE(reply.at("ok").as_bool("ok"));
+    EXPECT_NE(reply.at("error").as_string("error").find("nesting deeper than 64 at byte 64"),
+              std::string::npos);
+
+    Request ping;
+    ping.op = "ping";
+    const Json pong = Json::parse(unix_request(server.path(), encode_request(ping)));
+    EXPECT_TRUE(pong.at("ok").as_bool("ok"));
 }
 
 // ---- admission ----------------------------------------------------------

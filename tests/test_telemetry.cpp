@@ -5,9 +5,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <sstream>
 #include <thread>
 
+#include "core/json.hpp"
 #include "pipeline/timeline.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
@@ -290,37 +292,6 @@ TEST(Tracer, TimelineForwardsSpansOnOneTimebase)
     EXPECT_EQ(registry().counter("pipeline.stage.bp.spans").value(), 1u);
 }
 
-/// Minimal structural JSON check: balanced braces/brackets outside
-/// strings, string state closed at EOF.
-bool json_well_formed(const std::string& s)
-{
-    std::vector<char> stack;
-    bool in_str = false, esc = false;
-    for (const char c : s) {
-        if (in_str) {
-            if (esc)
-                esc = false;
-            else if (c == '\\')
-                esc = true;
-            else if (c == '"')
-                in_str = false;
-            continue;
-        }
-        if (c == '"')
-            in_str = true;
-        else if (c == '{' || c == '[')
-            stack.push_back(c);
-        else if (c == '}') {
-            if (stack.empty() || stack.back() != '{') return false;
-            stack.pop_back();
-        } else if (c == ']') {
-            if (stack.empty() || stack.back() != '[') return false;
-            stack.pop_back();
-        }
-    }
-    return !in_str && stack.empty();
-}
-
 std::size_t count_occurrences(const std::string& hay, const std::string& needle)
 {
     std::size_t n = 0;
@@ -347,8 +318,7 @@ TEST(Export, ChromeTraceIsValidJsonWithOneCompleteEventPerSpan)
     std::ostringstream os;
     write_chrome_trace(os, events);
     const std::string json = os.str();
-    EXPECT_TRUE(json_well_formed(json));
-    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+    EXPECT_EQ(Json::parse(json).at("traceEvents").array.size(), events.size() + 2);
     // One complete event per recorded span.
     EXPECT_EQ(count_occurrences(json, "\"ph\":\"X\""), events.size());
     // process_name metadata for each rank that produced spans (0 and 1).
@@ -391,10 +361,13 @@ TEST(Export, MetricsJsonIsWellFormed)
     MetricsSnapshot s;
     s.counters.push_back({"a.b", 1});
     s.gauges.push_back({"c.d", 2.5});
+    s.gauges.push_back({"odd \"name\"\x01", std::nan("")});
     s.histograms.push_back({"h", {0.5}, {1, 0}, 1, 0.25});
     std::ostringstream os;
     write_metrics_json(os, s);
-    EXPECT_TRUE(json_well_formed(os.str()));
+    const Json j = Json::parse(os.str());
+    EXPECT_EQ(j.at("gauges").at("c.d").as_number("c.d"), 2.5);
+    EXPECT_EQ(j.at("gauges").at("odd \"name\"\x01").type, Json::Type::Null);
     EXPECT_NE(os.str().find("\"a.b\": 1"), std::string::npos);
 }
 

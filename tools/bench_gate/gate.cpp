@@ -1,10 +1,11 @@
 #include "gate.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include "core/json.hpp"
 
 namespace xct::bench_gate {
 
@@ -14,67 +15,6 @@ namespace {
 {
     throw std::invalid_argument("bench_gate: malformed BENCH json: " + what);
 }
-
-// Minimal parser for the flat two-level documents bench_common.hpp
-// writes: {"section": {"key": number-or-string, ...}, ...}.
-struct Parser {
-    const std::string& s;
-    std::size_t pos = 0;
-
-    void skip_ws()
-    {
-        while (pos < s.size() && (s[pos] == ' ' || s[pos] == '\n' || s[pos] == '\r' ||
-                                  s[pos] == '\t' || s[pos] == ','))
-            ++pos;
-    }
-
-    char peek()
-    {
-        skip_ws();
-        if (pos >= s.size()) malformed("unexpected end of input");
-        return s[pos];
-    }
-
-    void expect(char c)
-    {
-        if (peek() != c) malformed(std::string("expected '") + c + "'");
-        ++pos;
-    }
-
-    std::string string_lit()
-    {
-        expect('"');
-        std::string out;
-        while (pos < s.size() && s[pos] != '"') {
-            if (s[pos] == '\\' && pos + 1 < s.size()) ++pos;
-            out.push_back(s[pos]);
-            ++pos;
-        }
-        if (pos >= s.size()) malformed("unterminated string");
-        ++pos;  // closing quote
-        return out;
-    }
-
-    Value value()
-    {
-        Value v;
-        const char c = peek();
-        if (c == '"') {
-            v.text = string_lit();
-            return v;
-        }
-        if (c == '{') malformed("nesting deeper than two levels");
-        std::size_t end = pos;
-        while (end < s.size() && s[end] != ',' && s[end] != '}' && s[end] != '\n') ++end;
-        const std::string tok = s.substr(pos, end - pos);
-        char* stop = nullptr;
-        v.number = std::strtod(tok.c_str(), &stop);
-        if (stop == tok.c_str()) malformed("bad number '" + tok + "'");
-        v.is_number = true;
-        pos = end;
-        return v;
-    }
-};
 
 std::string describe(const Value& v)
 {
@@ -94,21 +34,24 @@ void add(GateResult& r, const std::string& metric, bool fail, std::string messag
 
 Doc parse(const std::string& json)
 {
+    const Json root = Json::parse(json);
+    if (root.type != Json::Type::Object) malformed("top level is not an object");
     Doc doc;
-    Parser p{json};
-    p.expect('{');
-    while (p.peek() != '}') {
-        const std::string section = p.string_lit();
-        p.expect(':');
-        p.expect('{');
-        while (p.peek() != '}') {
-            const std::string key = p.string_lit();
-            p.expect(':');
-            doc[section][key] = p.value();
+    for (const auto& [section, metrics] : root.object) {
+        if (metrics.type != Json::Type::Object)
+            malformed("section \"" + section + "\" is not an object");
+        for (const auto& [key, v] : metrics.object) {
+            Value& out = doc[section][key];
+            if (v.type == Json::Type::Number) {
+                out.is_number = true;
+                out.number = v.number;
+            } else if (v.type == Json::Type::String) {
+                out.text = v.string;
+            } else {
+                malformed(section + "." + key + " is neither a number nor a string");
+            }
         }
-        p.expect('}');
     }
-    p.expect('}');
     return doc;
 }
 

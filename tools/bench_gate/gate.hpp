@@ -42,8 +42,10 @@ struct Value {
 /// A parsed BENCH document: section -> key -> value.
 using Doc = std::map<std::string, std::map<std::string, Value>>;
 
-/// Parse the flat two-level BENCH JSON.  Throws std::invalid_argument
-/// on malformed input or nesting deeper than two levels.
+/// Parse the flat two-level BENCH JSON through the core codec
+/// (core/json.hpp).  Throws std::invalid_argument on malformed JSON
+/// (naming the byte offset) or on any other shape than an object of
+/// section objects holding numbers and strings (naming the member).
 Doc parse(const std::string& json);
 Doc parse_file(const std::string& path);
 

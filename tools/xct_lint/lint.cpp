@@ -7,6 +7,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/json.hpp"
+
 namespace xct_lint {
 namespace {
 
@@ -861,60 +863,6 @@ std::vector<Violation> lint_tree(const std::filesystem::path& root,
 
 namespace {
 
-/// Minimal compile_commands.json reader: split top-level objects, pull
-/// the "directory" and "file" string values out of each.  The format is
-/// machine-written flat JSON (CMake emits it), so a full parser would be
-/// dead weight.
-struct DbEntry {
-    std::string directory;
-    std::string file;
-};
-
-std::string json_string_value(const std::string& obj, const std::string& key)
-{
-    const std::size_t k = obj.find("\"" + key + "\"");
-    if (k == std::string::npos) return {};
-    std::size_t q = obj.find('"', k + key.size() + 2);
-    if (q == std::string::npos) return {};
-    std::string out;
-    for (std::size_t i = q + 1; i < obj.size(); ++i) {
-        const char c = obj[i];
-        if (c == '\\' && i + 1 < obj.size()) {
-            out.push_back(obj[++i]);
-            continue;
-        }
-        if (c == '"') break;
-        out.push_back(c);
-    }
-    return out;
-}
-
-std::vector<DbEntry> parse_compile_db(const std::string& json)
-{
-    std::vector<DbEntry> entries;
-    int depth = 0;
-    std::size_t start = 0;
-    bool in_string = false;
-    for (std::size_t i = 0; i < json.size(); ++i) {
-        const char c = json[i];
-        if (in_string) {
-            if (c == '\\')
-                ++i;
-            else if (c == '"')
-                in_string = false;
-            continue;
-        }
-        if (c == '"') in_string = true;
-        if (c == '{' && depth++ == 0) start = i;
-        if (c == '}' && --depth == 0) {
-            const std::string obj = json.substr(start, i - start + 1);
-            DbEntry e{json_string_value(obj, "directory"), json_string_value(obj, "file")};
-            if (!e.file.empty()) entries.push_back(e);
-        }
-    }
-    return entries;
-}
-
 /// Repo-relative generic path for `p` if it lives under `root` and is a
 /// lintable source; empty otherwise.
 std::string lintable_rel(const std::filesystem::path& root, const std::filesystem::path& p,
@@ -981,12 +929,15 @@ std::vector<Violation> lint_compile_db(const std::filesystem::path& root,
                                        const std::filesystem::path& compile_db,
                                        const std::vector<std::string>& scopes)
 {
-    const auto entries = parse_compile_db(read_file(compile_db));
+    const xct::Json db = xct::Json::parse(read_file(compile_db));
+    if (db.type != xct::Json::Type::Array)
+        throw std::invalid_argument("xct_lint: " + compile_db.string() + " is not a JSON array");
     std::vector<std::string> seen;
     FileSet set;
-    for (const auto& e : entries) {
-        std::filesystem::path p = e.file;
-        if (p.is_relative()) p = std::filesystem::path(e.directory) / p;
+    for (const xct::Json& entry : db.array) {
+        std::filesystem::path p = entry.at("file").as_string("file");
+        if (p.is_relative())
+            p = std::filesystem::path(entry.at("directory").as_string("directory")) / p;
         collect_tu(root, p, scopes, seen, set);
     }
     std::sort(set.begin(), set.end());

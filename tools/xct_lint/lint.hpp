@@ -45,7 +45,8 @@
 //
 // Two drivers feed the rules:
 //   lint_tree        — recursive directory walk (the v1 driver);
-//   lint_compile_db  — compile_commands.json-driven: lints exactly the
+//   lint_compile_db  — compile_commands.json-driven (read through the
+//                      core JSON codec): lints exactly the
 //                      TUs the build compiles plus every repo-local
 //                      header they reach through quoted includes, so a
 //                      file the build has abandoned stops being linted
@@ -130,6 +131,8 @@ std::vector<Violation> lint_tree(const std::filesystem::path& root,
 /// Files outside `root` (system headers, fetched deps) are ignored, as
 /// is anything outside the `scopes` top-level directories — the compile
 /// database also lists test TUs, which are not part of the lint contract.
+/// Throws std::invalid_argument when the database is not a JSON array of
+/// entries with a string "file" (and "directory", when "file" is relative).
 std::vector<Violation> lint_compile_db(
     const std::filesystem::path& root, const std::filesystem::path& compile_db,
     const std::vector<std::string>& scopes = {"src", "tools", "bench"});

@@ -67,6 +67,14 @@ std::string hex_encode(std::span<const std::byte> bytes)
     return out;
 }
 
+/// --socket, else <spool>/xct-serve.sock: the daemon and the client both
+/// resolve the path here, so a client finds the daemon on the same spool.
+std::filesystem::path socket_path(const xct::cli::Args& args)
+{
+    return args.is_set("socket") ? std::filesystem::path(args.get("socket"))
+                                 : std::filesystem::path(args.get("spool")) / "xct-serve.sock";
+}
+
 std::string handle(xct::serve::Engine& engine, const std::string& line)
 {
     using namespace xct;
@@ -77,10 +85,10 @@ std::string handle(xct::serve::Engine& engine, const std::string& line)
     } else if (req.op == "submit") {
         const serve::SubmitResult r = engine.submit(req.spec);
         ss << "{\"ok\":true,\"id\":" << r.id << ",\"accepted\":" << (r.accepted ? "true" : "false")
-           << ",\"reason\":" << serve::json_quote(r.reason)
-           << ",\"detail\":" << serve::json_quote(r.detail)
-           << ",\"predicted_s\":" << serve::json_number(r.predicted_s)
-           << ",\"tail_bound_s\":" << serve::json_number(engine.tail_bound_s(r.predicted_s))
+           << ",\"reason\":" << json_quote(r.reason)
+           << ",\"detail\":" << json_quote(r.detail)
+           << ",\"predicted_s\":" << json_number(r.predicted_s)
+           << ",\"tail_bound_s\":" << json_number(engine.tail_bound_s(r.predicted_s))
            << "}";
     } else if (req.op == "status") {
         ss << "{\"ok\":true,\"job\":" << serve::encode_status(engine.status(req.id)) << "}";
@@ -111,7 +119,7 @@ std::string handle(xct::serve::Engine& engine, const std::string& line)
         const std::span<const float> s = v.slice(req.slice);
         ss << "{\"ok\":true,\"id\":" << req.id << ",\"slice\":" << req.slice
            << ",\"nx\":" << v.size().x << ",\"ny\":" << v.size().y
-           << ",\"data\":" << serve::json_quote(hex_encode(std::as_bytes(s))) << "}";
+           << ",\"data\":" << json_quote(hex_encode(std::as_bytes(s))) << "}";
     } else if (req.op == "metrics") {
         const telemetry::MetricsSnapshot snap = telemetry::registry().snapshot();
         ss << "{\"ok\":true,\"counters\":{";
@@ -119,14 +127,14 @@ std::string handle(xct::serve::Engine& engine, const std::string& line)
         for (const auto& c : snap.counters) {
             if (!first) ss << ",";
             first = false;
-            ss << serve::json_quote(c.name) << ":" << c.value;
+            ss << json_quote(c.name) << ":" << c.value;
         }
         ss << "},\"gauges\":{";
         first = true;
         for (const auto& g : snap.gauges) {
             if (!first) ss << ",";
             first = false;
-            ss << serve::json_quote(g.name) << ":" << serve::json_number(g.value);
+            ss << json_quote(g.name) << ":" << json_number(g.value);
         }
         ss << "}}";
     } else if (req.op == "shutdown") {
@@ -150,16 +158,13 @@ int run_daemon(const xct::cli::Args& args)
     cfg.fsync_journal = !args.get_flag("no-fsync");
 
     serve::Engine engine(cfg);
-    const std::filesystem::path socket_path =
-        args.is_set("socket") ? std::filesystem::path(args.get("socket"))
-                              : cfg.spool / "xct-serve.sock";
-    serve::UnixServer server(socket_path);
+    serve::UnixServer server(socket_path(args));
     std::signal(SIGINT, on_signal);
     std::signal(SIGTERM, on_signal);
     engine.start();
     std::printf("xct_serve: spool %s, socket %s, %lld workers, budget %lld MiB, "
                 "queue %lld (%lld jobs recovered)\n",
-                cfg.spool.string().c_str(), socket_path.string().c_str(),
+                cfg.spool.string().c_str(), server.path().string().c_str(),
                 static_cast<long long>(cfg.workers),
                 static_cast<long long>(cfg.device_budget >> 20),
                 static_cast<long long>(cfg.max_queued),
@@ -188,7 +193,7 @@ int run_client(const xct::cli::Args& args)
     req.timeout_s = args.get_double("timeout");
     if (op == "submit") {
         if (args.is_set("spec-json")) {
-            req.spec = serve::decode_spec(serve::Json::parse(args.get("spec-json")));
+            req.spec = serve::decode_spec(Json::parse(args.get("spec-json")));
         } else {
             io::Dataset ds = io::dataset_by_name(args.get("dataset"));
             if (args.get_double("scale") > 1.0) ds = ds.scaled(args.get_double("scale"));
@@ -204,13 +209,12 @@ int run_client(const xct::cli::Args& args)
             req.spec.output = args.get("output");
         }
     }
-    const std::filesystem::path socket_path = args.get("socket");
-    const std::string response =
-        serve::unix_request(socket_path, serve::encode_request(req), args.get_double("timeout"));
+    const std::string response = serve::unix_request(
+        socket_path(args), serve::encode_request(req), args.get_double("timeout"));
     std::printf("%s\n", response.c_str());
-    const serve::Json j = serve::Json::parse(response);
-    const serve::Json* ok = j.find("ok");
-    return (ok != nullptr && ok->type == serve::Json::Type::Bool && ok->boolean) ? 0 : 1;
+    const Json j = Json::parse(response);
+    const Json* ok = j.find("ok");
+    return (ok != nullptr && ok->type == Json::Type::Bool && ok->boolean) ? 0 : 1;
 }
 
 }  // namespace
