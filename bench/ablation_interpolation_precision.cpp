@@ -61,8 +61,8 @@ int main()
             plane_of(v, buf);
             tex.copy_planes(buf, v, 1);
         }
-        backproj::backproject_streaming(tex, mats, fp32, backproj::StreamOffsets{0, 0}, g.nu,
-                                        g.nv);
+        backproj::backproject_streaming(tex, backproj::MatrixPack(mats), fp32,
+                                        backproj::StreamOffsets{0, 0}, g.nu, g.nv);
     }
     {
         sim::Device dev(1u << 30);
@@ -72,8 +72,8 @@ int main()
             plane_of(v, buf);
             tex.copy_planes(buf, v, 1);
         }
-        backproj::backproject_streaming_q8(tex, mats, q8, backproj::StreamOffsets{0, 0}, g.nu,
-                                           g.nv);
+        backproj::backproject_streaming_q8(tex, backproj::MatrixPack(mats), q8,
+                                           backproj::StreamOffsets{0, 0}, g.nu, g.nv);
     }
 
     std::printf("%-22s %-14s %-14s %-14s\n", "interpolation", "flat RMSE", "PSNR [dB]",

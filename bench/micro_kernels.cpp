@@ -80,8 +80,9 @@ void BM_BackprojStreaming(benchmark::State& state)
         tex.copy_planes(plane, v, 1);
     }
     Volume vol(g.vol);
+    const backproj::MatrixPack pack(mats);
     for (auto _ : state) {
-        backproj::backproject_streaming(tex, mats, vol, backproj::StreamOffsets{0, 0}, g.nu, g.nv);
+        backproj::backproject_streaming(tex, pack, vol, backproj::StreamOffsets{0, 0}, g.nu, g.nv);
         benchmark::DoNotOptimize(vol.span().data());
     }
     state.counters["GUPS"] = benchmark::Counter(

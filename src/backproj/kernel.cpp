@@ -238,41 +238,16 @@ void backproject_streaming(const sim::Texture3& tex, const MatrixPack& pack, Vol
     bp_vectorised(tex, pack, vol, off, nu, nv);
 }
 
-void backproject_streaming(const sim::Texture3& tex, std::span<const Mat34> mats, Volume& vol,
-                           const StreamOffsets& off, index_t nu, index_t nv)
-{
-    backproject_streaming(tex, MatrixPack(mats), vol, off, nu, nv);
-}
-
 void backproject_streaming_scalar(const sim::Texture3& tex, const MatrixPack& pack, Volume& vol,
                                   const StreamOffsets& off, index_t nu, index_t nv)
 {
     bp_scalar_impl(tex, pack, vol, off, nu, nv);
 }
 
-void backproject_streaming_scalar(const sim::Texture3& tex, std::span<const Mat34> mats,
-                                  Volume& vol, const StreamOffsets& off, index_t nu, index_t nv)
-{
-    bp_scalar_impl(tex, MatrixPack(mats), vol, off, nu, nv);
-}
-
 void backproject_streaming_q8(const sim::QuantizedTexture3& tex, const MatrixPack& pack,
                               Volume& vol, const StreamOffsets& off, index_t nu, index_t nv)
 {
     bp_scalar_impl(tex, pack, vol, off, nu, nv);
-}
-
-void backproject_streaming_q8(const sim::QuantizedTexture3& tex, std::span<const Mat34> mats,
-                              Volume& vol, const StreamOffsets& off, index_t nu, index_t nv)
-{
-    bp_scalar_impl(tex, MatrixPack(mats), vol, off, nu, nv);
-}
-
-void backproject_streaming_incremental(const sim::Texture3& tex, std::span<const Mat34> mats,
-                                       Volume& vol, const StreamOffsets& off, index_t nu,
-                                       index_t nv)
-{
-    backproject_streaming(tex, mats, vol, off, nu, nv);
 }
 
 }  // namespace xct::backproj

@@ -78,18 +78,11 @@ private:
 void backproject_streaming(const sim::Texture3& tex, const MatrixPack& pack, Volume& vol,
                            const StreamOffsets& off, index_t nu, index_t nv);
 
-/// Convenience overload converting the matrices ad hoc (one-shot callers;
-/// hot callers should cache a MatrixPack).
-void backproject_streaming(const sim::Texture3& tex, std::span<const Mat34> mats, Volume& vol,
-                           const StreamOffsets& off, index_t nu, index_t nv);
-
 /// The original scalar Listing-1 loop (voxel-major, full dot products per
 /// view), retained as the in-build reference the vectorised kernel is
 /// bounded against.
 void backproject_streaming_scalar(const sim::Texture3& tex, const MatrixPack& pack, Volume& vol,
                                   const StreamOffsets& off, index_t nu, index_t nv);
-void backproject_streaming_scalar(const sim::Texture3& tex, std::span<const Mat34> mats,
-                                  Volume& vol, const StreamOffsets& off, index_t nu, index_t nv);
 
 /// The same kernel over an 8-bit quantised texture — CUDA's *hardware*
 /// texture-interpolation precision, which the paper rejects (Sec. 4.3.1)
@@ -98,15 +91,6 @@ void backproject_streaming_scalar(const sim::Texture3& tex, std::span<const Mat3
 /// shares the MatrixPack with the fp32 path.
 void backproject_streaming_q8(const sim::QuantizedTexture3& tex, const MatrixPack& pack,
                               Volume& vol, const StreamOffsets& off, index_t nu, index_t nv);
-void backproject_streaming_q8(const sim::QuantizedTexture3& tex, std::span<const Mat34> mats,
-                              Volume& vol, const StreamOffsets& off, index_t nu, index_t nv);
-
-/// Back-compat name for the incremental-walk variant: since the
-/// vectorisation PR it IS the default kernel; this forwards to
-/// backproject_streaming.
-void backproject_streaming_incremental(const sim::Texture3& tex, std::span<const Mat34> mats,
-                                       Volume& vol, const StreamOffsets& off, index_t nu,
-                                       index_t nv);
 
 /// Documented agreement bound between the vectorised default kernel and
 /// the scalar Listing-1 loop:

@@ -38,6 +38,7 @@ public:
 private:
     std::string_view s_;
     std::size_t i_ = 0;
+    std::size_t nodes_ = 0;
 
     void skip_ws()
     {
@@ -75,6 +76,8 @@ private:
     Json parse_value(int depth)
     {
         skip_ws();
+        if (++nodes_ > Json::kMaxNodes)
+            bad("more than " + std::to_string(Json::kMaxNodes) + " values in one document", i_);
         const char c = peek();
         if (c == '{' || c == '[') {
             if (depth == Json::kMaxDepth)

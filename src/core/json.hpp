@@ -10,14 +10,16 @@
 // The reader is strict RFC 8259: no trailing data, no duplicate keys, no
 // raw control characters in strings, `\uXXXX` escapes (surrogate pairs
 // combined into UTF-8), and the exact number grammar (no `+1`, `01`, `.5`,
-// `1.`, `nan`, `inf`).  Nesting is capped at kMaxDepth so hostile input
-// is rejected with a byte offset instead of overflowing the stack.
+// `1.`, `nan`, `inf`).  Nesting is capped at kMaxDepth and the value
+// count at kMaxNodes, so hostile input is rejected with a byte offset
+// instead of overflowing the stack or ballooning memory.
 //
 // Numbers print as the shortest text that parses back to the same double
 // (std::to_chars / std::from_chars, locale-independent), so encode ->
 // decode round trips are bit-exact; `%.17g` text parses to the same bits.
 
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -36,6 +38,10 @@ public:
     /// Deepest array/object nesting the parser accepts.  The documents the
     /// tree reads nest at most 4 deep.
     static constexpr int kMaxDepth = 64;
+    /// Most values (parse-tree nodes, ~100 bytes each) one document may
+    /// hold, so one hostile request line cannot grow the daemon by ~1 GB.
+    /// The largest real input, a compile database, takes 4 per entry.
+    static constexpr std::size_t kMaxNodes = std::size_t{1} << 18;
 
     Type type = Type::Null;
     bool boolean = false;

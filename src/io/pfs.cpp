@@ -164,18 +164,6 @@ void Pfs::store_stack(const std::string& rel, const ProjectionStack& p)
     account_store(static_cast<std::uint64_t>(p.count()) * sizeof(float));
 }
 
-ProjectionStack Pfs::load_stack(const std::string& rel)
-{
-    const auto path = resolve(rel);
-    ProjectionStack p = guarded(names::kSitePfsLoad, [&] {
-        ProjectionStack loaded = read_stack(path);
-        corrupt_and_verify(names::kSitePfsLoad, loaded.span(), read_sidecar(path));
-        return loaded;
-    });
-    account_load(static_cast<std::uint64_t>(p.count()) * sizeof(float));
-    return p;
-}
-
 ProjectionStack Pfs::load_stack_rows(const std::string& rel, Range views, Range band)
 {
     // Partial read: the whole-file sidecar does not apply — digest the

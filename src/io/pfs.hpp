@@ -51,7 +51,6 @@ public:
     void store_volume(const std::string& rel, const Volume& v);
     Volume load_volume(const std::string& rel);
     void store_stack(const std::string& rel, const ProjectionStack& p);
-    ProjectionStack load_stack(const std::string& rel);
 
     /// Partial load: only the requested views x detector-row band; only
     /// those bytes hit the (accounted) link — the O(Nu) granularity.

@@ -10,6 +10,7 @@
 // touching the payload: a truncated or size-mismatched file fails with a
 // file:line-bearing error instead of reading short (DESIGN.md §3f).
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -18,11 +19,50 @@
 
 namespace xct::io {
 
-/// Write a volume to `path`; creates parent directories.
+/// The one `.xvol` write path: streams a volume into `path` slab by slab,
+/// so no caller has to hold the whole volume (Algorithm 3's store stage on
+/// the host).  Slabs go into `<path>.tmp` at their final offsets with
+/// pwrite, so group roots may write disjoint z ranges concurrently.
+/// commit() checks that the writes added up to the volume's slice count,
+/// writes the header and renames the temp file onto `path`, so a reader
+/// never sees a partial volume.  Destroying an uncommitted writer removes
+/// the temp file.
+class VolumeWriter {
+public:
+    /// Creates `<path>.tmp` (and parent directories) for a volume of `size`.
+    VolumeWriter(std::filesystem::path path, Dim3 size);
+    ~VolumeWriter();
+    VolumeWriter(const VolumeWriter&) = delete;
+    VolumeWriter& operator=(const VolumeWriter&) = delete;
+
+    /// Write `slab` as slices [z0, z0 + slab.size().z).  Thread-safe for
+    /// disjoint ranges.
+    void write(index_t z0, const Volume& slab);
+
+    /// Publish the volume; throws unless the writes added up to exactly
+    /// size().z slices.
+    void commit();
+
+private:
+    std::filesystem::path path_;
+    std::filesystem::path tmp_;
+    Dim3 size_;
+    int fd_ = -1;
+    std::atomic<index_t> slices_written_{0};
+    bool committed_ = false;
+};
+
+/// Write a whole volume to `path` (one VolumeWriter slab).
 void write_volume(const std::filesystem::path& path, const Volume& v);
 
 /// Read a volume written by write_volume.
 Volume read_volume(const std::filesystem::path& path);
+
+/// Partial read: only slices `slices` (half-open, must lie inside the
+/// stored extents) of a volume file, after the same magic, extent and
+/// exact-size checks as read_volume.  Slice k of the result is stored
+/// slice slices.lo + k.
+Volume read_volume_slices(const std::filesystem::path& path, Range slices);
 
 /// Write a projection stack (including its band origin).
 void write_stack(const std::filesystem::path& path, const ProjectionStack& p);
@@ -49,10 +89,6 @@ ProjectionStack read_stack_rows(const std::filesystem::path& path, Range views, 
 /// min/max.
 void write_pgm_slice(const std::filesystem::path& path, const Volume& v, index_t k, float lo = 0.0f,
                      float hi = 0.0f);
-
-/// Export one projection (view) of a stack as PGM with the same windowing.
-void write_pgm_view(const std::filesystem::path& path, const ProjectionStack& p, index_t s,
-                    float lo = 0.0f, float hi = 0.0f);
 
 /// Versioned checkpoint slab container (faults::CheckpointStore): 64-byte
 /// header — magic "XCTCKP2", extents, payload xxh64 digest — then float

@@ -254,8 +254,8 @@ MachineParams measure_local(const MachineParams& base)
         for (index_t v = 0; v < g.nv; ++v) tex.copy_planes(plane, v, 1);
         Volume slab(g.vol);
         const auto t0 = clock::now();
-        backproj::backproject_streaming(tex, mats, slab, backproj::StreamOffsets{0, 0}, g.nu,
-                                        g.nv);
+        backproj::backproject_streaming(tex, backproj::MatrixPack(mats), slab,
+                                        backproj::StreamOffsets{0, 0}, g.nu, g.nv);
         const double dt = std::chrono::duration<double>(clock::now() - t0).count();
         const double updates = static_cast<double>(g.vol.count()) * static_cast<double>(g.num_proj);
         m.th_bp_gups = updates / dt / 1e9;

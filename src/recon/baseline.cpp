@@ -51,8 +51,9 @@ BaselineStats backproject_ifdk_style(const ProjectionStack& filtered, std::span<
 
         Volume partial(g.vol);
         backproj::backproject_streaming(
-            tex, mats.subspan(static_cast<std::size_t>(views.lo),
-                              static_cast<std::size_t>(views.length())),
+            tex,
+            backproj::MatrixPack(mats.subspan(static_cast<std::size_t>(views.lo),
+                                              static_cast<std::size_t>(views.length()))),
             partial, backproj::StreamOffsets{0, 0}, g.nu, g.nv);
         dev.account_d2h(static_cast<std::size_t>(partial.count()) * sizeof(float));
 
@@ -95,8 +96,8 @@ BaselineStats backproject_lu_style(const ProjectionStack& filtered, std::span<co
             stats.device_peak = std::max(stats.device_peak, static_cast<std::uint64_t>(dev.used()));
             backproj::backproject_streaming(
                 tex,
-                mats.subspan(static_cast<std::size_t>(views.lo),
-                             static_cast<std::size_t>(views.length())),
+                backproj::MatrixPack(mats.subspan(static_cast<std::size_t>(views.lo),
+                                                  static_cast<std::size_t>(views.length()))),
                 chunk, backproj::StreamOffsets{k0, 0}, g.nu, g.nv);
         }
         dev.account_d2h(static_cast<std::size_t>(chunk.count()) * sizeof(float));

@@ -40,7 +40,7 @@ struct Takeover {
 }  // namespace
 
 DistributedResult reconstruct_distributed(const DistributedConfig& cfg,
-                                          const SourceFactory& make_source, io::Pfs* pfs)
+                                          const SourceFactory& make_source, const Storer& store)
 {
     cfg.geometry.validate();
     require(cfg.layout.num_groups > 0 && cfg.layout.ranks_per_group > 0,
@@ -51,10 +51,8 @@ DistributedResult reconstruct_distributed(const DistributedConfig& cfg,
             "reconstruct_distributed: more ranks per group than views");
 
     const index_t nranks = cfg.layout.nranks();
-    DistributedResult result{Volume(cfg.geometry.vol), std::vector<RankStats>(
-                                                           static_cast<std::size_t>(nranks)),
-                             0.0,
-                             {}};
+    DistributedResult result{Volume{}, std::vector<RankStats>(static_cast<std::size_t>(nranks)),
+                             0.0, {}};
 
     const double t0 = pipeline::now_seconds();
     minimpi::run(nranks, [&](minimpi::Communicator& world) {
@@ -159,22 +157,10 @@ DistributedResult reconstruct_distributed(const DistributedConfig& cfg,
             gcomm = world.split(group.value(), cfg.layout.rank_in_group(rank));
         }
 
-        RankConfig rc;
-        rc.geometry = cfg.geometry;
+        RankConfig rc = cfg;
         rc.views = cfg.layout.views_of_rank(rank, cfg.geometry.num_proj);
         rc.slices = cfg.layout.slices_of_group(group, cfg.geometry.vol.z);
-        rc.batches = cfg.batches;
-        rc.window = cfg.window;
-        rc.device_capacity = cfg.device_capacity;
-        rc.h2d_gbps = cfg.h2d_gbps;
-        rc.d2h_gbps = cfg.d2h_gbps;
-        rc.threaded = cfg.threaded;
-        rc.beer = cfg.beer;
-        rc.retry = cfg.retry;
-        rc.watchdog_timeout_s = cfg.watchdog_timeout_s;
-        rc.band_codec = cfg.band_codec;
-        rc.prefetch = cfg.prefetch;
-        rc.queue_depth = cfg.queue_depth;
+        rc.checkpoint.reset();
 
         // Checkpoint resume must re-enter the per-slab reduce at the same
         // slab on every rank of the group, so reconcile to the group-wide
@@ -308,20 +294,6 @@ DistributedResult reconstruct_distributed(const DistributedConfig& cfg,
             return is_root;
         };
 
-        auto store = [&](const Volume& slab, const SlabPlan& plan) {
-            for (index_t k = 0; k < plan.slab.length(); ++k) {
-                const auto src = slab.slice(k);
-                const auto dst = result.volume.slice(plan.slab.lo + k);
-                std::copy(src.begin(), src.end(), dst.begin());
-            }
-            if (pfs != nullptr) {
-                // Pfs is internally thread-safe; group roots store concurrently.
-                pfs->store_volume("slab_" + std::to_string(plan.slab.lo) + "_" +
-                                      std::to_string(plan.slab.hi) + ".xvol",
-                                  slab);
-            }
-        };
-
         auto source = make_source(rank);
         require(source != nullptr, "reconstruct_distributed: source factory returned null");
         result.ranks[static_cast<std::size_t>(rank.value())] =
@@ -329,6 +301,25 @@ DistributedResult reconstruct_distributed(const DistributedConfig& cfg,
         fleet_gather(result.ranks[static_cast<std::size_t>(rank.value())]);
     });
     result.wall_seconds = pipeline::now_seconds() - t0;
+    return result;
+}
+
+DistributedResult reconstruct_distributed(const DistributedConfig& cfg,
+                                          const SourceFactory& make_source, io::Pfs* pfs)
+{
+    cfg.geometry.validate();
+    Volume volume(cfg.geometry.vol);
+    const Storer in_memory = volume_storer(volume);
+    DistributedResult result =
+        reconstruct_distributed(cfg, make_source, [&](const Volume& slab, const SlabPlan& plan) {
+            in_memory(slab, plan);
+            // Pfs is internally thread-safe; group roots store concurrently.
+            if (pfs != nullptr)
+                pfs->store_volume("slab_" + std::to_string(plan.slab.lo) + "_" +
+                                      std::to_string(plan.slab.hi) + ".xvol",
+                                  slab);
+        });
+    result.volume = std::move(volume);
     return result;
 }
 

@@ -37,52 +37,43 @@
 
 namespace xct::recon {
 
-struct DistributedConfig {
-    CbctGeometry geometry;
+/// The distributed run's configuration: the per-rank pipeline settings
+/// every rank shares (RankConfig; its views, slices and checkpoint are set
+/// per rank from the layout and ignored here) plus the decomposition.
+struct DistributedConfig : RankConfig {
     GroupLayout layout;  ///< Ng groups x Nr ranks
-    index_t batches = 8;
-    filter::Window window = filter::Window::RamLak;
-    std::size_t device_capacity = 512u << 20;
-    double h2d_gbps = 12.0;
-    double d2h_gbps = 12.0;
-    bool threaded = true;
-    std::optional<BeerLawScalar> beer;
     /// Hierarchical reduction: ranks per pseudo-node (0 = flat reduce).
     index_t ranks_per_node = 0;
     /// Survive rank dropouts by re-assigning dead ranks' view shares to
     /// group survivors (accuracy-identical; see header comment).  Requires
     /// the flat reduce (ranks_per_node == 0) when a rank actually dies.
     bool degraded_reduce = false;
-    /// Retry transient source/PFS/device faults on every rank.
-    std::optional<faults::RetryPolicy> retry;
     /// Slab-granular checkpoint/restart root (per-rank subdirectories).
     std::optional<std::filesystem::path> checkpoint_dir;
-    /// Watchdog deadline (seconds; <= 0 disables).  Forwarded to every
-    /// rank's pipeline, and additionally arms a pre-flight health probe:
-    /// a rank stalled past the deadline at startup (fault site
-    /// "rank.stall") is declared dead and handled exactly like a dropout,
-    /// so degraded_reduce takes over its view share.
-    double watchdog_timeout_s = 0.0;
-    /// Differential band wire format, forwarded to every rank (and to the
-    /// degraded-mode takeover replay, which must reproduce the dead
-    /// rank's arithmetic — including its quantisation — bitwise).
-    io::BandCodec band_codec = io::BandCodec::Raw;
-    /// Double-buffered band prefetch on every rank (RankConfig::prefetch).
-    bool prefetch = false;
-    /// Inter-stage FIFO depth on every rank (RankConfig::queue_depth).
-    index_t queue_depth = 2;
+    // RankConfig::watchdog_timeout_s additionally arms a pre-flight health
+    // probe: a rank stalled past the deadline at startup (fault site
+    // "rank.stall") is declared dead and handled exactly like a dropout,
+    // so degraded_reduce takes over its view share.  RankConfig::band_codec
+    // also governs the degraded-mode takeover replay, which must reproduce
+    // the dead rank's arithmetic — including its quantisation — bitwise.
 };
 
 struct DistributedResult {
-    Volume volume;                 ///< assembled full reconstruction
+    Volume volume;                 ///< assembled volume (volume-returning form only)
     std::vector<RankStats> ranks;  ///< per-rank pipeline statistics
     double wall_seconds = 0.0;     ///< end-to-end wall time (max over ranks)
     std::vector<RankId> dead;      ///< world ranks lost to dropout (degraded mode)
 };
 
 /// Run the distributed reconstruction.  `make_source` builds each rank's
-/// projection source; when `pfs` is non-null every group root additionally
-/// stores its reduced slabs there (bandwidth-accounted), one file per slab.
+/// projection source; every group root hands its reduced slabs to `store`
+/// (roots of different groups concurrently, with disjoint slabs).
+DistributedResult reconstruct_distributed(const DistributedConfig& cfg,
+                                          const SourceFactory& make_source, const Storer& store);
+
+/// reconstruct_distributed into memory (result.volume).  When `pfs` is
+/// non-null every group root additionally stores its reduced slabs there
+/// (bandwidth-accounted), one file per slab.
 DistributedResult reconstruct_distributed(const DistributedConfig& cfg,
                                           const SourceFactory& make_source, io::Pfs* pfs = nullptr);
 

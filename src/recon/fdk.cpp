@@ -4,21 +4,23 @@
 
 namespace xct::recon {
 
+RankStats reconstruct_fdk_slices(RankConfig cfg, ProjectionSource& source, Range slices,
+                                 const Storer& store)
+{
+    cfg.geometry.validate();
+    require(!slices.empty() && slices.lo >= 0 && slices.hi <= cfg.geometry.vol.z,
+            "reconstruct_fdk_slices: slices out of range");
+    cfg.views = Range{0, cfg.geometry.num_proj};
+    cfg.slices = slices;
+    return run_rank(cfg, source, identity_reducer, store);
+}
+
 FdkResult reconstruct_fdk(RankConfig cfg, ProjectionSource& source)
 {
     cfg.geometry.validate();
-    cfg.views = Range{0, cfg.geometry.num_proj};
-    cfg.slices = Range{0, cfg.geometry.vol.z};
-
     FdkResult result{Volume(cfg.geometry.vol), RankStats{}};
-    auto store = [&](const Volume& slab, const SlabPlan& plan) {
-        for (index_t k = 0; k < plan.slab.length(); ++k) {
-            const auto src = slab.slice(k);
-            const auto dst = result.volume.slice(plan.slab.lo + k);
-            std::copy(src.begin(), src.end(), dst.begin());
-        }
-    };
-    result.stats = run_rank(cfg, source, identity_reducer, store);
+    result.stats = reconstruct_fdk_slices(cfg, source, Range{0, cfg.geometry.vol.z},
+                                          volume_storer(result.volume));
     return result;
 }
 
@@ -30,27 +32,6 @@ FdkResult reconstruct_fdk(const CbctGeometry& g, const std::vector<phantom::Elli
     cfg.window = window;
     PhantomSource source(phantom, g);
     return reconstruct_fdk(cfg, source);
-}
-
-FdkResult reconstruct_fdk_slices(RankConfig cfg, ProjectionSource& source, Range slices)
-{
-    cfg.geometry.validate();
-    require(!slices.empty() && slices.lo >= 0 && slices.hi <= cfg.geometry.vol.z,
-            "reconstruct_fdk_slices: slices out of range");
-    cfg.views = Range{0, cfg.geometry.num_proj};
-    cfg.slices = slices;
-
-    FdkResult result{Volume(Dim3{cfg.geometry.vol.x, cfg.geometry.vol.y, slices.length()}),
-                     RankStats{}};
-    auto store = [&](const Volume& slab, const SlabPlan& plan) {
-        for (index_t k = 0; k < plan.slab.length(); ++k) {
-            const auto src = slab.slice(k);
-            const auto dst = result.volume.slice(plan.slab.lo - slices.lo + k);
-            std::copy(src.begin(), src.end(), dst.begin());
-        }
-    };
-    result.stats = run_rank(cfg, source, identity_reducer, store);
-    return result;
 }
 
 double rmse(const Volume& a, const Volume& b, index_t margin)

@@ -12,28 +12,29 @@
 
 namespace xct::recon {
 
-/// Single-node FDK result.
+/// Reconstruct output slices `slices` (half-open, global z; all of them
+/// for FDK, a sub-range for a region of interest) on one simulated device,
+/// handing each finished slab to `store` (its plan carries global z).
+/// Loads and filters only the detector bands those slices need — the
+/// decomposition makes ROI work proportional to the ROI.
+/// `cfg.views`/`cfg.slices` are ignored.  Out-of-core behaviour falls out of cfg.batches and
+/// cfg.device_capacity: the volume never has to fit the device, and with
+/// file_storer it never has to fit the host either.
+RankStats reconstruct_fdk_slices(RankConfig cfg, ProjectionSource& source, Range slices,
+                                 const Storer& store);
+
+/// Single-node FDK result of the in-memory helpers below.
 struct FdkResult {
     Volume volume;
     RankStats stats;
 };
 
-/// Reconstruct the full volume of `cfg.geometry` from `source` on one
-/// simulated device.  `cfg.views`/`cfg.slices` are ignored (set to the
-/// full ranges).  Out-of-core behaviour falls out of cfg.batches and
-/// cfg.device_capacity: the volume never has to fit the device.
+/// The full volume of `cfg.geometry`, assembled in memory (volume_storer).
 FdkResult reconstruct_fdk(RankConfig cfg, ProjectionSource& source);
 
 /// Convenience: reconstruct a phantom through `g` (in-memory, threaded).
 FdkResult reconstruct_fdk(const CbctGeometry& g, const std::vector<phantom::Ellipsoid>& phantom,
                           filter::Window window = filter::Window::RamLak);
-
-/// Region-of-interest reconstruction: only output slices `slices`
-/// (half-open, global z coordinates) are computed; the returned volume has
-/// slices.length() slices (slice k of the result is global slice
-/// slices.lo + k).  Loads/filters only the detector bands those slices
-/// need — the decomposition makes ROI work proportional to the ROI.
-FdkResult reconstruct_fdk_slices(RankConfig cfg, ProjectionSource& source, Range slices);
 
 /// Root-mean-square error between two equal-size volumes, optionally
 /// restricted to the centred box that excludes `margin` voxels on every

@@ -11,6 +11,7 @@
 #include "filter/parker.hpp"
 #include "integrity/integrity.hpp"
 #include "integrity/watchdog.hpp"
+#include "io/raw_io.hpp"
 #include "pipeline/queue.hpp"
 #include "recon/slab_backprojector.hpp"
 #include "telemetry/trace.hpp"
@@ -67,6 +68,23 @@ std::optional<io::EncodedBand> prepare_band(ProjectionStack& band, bool raw_coun
     engine.apply(band);
     if (codec == io::BandCodec::Q8) return io::encode_band(band);
     return std::nullopt;
+}
+
+Storer file_storer(io::VolumeWriter& out, index_t z0)
+{
+    return [&out, z0](const Volume& slab, const SlabPlan& plan) {
+        out.write(plan.slab.lo - z0, slab);
+    };
+}
+
+Storer volume_storer(Volume& out, index_t z0)
+{
+    return [&out, z0](const Volume& slab, const SlabPlan& plan) {
+        for (index_t k = 0; k < plan.slab.length(); ++k) {
+            const auto src = slab.slice(k);
+            std::copy(src.begin(), src.end(), out.slice(plan.slab.lo - z0 + k).begin());
+        }
+    };
 }
 
 RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reducer& reduce,

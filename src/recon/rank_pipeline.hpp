@@ -41,6 +41,9 @@
 namespace xct::filter {
 class ParkerWeights;
 }
+namespace xct::io {
+class VolumeWriter;
+}
 
 namespace xct::recon {
 
@@ -134,8 +137,18 @@ struct RankControl {
 /// reduced result (group root) — only then is the store stage invoked.
 using Reducer = std::function<bool(Volume& slab, const SlabPlan& plan)>;
 
-/// Store callable (group roots only): persist the reduced slab.
+/// Store callable (group roots only): persist the reduced slab.  Roots of
+/// different groups call it concurrently, with disjoint slabs.
 using Storer = std::function<void(const Volume& slab, const SlabPlan& plan)>;
+
+/// Storer writing each slab through `out` at its z offset (slice 0 of the
+/// file is global slice `z0`), so the host never holds the whole volume.
+/// The tools and the serve engine store this way.
+Storer file_storer(io::VolumeWriter& out, index_t z0 = 0);
+
+/// Storer copying each slab into `out` (slice 0 of `out` is global slice
+/// `z0`): the in-memory sink behind the volume-returning helpers.
+Storer volume_storer(Volume& out, index_t z0 = 0);
 
 /// Run one rank's reconstruction.  Throws sim::DeviceOutOfMemory when the
 /// configured texture does not fit the device budget, std::invalid_argument

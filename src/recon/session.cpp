@@ -1,6 +1,5 @@
 #include "recon/session.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "core/decompose.hpp"
@@ -32,26 +31,19 @@ ReconSession::ReconSession(RankConfig cfg, std::unique_ptr<ProjectionSource> sou
     total_slabs_ = static_cast<index_t>(plan_slabs(cfg_.geometry, cfg_.slices, nb).size());
 }
 
-FdkResult ReconSession::run()
+RankStats ReconSession::run(const Storer& store)
 {
     SessionState expected = SessionState::Ready;
     if (!state_.compare_exchange_strong(expected, SessionState::Running))
         throw std::logic_error("ReconSession::run: session is single-use (state " +
                                std::string(to_string(expected)) + ")");
 
-    FdkResult result{Volume(cfg_.geometry.vol), RankStats{}};
-    auto store = [&](const Volume& slab, const SlabPlan& plan) {
-        for (index_t k = 0; k < plan.slab.length(); ++k) {
-            const auto src = slab.slice(k);
-            const auto dst = result.volume.slice(plan.slab.lo + k);
-            std::copy(src.begin(), src.end(), dst.begin());
-        }
-    };
     RankControl ctl;
     ctl.cancel = &cancel_;
     ctl.slabs_done = &slabs_done_;
+    RankStats stats;
     try {
-        result.stats = run_rank(cfg_, *source_, identity_reducer, store, ctl);
+        stats = run_rank(cfg_, *source_, identity_reducer, store, ctl);
     } catch (const core::Cancelled&) {
         state_.store(SessionState::Cancelled, std::memory_order_release);
         throw;
@@ -60,7 +52,7 @@ FdkResult ReconSession::run()
         throw;
     }
     state_.store(SessionState::Done, std::memory_order_release);
-    return result;
+    return stats;
 }
 
 }  // namespace xct::recon

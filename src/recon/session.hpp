@@ -18,7 +18,6 @@
 #include <memory>
 
 #include "core/cancel.hpp"
-#include "recon/fdk.hpp"
 #include "recon/rank_pipeline.hpp"
 #include "recon/source.hpp"
 
@@ -40,14 +39,15 @@ public:
     ReconSession(const ReconSession&) = delete;
     ReconSession& operator=(const ReconSession&) = delete;
 
-    /// Run the pipeline to completion.  Single-use: a second call throws
+    /// Run the pipeline to completion, handing every slab — checkpoint
+    /// replays included — to `store`.  Single-use: a second call throws
     /// std::logic_error.  Propagates core::Cancelled (state -> Cancelled),
     /// sim::DeviceOutOfMemory / fault-path errors (state -> Failed), or
-    /// returns the reconstructed volume (state -> Done).  With
+    /// returns the pipeline statistics (state -> Done).  With
     /// cfg.checkpoint set, a rerun of an equivalent session resumes from
     /// the last completed slab and is bitwise-identical to an
     /// uninterrupted run — the serve journal's recovery contract.
-    FdkResult run();
+    RankStats run(const Storer& store);
 
     /// --- observation, safe from any thread ---
     SessionState state() const { return state_.load(std::memory_order_acquire); }

@@ -427,8 +427,11 @@ void Engine::run_job(JobId id)
         submitted = j.submitted_unix;
     }
     try {
-        recon::FdkResult result = session->run();
-        io::write_volume(out, result.volume);  // atomic: temp + rename
+        // Slabs stream into the output's temp file as they finish; only a
+        // successful run publishes it (rename), before the Done record.
+        io::VolumeWriter writer(out, session->config().geometry.vol);
+        session->run(recon::file_storer(writer));
+        writer.commit();
         std::error_code ec;
         std::filesystem::remove_all(ckpt_dir(id), ec);
         try {

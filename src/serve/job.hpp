@@ -60,8 +60,9 @@ struct JobSpec {
     /// that expires while the job is still queued sheds it instead of
     /// running it.
     double deadline_s = 0.0;
-    /// Final .vol path; empty uses <spool>/out/job-<id>.vol.  Written
-    /// atomically (io::write_volume's temp+rename) on success only.
+    /// Final .vol path; empty uses <spool>/out/job-<id>.vol.  Streamed
+    /// slab by slab into a temp file and published atomically
+    /// (io::VolumeWriter's rename) on success only.
     std::string output;
 };
 

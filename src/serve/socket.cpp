@@ -5,6 +5,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -33,20 +35,24 @@ sockaddr_un make_addr(const std::filesystem::path& path)
 }
 
 /// Read until '\n' or EOF (the line terminator is stripped).  Bounded at
-/// 16 MB so a rogue client cannot balloon the daemon.
+/// 16 MB so a rogue client cannot balloon the daemon.  A connection
+/// carries one line each way, so bytes past the '\n' are dropped.
 bool read_line(int fd, std::string& out)
 {
+    constexpr std::size_t kMaxLine = 16u << 20;
     out.clear();
-    char c = 0;
-    while (out.size() < (16u << 20)) {
-        const ssize_t n = ::read(fd, &c, 1);
+    std::array<char, 1u << 16> buf{};
+    while (out.size() < kMaxLine) {
+        const ssize_t n = ::read(fd, buf.data(), std::min(buf.size(), kMaxLine - out.size()));
         if (n == 0) return !out.empty();
         if (n < 0) {
             if (errno == EINTR) continue;
             return false;
         }
-        if (c == '\n') return true;
-        out.push_back(c);
+        const auto got = static_cast<std::size_t>(n);
+        const auto* nl = static_cast<const char*>(std::memchr(buf.data(), '\n', got));
+        out.append(buf.data(), nl != nullptr ? static_cast<std::size_t>(nl - buf.data()) : got);
+        if (nl != nullptr) return true;
     }
     return false;
 }

@@ -134,7 +134,7 @@ TEST(Streaming, ScalarMatchesReferenceOnFullVolume)
     sim::Device dev(64u << 20);
     const sim::Texture3 tex = make_texture(dev, p, Range{0, g.nv});
     Volume out(g.vol);
-    backproject_streaming_scalar(tex, mats, out, StreamOffsets{0, 0}, g.nu, g.nv);
+    backproject_streaming_scalar(tex, MatrixPack(mats), out, StreamOffsets{0, 0}, g.nu, g.nv);
 
     for (index_t i = 0; i < out.count(); ++i)
         ASSERT_NEAR(out.span()[static_cast<std::size_t>(i)],
@@ -156,7 +156,7 @@ TEST(Streaming, DefaultMatchesReferenceWithinSimdBound)
     sim::Device dev(64u << 20);
     const sim::Texture3 tex = make_texture(dev, p, Range{0, g.nv});
     Volume out(g.vol);
-    backproject_streaming(tex, mats, out, StreamOffsets{0, 0}, g.nu, g.nv);
+    backproject_streaming(tex, MatrixPack(mats), out, StreamOffsets{0, 0}, g.nu, g.nv);
 
     const float tol = kSimdVsScalarRelBound * max_abs(ref.span());
     for (index_t i = 0; i < out.count(); ++i)
@@ -180,7 +180,7 @@ TEST(Streaming, SlabsWithOffsetsTileTheFullVolume)
     for (index_t k0 = 0; k0 < g.vol.z; k0 += nb) {
         const index_t len = std::min(nb, g.vol.z - k0);
         Volume slab(Dim3{g.vol.x, g.vol.y, len});
-        backproject_streaming(tex, mats, slab, StreamOffsets{k0, 0}, g.nu, g.nv);
+        backproject_streaming(tex, MatrixPack(mats), slab, StreamOffsets{k0, 0}, g.nu, g.nv);
         for (index_t k = 0; k < len; ++k)
             for (index_t j = 0; j < g.vol.y; ++j)
                 for (index_t i = 0; i < g.vol.x; ++i)
@@ -203,7 +203,8 @@ TEST(Streaming, BandRestrictedTextureMatchesFullForItsSlab)
     sim::Device dev(64u << 20);
     const sim::Texture3 tex = make_texture(dev, p, band);
     Volume out(Dim3{g.vol.x, g.vol.y, slab.length()});
-    backproject_streaming(tex, mats, out, StreamOffsets{slab.lo, band.lo}, g.nu, g.nv);
+    backproject_streaming(tex, MatrixPack(mats), out, StreamOffsets{slab.lo, band.lo}, g.nu,
+                          g.nv);
 
     const float tol = kSimdVsScalarRelBound * max_abs(ref.span());
     for (index_t i = 0; i < out.count(); ++i)
@@ -243,7 +244,8 @@ TEST(Streaming, CircularDepthReusePreservesResults)
         }
 
         Volume slab(Dim3{g.vol.x, g.vol.y, pl.slab.length()});
-        backproject_streaming(tex, mats, slab, StreamOffsets{pl.slab.lo, origin}, g.nu, g.nv);
+        backproject_streaming(tex, MatrixPack(mats), slab, StreamOffsets{pl.slab.lo, origin},
+                              g.nu, g.nv);
 
         Volume ref(Dim3{g.vol.x, g.vol.y, pl.slab.length()});
         backproject_reference(p, mats, ref, pl.slab.lo, g.nu, g.nv);
@@ -253,25 +255,6 @@ TEST(Streaming, CircularDepthReusePreservesResults)
                         ref.span()[static_cast<std::size_t>(i)], tol)
                 << "slab at " << pl.slab.lo;
     }
-}
-
-TEST(StreamingIncremental, MatchesBaseKernelToRounding)
-{
-    const CbctGeometry g = geo();
-    const ProjectionStack p = random_stack(g, 21);
-    const auto mats = projection_matrices(g);
-
-    sim::Device dev(64u << 20);
-    const sim::Texture3 tex = make_texture(dev, p, Range{0, g.nv});
-    Volume base(g.vol), fast(g.vol);
-    backproject_streaming(tex, mats, base, StreamOffsets{0, 0}, g.nu, g.nv);
-    backproject_streaming_incremental(tex, mats, fast, StreamOffsets{0, 0}, g.nu, g.nv);
-
-    float scale = 0.0f;
-    for (float v : base.span()) scale = std::max(scale, std::abs(v));
-    for (index_t i = 0; i < base.count(); ++i)
-        ASSERT_NEAR(fast.span()[static_cast<std::size_t>(i)],
-                    base.span()[static_cast<std::size_t>(i)], 2e-4f * scale);
 }
 
 TEST(StreamingIncremental, HandlesSlabOffsetsAndBands)
@@ -287,8 +270,8 @@ TEST(StreamingIncremental, HandlesSlabOffsetsAndBands)
     Volume ref(Dim3{g.vol.x, g.vol.y, slab.length()});
     backproject_reference(p, mats, ref, slab.lo, g.nu, g.nv);
     Volume fast(Dim3{g.vol.x, g.vol.y, slab.length()});
-    backproject_streaming_incremental(tex, mats, fast, StreamOffsets{slab.lo, band.lo}, g.nu,
-                                      g.nv);
+    backproject_streaming(tex, MatrixPack(mats), fast, StreamOffsets{slab.lo, band.lo}, g.nu,
+                          g.nv);
 
     float scale = 0.0f;
     for (float v : ref.span()) scale = std::max(scale, std::abs(v));
@@ -370,9 +353,9 @@ TEST(Streaming, ViewBatchesAccumulate)
             std::copy(src.begin(), src.end(), dst.begin());
         }
         const sim::Texture3 tex = make_texture(dev, sub, Range{0, g.nv});
-        backproject_streaming(
-            tex, std::span<const Mat34>(mats.data() + views.lo, static_cast<std::size_t>(views.length())),
-            acc, StreamOffsets{0, 0}, g.nu, g.nv);
+        const MatrixPack pack(std::span<const Mat34>(mats.data() + views.lo,
+                                                     static_cast<std::size_t>(views.length())));
+        backproject_streaming(tex, pack, acc, StreamOffsets{0, 0}, g.nu, g.nv);
     }
     const float tol = kSimdVsScalarRelBound * max_abs(ref.span());
     for (index_t i = 0; i < acc.count(); ++i)
@@ -387,7 +370,7 @@ TEST(Streaming, RejectsMismatchedMatrixCount)
     sim::Texture3 tex(dev, g.nu, 4, 8);
     const auto mats = projection_matrices(g);  // 36 matrices vs height 4
     Volume vol(g.vol);
-    EXPECT_THROW(backproject_streaming(tex, mats, vol, StreamOffsets{}, g.nu, g.nv),
+    EXPECT_THROW(backproject_streaming(tex, MatrixPack(mats), vol, StreamOffsets{}, g.nu, g.nv),
                  std::invalid_argument);
 }
 

@@ -1,10 +1,13 @@
 // Extension-feature tests: ROI reconstruction, Poisson noise, slab
 // stitching and the shared-Pfs source factory.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
+#include "io/raw_io.hpp"
 #include "io/stitch.hpp"
 #include "recon/distributed.hpp"
 #include "recon/fdk.hpp"
@@ -42,12 +45,40 @@ TEST(Roi, SliceRangeMatchesFullReconstruction)
     cfg2.geometry = g;
     cfg2.batches = 3;
     const Range roi{10, 22};
-    const FdkResult part = reconstruct_fdk_slices(cfg2, roi_src, roi);
-    ASSERT_EQ(part.volume.size().z, roi.length());
+    Volume part(Dim3{g.vol.x, g.vol.y, roi.length()});
+    reconstruct_fdk_slices(cfg2, roi_src, roi, volume_storer(part, roi.lo));
     for (index_t k = 0; k < roi.length(); ++k)
         for (index_t j = 0; j < g.vol.y; ++j)
             for (index_t i = 0; i < g.vol.x; ++i)
-                ASSERT_NEAR(part.volume.at(i, j, k), full.volume.at(i, j, roi.lo + k), 1e-5f);
+                ASSERT_NEAR(part.at(i, j, k), full.volume.at(i, j, roi.lo + k), 1e-5f);
+}
+
+TEST(Roi, FileSinkMatchesTheInMemoryRoiBitwise)
+{
+    // xct_recon --slices writes through file_storer with the ROI's first
+    // slice as the file's slice 0.
+    const CbctGeometry g = geo();
+    const auto ph = phantom::shepp_logan_3d(g.dx * static_cast<double>(g.vol.x) / 2.4);
+    RankConfig cfg;
+    cfg.geometry = g;
+    cfg.batches = 3;
+    const Range roi{10, 22};
+    PhantomSource mem_src(ph, g);
+    Volume mem(Dim3{g.vol.x, g.vol.y, roi.length()});
+    reconstruct_fdk_slices(cfg, mem_src, roi, volume_storer(mem, roi.lo));
+
+    const auto path = std::filesystem::temp_directory_path() /
+                      ("xct_roi_file_sink_" + std::to_string(::getpid()) + ".xvol");
+    {
+        PhantomSource file_src(ph, g);
+        io::VolumeWriter writer(path, Dim3{g.vol.x, g.vol.y, roi.length()});
+        reconstruct_fdk_slices(cfg, file_src, roi, file_storer(writer, roi.lo));
+        writer.commit();
+    }
+    const Volume file = io::read_volume(path);
+    ASSERT_EQ(file.size(), mem.size());
+    EXPECT_EQ(std::memcmp(file.span().data(), mem.span().data(), mem.span().size_bytes()), 0);
+    std::filesystem::remove(path);
 }
 
 TEST(Roi, LoadsOnlyTheRoiBands)
@@ -66,8 +97,9 @@ TEST(Roi, LoadsOnlyTheRoiBands)
     RankConfig cfg2;
     cfg2.geometry = g;
     cfg2.batches = 2;
-    const FdkResult part = reconstruct_fdk_slices(cfg2, s2, Range{14, 18});
-    EXPECT_LT(part.stats.h2d.bytes, full.stats.h2d.bytes / 2);
+    Volume part(Dim3{g.vol.x, g.vol.y, 4});
+    const RankStats st = reconstruct_fdk_slices(cfg2, s2, Range{14, 18}, volume_storer(part, 14));
+    EXPECT_LT(st.h2d.bytes, full.stats.h2d.bytes / 2);
 }
 
 TEST(Roi, RejectsBadRanges)
@@ -77,8 +109,11 @@ TEST(Roi, RejectsBadRanges)
     PhantomSource src(ph, g);
     RankConfig cfg;
     cfg.geometry = g;
-    EXPECT_THROW(reconstruct_fdk_slices(cfg, src, Range{5, 5}), std::invalid_argument);
-    EXPECT_THROW(reconstruct_fdk_slices(cfg, src, Range{0, g.vol.z + 1}), std::invalid_argument);
+    Volume sink(g.vol);
+    EXPECT_THROW(reconstruct_fdk_slices(cfg, src, Range{5, 5}, volume_storer(sink)),
+                 std::invalid_argument);
+    EXPECT_THROW(reconstruct_fdk_slices(cfg, src, Range{0, g.vol.z + 1}, volume_storer(sink)),
+                 std::invalid_argument);
 }
 
 TEST(PoissonNoise, RequiresCountEmission)

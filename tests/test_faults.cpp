@@ -22,6 +22,7 @@
 #include "integrity/integrity.hpp"
 #include "integrity/watchdog.hpp"
 #include "io/pfs.hpp"
+#include "io/raw_io.hpp"
 #include "recon/distributed.hpp"
 #include "recon/fdk.hpp"
 #include "sim/device.hpp"
@@ -592,6 +593,45 @@ TEST(Resilience, CheckpointRestartMidRunIsBitwiseIdentical)
     EXPECT_TRUE(bitwise_equal(r.volume, ref.volume));
     EXPECT_EQ(r.stats.slabs_restored, 3);
     EXPECT_EQ(cval("faults.checkpoint.restored") - before, 3u);
+}
+
+TEST(Resilience, CheckpointRestartThroughTheFileSinkIsBitwiseIdentical)
+{
+    // The tools' path: slabs stream into an io::VolumeWriter.  The killed
+    // run publishes nothing; the restart replays saved slabs into a fresh
+    // writer and publishes a file bitwise equal to the uninterrupted run.
+    const CbctGeometry g = geo();
+    const auto ph = phantom::shepp_logan_3d(g.dx * 10.0);
+    RankConfig cfg;
+    cfg.geometry = g;
+    cfg.batches = 8;
+    PhantomSource clean_src(ph, g);
+    const FdkResult ref = reconstruct_fdk(cfg, clean_src);
+
+    const auto dir = scratch("ckpt_file_sink");
+    const auto out = dir / "v.xvol";
+    const Range all{0, g.vol.z};
+    RankConfig bcfg = cfg;
+    bcfg.threaded = false;
+    bcfg.checkpoint = CheckpointConfig{dir / "ckpt", -1};
+    {
+        faults::ScopedPlan install(faults::FaultPlan::parse("source.load:after=3,count=-1"));
+        PhantomSource src(ph, g);
+        io::VolumeWriter writer(out, g.vol);
+        EXPECT_THROW(reconstruct_fdk_slices(bcfg, src, all, file_storer(writer)),
+                     faults::InjectedFault);
+    }
+    EXPECT_FALSE(std::filesystem::exists(out));
+    EXPECT_FALSE(std::filesystem::exists(dir / "v.xvol.tmp"));
+
+    RankConfig ccfg = cfg;
+    ccfg.checkpoint = CheckpointConfig{dir / "ckpt", -1};
+    PhantomSource src(ph, g);
+    io::VolumeWriter writer(out, g.vol);
+    const RankStats st = reconstruct_fdk_slices(ccfg, src, all, file_storer(writer));
+    writer.commit();
+    EXPECT_EQ(st.slabs_restored, 3);
+    EXPECT_TRUE(bitwise_equal(io::read_volume(out), ref.volume));
 }
 
 TEST(Resilience, SimdKernelKeepsFaultPathsBitwiseReproducible)

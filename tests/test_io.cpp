@@ -2,10 +2,15 @@
 // the paper dataset descriptors (Sec. 6.1 / Table 4).
 #include <gtest/gtest.h>
 
-#include <filesystem>
+#include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "io/datasets.hpp"
 #include "io/geometry_io.hpp"
@@ -398,6 +403,117 @@ TEST(CheckpointIo, RejectsForeignMagicAndTruncation)
                                  std::filesystem::file_size(dir / "s.xckp") - 9);
     const std::string msg = thrown_message([&] { read_checkpoint_slab(dir / "s.xckp"); });
     EXPECT_NE(msg.find("raw_io.cpp:"), std::string::npos) << msg;
+    std::filesystem::remove_all(dir);
+}
+
+// ---- streamed volume output (VolumeWriter) and partial volume reads -----
+
+Volume ramp_volume(Dim3 d)
+{
+    Volume v(d);
+    for (index_t i = 0; i < v.count(); ++i)
+        v.span()[static_cast<std::size_t>(i)] = static_cast<float>(i) * 0.5f - 3.0f;
+    return v;
+}
+
+std::string file_bytes(const std::filesystem::path& path)
+{
+    std::ifstream f(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
+}
+
+TEST(RawIo, VolumeSlicesMatchTheWholeRead)
+{
+    const auto dir = tmp_dir();
+    const Volume v = ramp_volume(Dim3{5, 3, 7});
+    write_volume(dir / "v.xvol", v);
+    const Volume part = read_volume_slices(dir / "v.xvol", Range{2, 5});
+    ASSERT_EQ(part.size(), (Dim3{5, 3, 3}));
+    for (index_t k = 0; k < 3; ++k)
+        for (index_t i = 0; i < 15; ++i)
+            ASSERT_EQ(part.slice(k)[static_cast<std::size_t>(i)],
+                      v.slice(k + 2)[static_cast<std::size_t>(i)]);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(RawIo, VolumeSlicesRejectBadRangesAndDamagedFiles)
+{
+    const auto dir = tmp_dir();
+    const auto path = dir / "v.xvol";
+    write_volume(path, ramp_volume(Dim3{4, 4, 6}));
+    for (const Range r : {Range{5, 7}, Range{-1, 1}, Range{3, 3}}) {
+        const std::string msg = thrown_message([&] { read_volume_slices(path, r); });
+        EXPECT_NE(msg.find("outside the 6 slices"), std::string::npos) << msg;
+    }
+    // A truncated file fails the exact-size check, even for slices that
+    // the remaining bytes would still hold.
+    std::filesystem::resize_file(path, std::filesystem::file_size(path) - 4);
+    const std::string truncated = thrown_message([&] { read_volume_slices(path, Range{0, 1}); });
+    EXPECT_NE(truncated.find("size mismatch"), std::string::npos) << truncated;
+    // A stack is not a volume.
+    write_stack(dir / "p.xstk", ProjectionStack(4, Range{0, 4}, 6));
+    const std::string magic =
+        thrown_message([&] { read_volume_slices(dir / "p.xstk", Range{0, 1}); });
+    EXPECT_NE(magic.find("not a volume file"), std::string::npos) << magic;
+    std::filesystem::remove_all(dir);
+}
+
+TEST(VolumeWriter, UncommittedWriterLeavesNoFile)
+{
+    const auto dir = tmp_dir();
+    const auto path = dir / "v.xvol";
+    {
+        VolumeWriter w(path, Dim3{4, 4, 8});
+        EXPECT_TRUE(std::filesystem::exists(dir / "v.xvol.tmp"));
+        w.write(0, ramp_volume(Dim3{4, 4, 3}));
+    }
+    EXPECT_FALSE(std::filesystem::exists(path));
+    EXPECT_FALSE(std::filesystem::exists(dir / "v.xvol.tmp"));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(VolumeWriter, CommitRequiresEverySlice)
+{
+    const auto dir = tmp_dir();
+    VolumeWriter w(dir / "v.xvol", Dim3{4, 4, 8});
+    w.write(0, ramp_volume(Dim3{4, 4, 5}));
+    EXPECT_THROW(w.write(6, ramp_volume(Dim3{4, 4, 3})), std::invalid_argument);  // past z
+    EXPECT_THROW(w.write(5, ramp_volume(Dim3{4, 3, 3})), std::invalid_argument);  // wrong y
+    const std::string msg = thrown_message([&] { w.commit(); });
+    EXPECT_NE(msg.find("5 of 8 slices"), std::string::npos) << msg;
+    EXPECT_FALSE(std::filesystem::exists(dir / "v.xvol"));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(VolumeWriter, ConcurrentDisjointSlabsMatchWriteVolume)
+{
+    // Four group roots writing their slabs at once produce the same bytes
+    // as writing the assembled volume in one piece.
+    const auto dir = tmp_dir();
+    const Dim3 d{16, 12, 22};
+    const Volume whole = ramp_volume(d);
+    write_volume(dir / "whole.xvol", whole);
+    {
+        VolumeWriter w(dir / "slabs.xvol", d);
+        std::vector<std::thread> roots;
+        for (index_t t = 0; t < 4; ++t)
+            roots.emplace_back([&, t] {
+                // Slabs of 3 slices, dealt round-robin to the four threads.
+                for (index_t z0 = 3 * t; z0 < d.z; z0 += 12) {
+                    const index_t nz = std::min<index_t>(3, d.z - z0);
+                    Volume slab(Dim3{d.x, d.y, nz});
+                    for (index_t k = 0; k < nz; ++k) {
+                        const auto src = whole.slice(z0 + k);
+                        std::copy(src.begin(), src.end(), slab.slice(k).begin());
+                    }
+                    w.write(z0, slab);
+                }
+            });
+        for (auto& r : roots) r.join();
+        w.commit();
+    }
+    EXPECT_EQ(file_bytes(dir / "slabs.xvol"), file_bytes(dir / "whole.xvol"));
+    EXPECT_FALSE(std::filesystem::exists(dir / "slabs.xvol.tmp"));
     std::filesystem::remove_all(dir);
 }
 

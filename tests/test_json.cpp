@@ -77,6 +77,25 @@ TEST(Json, NestingIsCappedWithAByteOffset)
     EXPECT_THROW(Json::parse(std::string(100000, '{')), std::invalid_argument);
 }
 
+TEST(Json, ValueCountIsCappedNamingTheLimit)
+{
+    // A flat array nests one deep, so only the value cap bounds its tree.
+    const auto flat = [](std::size_t values) {
+        std::string s = "[0";
+        for (std::size_t i = 1; i < values; ++i) s += ",0";
+        return s + "]";
+    };
+    EXPECT_EQ(Json::parse(flat(Json::kMaxNodes - 1)).array.size(), Json::kMaxNodes - 1);
+    EXPECT_THROW(Json::parse(flat(Json::kMaxNodes)), std::invalid_argument);
+    try {
+        Json::parse(flat((16u << 20) / 2 - 1));  // one 16 MiB request line
+        ADD_FAILURE() << "a 16 MiB flat array parsed";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("more than 262144 values"), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Json, UnicodeEscapesDecodeToUtf8)
 {
     EXPECT_EQ(Json::parse(R"("\u0041")").string, "A");

@@ -139,8 +139,9 @@ TEST(QuantizedTexture, Q8KernelApproximatesFp32Kernel)
     fill(tex8);
 
     Volume v32(g.vol), v8(g.vol);
-    backproj::backproject_streaming(tex32, mats, v32, backproj::StreamOffsets{0, 0}, g.nu, g.nv);
-    backproj::backproject_streaming_q8(tex8, mats, v8, backproj::StreamOffsets{0, 0}, g.nu, g.nv);
+    const backproj::MatrixPack pack(mats);
+    backproj::backproject_streaming(tex32, pack, v32, backproj::StreamOffsets{0, 0}, g.nu, g.nv);
+    backproj::backproject_streaming_q8(tex8, pack, v8, backproj::StreamOffsets{0, 0}, g.nu, g.nv);
 
     // Close (quantisation step ~0.004 over ~24 views) but NOT equal — the
     // 8-bit path must show measurable error, which is the paper's point.

@@ -5,6 +5,7 @@
 // volumes bitwise identical to an uninterrupted run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -276,6 +277,16 @@ TEST(ServeSocket, HostileLineIsRejectedAndTheServerKeepsAnswering)
     EXPECT_NE(reply.at("error").as_string("error").find("nesting deeper than 64 at byte 64"),
               std::string::npos);
 
+    // One line of `[0,0,...]` just under the 16 MiB line cap: one level
+    // deep, but ~8 M values; the parse stops at Json::kMaxNodes.
+    std::string flat = "[0";
+    while (flat.size() < (16u << 20) - 3) flat += ",0";
+    flat += "]";
+    const Json flat_reply = Json::parse(unix_request(server.path(), flat, 30.0));
+    EXPECT_FALSE(flat_reply.at("ok").as_bool("ok"));
+    EXPECT_NE(flat_reply.at("error").as_string("error").find("more than 262144 values"),
+              std::string::npos);
+
     Request ping;
     ping.op = "ping";
     const Json pong = Json::parse(unix_request(server.path(), encode_request(ping)));
@@ -342,12 +353,14 @@ TEST(ReconSessionTest, ReportsProgressAndIsSingleUse)
     EXPECT_EQ(session.state(), recon::SessionState::Ready);
     EXPECT_GT(session.total_slabs(), 0);
     EXPECT_DOUBLE_EQ(session.progress(), 0.0);
-    const recon::FdkResult r = session.run();
-    EXPECT_EQ(r.volume.size().x, rc.geometry.vol.x);
+    Volume volume(rc.geometry.vol);
+    const recon::RankStats st = session.run(recon::volume_storer(volume));
+    EXPECT_GT(st.wall, 0.0);
+    EXPECT_GT(*std::max_element(volume.span().begin(), volume.span().end()), 0.0f);
     EXPECT_EQ(session.state(), recon::SessionState::Done);
     EXPECT_EQ(session.completed_slabs(), session.total_slabs());
     EXPECT_DOUBLE_EQ(session.progress(), 1.0);
-    EXPECT_THROW((void)session.run(), std::logic_error);  // single-use
+    EXPECT_THROW((void)session.run(recon::volume_storer(volume)), std::logic_error);  // single-use
 }
 
 TEST(ReconSessionTest, CancelUnwindsWithinOneStageBoundary)
@@ -363,7 +376,9 @@ TEST(ReconSessionTest, CancelUnwindsWithinOneStageBoundary)
         phantom::shepp_logan_3d(0.45 * rc.geometry.dx * static_cast<double>(rc.geometry.vol.x)),
         rc.geometry);
     recon::ReconSession session(rc, std::move(src));
-    std::thread runner([&] { EXPECT_THROW((void)session.run(), core::Cancelled); });
+    Volume volume(rc.geometry.vol);
+    std::thread runner(
+        [&] { EXPECT_THROW((void)session.run(recon::volume_storer(volume)), core::Cancelled); });
     ASSERT_TRUE(eventually(10.0, [&] { return session.completed_slabs() >= 1; }));
     const auto t0 = std::chrono::steady_clock::now();
     session.cancel_token().request_cancel();

@@ -36,7 +36,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <mutex>
 
 #include "autotune/calibrate.hpp"
 #include "autotune/planner.hpp"
@@ -44,6 +43,7 @@
 #include "faults/fault.hpp"
 #include "integrity/integrity.hpp"
 #include "io/geometry_io.hpp"
+#include "io/pfs.hpp"
 #include "io/raw_io.hpp"
 #include "perfmodel/model.hpp"
 #include "recon/distributed.hpp"
@@ -188,8 +188,11 @@ int main(int argc, char** argv)
     const std::filesystem::path in = args.get("input");
     const io::GeometryFile gf = io::read_geometry(in.string() + ".geom");
     const CbctGeometry& g = gf.geometry;
-    const ProjectionStack stack = io::read_stack(in);
-    require(stack.views() == g.num_proj && stack.cols() == g.nu,
+    // The stack stays on disk: only its header is checked here, and every
+    // rank reads just its own row bands (Algorithm 3) through the
+    // file-backed source below.
+    const io::StackInfo info = io::stack_info(in);
+    require(info.views == g.num_proj && info.cols == g.nu,
             "xct_recon: stack does not match its geometry sidecar");
 
     if (args.get_flag("autotune") || args.is_set("machine-out")) {
@@ -232,80 +235,58 @@ int main(int argc, char** argv)
                 args.get("window").c_str(), static_cast<long long>(ng),
                 static_cast<long long>(nr));
 
-    Volume volume(g.vol);
+    recon::DistributedConfig cfg;
+    cfg.geometry = g;
+    cfg.layout = GroupLayout{ng, nr};
+    cfg.window = filter::window_from_name(args.get("window"));
+    cfg.batches = batches;
+    cfg.device_capacity = device_capacity;
+    cfg.threaded = !args.get_flag("sequential");
+    cfg.band_codec = codec;
+    cfg.prefetch = prefetch;
+    cfg.queue_depth = queue_depth;
+    if (gf.raw_counts) cfg.beer = gf.beer;
+    cfg.retry = retry;
+    cfg.degraded_reduce = args.get_flag("degraded");
+    cfg.watchdog_timeout_s = watchdog_timeout;
+    if (args.is_set("checkpoint-dir")) cfg.checkpoint_dir = args.get("checkpoint-dir");
+
+    Range slices{0, g.vol.z};
     if (args.is_set("slices")) {
         require(ng == 1 && nr == 1, "xct_recon: --slices is a single-rank feature");
         long long lo = 0, hi = 0;
         require(std::sscanf(args.get("slices").c_str(), "%lld:%lld", &lo, &hi) == 2,
                 "xct_recon: --slices expects a:b");
-        recon::MemorySource src(stack, gf.raw_counts);
-        recon::RankConfig cfg;
-        cfg.geometry = g;
-        cfg.window = filter::window_from_name(args.get("window"));
-        cfg.batches = batches;
-        cfg.device_capacity = device_capacity;
-        cfg.threaded = !args.get_flag("sequential");
-        cfg.band_codec = codec;
-        cfg.prefetch = prefetch;
-        cfg.queue_depth = queue_depth;
-        if (gf.raw_counts) cfg.beer = gf.beer;
-        const recon::FdkResult r = recon::reconstruct_fdk_slices(cfg, src, Range{lo, hi});
-        io::write_volume(args.get("output"), r.volume);
-        std::printf("wrote %s (ROI slices [%lld, %lld))\n", args.get("output").c_str(), lo, hi);
-        if (args.is_set("slice-pgm")) {
-            io::write_pgm_slice(args.get("slice-pgm"), r.volume, r.volume.size().z / 2);
-            std::printf("wrote %s\n", args.get("slice-pgm").c_str());
-        }
-        dump_telemetry();
-        return 0;
+        require(lo >= 0 && lo < hi && hi <= g.vol.z, "xct_recon: --slices outside the volume");
+        slices = Range{lo, hi};
     }
+
+    // Every rank reads its bands straight from the stack file, and every
+    // reduced slab goes straight into the output file: neither the stack
+    // nor the volume is ever whole in host memory.
+    const perfmodel::MachineParams link;  // modelled load/store bandwidths
+    io::Pfs pfs(in.has_parent_path() ? in.parent_path() : std::filesystem::path("."),
+                link.bw_load_gbps, link.bw_store_gbps);
+    pfs.set_retry(retry);
+    const recon::SourceFactory sources =
+        recon::make_shared_pfs_factory(pfs, in.filename().string(), gf.raw_counts);
+    io::VolumeWriter writer(args.get("output"), Dim3{g.vol.x, g.vol.y, slices.length()});
+    const recon::Storer store = recon::file_storer(writer, slices.lo);
+
     if (ng == 1 && nr == 1) {
-        recon::MemorySource src(stack, gf.raw_counts);
-        recon::RankConfig cfg;
-        cfg.geometry = g;
-        cfg.window = filter::window_from_name(args.get("window"));
-        cfg.batches = batches;
-        cfg.device_capacity = device_capacity;
-        cfg.threaded = !args.get_flag("sequential");
-        cfg.band_codec = codec;
-        cfg.prefetch = prefetch;
-        cfg.queue_depth = queue_depth;
-        if (gf.raw_counts) cfg.beer = gf.beer;
-        cfg.retry = retry;
-        cfg.watchdog_timeout_s = watchdog_timeout;
-        if (args.is_set("checkpoint-dir"))
-            cfg.checkpoint = recon::CheckpointConfig{args.get("checkpoint-dir"), -1};
-        const recon::FdkResult r = recon::reconstruct_fdk(cfg, src);
-        volume = r.volume;
-        std::printf("stages: load %.3f filter %.3f bp %.3f store %.3f | wall %.3f s\n",
-                    r.stats.t_load, r.stats.t_filter, r.stats.t_bp, r.stats.t_store,
-                    r.stats.wall);
+        recon::RankConfig rc = cfg;
+        if (cfg.checkpoint_dir) rc.checkpoint = recon::CheckpointConfig{*cfg.checkpoint_dir, -1};
+        const auto source = sources(RankId{0});
+        const recon::RankStats st = recon::reconstruct_fdk_slices(rc, *source, slices, store);
+        std::printf("stages: load %.3f filter %.3f bp %.3f store %.3f | wall %.3f s\n", st.t_load,
+                    st.t_filter, st.t_bp, st.t_store, st.wall);
         if (args.is_set("report")) {
-            const telemetry::report::RankTimings t = to_timings(r.stats, RankId{0}, GroupId{0});
+            const telemetry::report::RankTimings t = to_timings(st, RankId{0}, GroupId{0});
             telemetry::report::observe_fleet(t);  // single-rank fleet of one
             write_report(g, 1, 1, {t});
         }
     } else {
-        recon::DistributedConfig cfg;
-        cfg.geometry = g;
-        cfg.layout = GroupLayout{ng, nr};
-        cfg.window = filter::window_from_name(args.get("window"));
-        cfg.batches = batches;
-        cfg.device_capacity = device_capacity;
-        cfg.threaded = !args.get_flag("sequential");
-        cfg.band_codec = codec;
-        cfg.prefetch = prefetch;
-        cfg.queue_depth = queue_depth;
-        if (gf.raw_counts) cfg.beer = gf.beer;
-        cfg.retry = retry;
-        cfg.degraded_reduce = args.get_flag("degraded");
-        cfg.watchdog_timeout_s = watchdog_timeout;
-        if (args.is_set("checkpoint-dir")) cfg.checkpoint_dir = args.get("checkpoint-dir");
-        const auto factory = [&](RankId) {
-            return std::make_unique<recon::MemorySource>(stack, gf.raw_counts);
-        };
-        const recon::DistributedResult r = recon::reconstruct_distributed(cfg, factory);
-        volume = r.volume;
+        const recon::DistributedResult r = recon::reconstruct_distributed(cfg, sources, store);
         for (const RankId d : r.dead)
             std::printf("rank %lld dropped out; its view share was replayed by a survivor\n",
                         static_cast<long long>(d.value()));
@@ -338,10 +319,17 @@ int main(int argc, char** argv)
         }
     }
 
-    io::write_volume(args.get("output"), volume);
-    std::printf("wrote %s\n", args.get("output").c_str());
+    writer.commit();
+    std::printf("wrote %s", args.get("output").c_str());
+    if (args.is_set("slices"))
+        std::printf(" (ROI slices [%lld, %lld))", static_cast<long long>(slices.lo),
+                    static_cast<long long>(slices.hi));
+    std::printf("\n");
     if (args.is_set("slice-pgm")) {
-        io::write_pgm_slice(args.get("slice-pgm"), volume, g.vol.z / 2);
+        // The preview's one slice comes back off disk.
+        const index_t mid = slices.length() / 2;
+        io::write_pgm_slice(args.get("slice-pgm"),
+                            io::read_volume_slices(args.get("output"), Range{mid, mid + 1}), 0);
         std::printf("wrote %s\n", args.get("slice-pgm").c_str());
     }
     dump_telemetry();

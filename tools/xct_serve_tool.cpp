@@ -112,11 +112,10 @@ std::string handle(xct::serve::Engine& engine, const std::string& line)
         if (st.state != serve::JobState::Done)
             throw std::runtime_error("fetch_slice: job " + std::to_string(req.id) + " is " +
                                      serve::to_string(st.state) + ", not done");
-        const Volume v = io::read_volume(st.output);
-        if (req.slice < 0 || req.slice >= v.size().z)
-            throw std::out_of_range("fetch_slice: slice " + std::to_string(req.slice) +
-                                    " outside [0, " + std::to_string(v.size().z) + ")");
-        const std::span<const float> s = v.slice(req.slice);
+        // One slice off disk, never the whole volume; the reader rejects a
+        // slice outside the volume with a reason.
+        const Volume v = io::read_volume_slices(st.output, Range{req.slice, req.slice + 1});
+        const std::span<const float> s = v.slice(0);
         ss << "{\"ok\":true,\"id\":" << req.id << ",\"slice\":" << req.slice
            << ",\"nx\":" << v.size().x << ",\"ny\":" << v.size().y
            << ",\"data\":" << json_quote(hex_encode(std::as_bytes(s))) << "}";
