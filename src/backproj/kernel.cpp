@@ -1,5 +1,6 @@
 #include "backproj/kernel.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -15,6 +16,7 @@ MatrixPack::MatrixPack(std::span<const Mat34> mats)
 {
     for (std::size_t s = 0; s < mats.size(); ++s) {
         const Mat34& m = mats[s];
+        z_invariant_ = z_invariant_ && m[0].z == 0.0 && m[2].z == 0.0;
         fm_[s] = {static_cast<float>(m[0].x), static_cast<float>(m[0].y),
                   static_cast<float>(m[0].z), static_cast<float>(m[0].w),
                   static_cast<float>(m[1].x), static_cast<float>(m[1].y),
@@ -88,35 +90,41 @@ void bp_scalar_impl(const Tex& tex, const MatrixPack& pack, Volume& vol, const S
     }
 }
 
-/// The vectorised incremental-walk kernel (the production path).
+/// The vectorised column-walk kernel (the production path, DESIGN.md §3e).
 ///
-/// Loop structure: view-major over each voxel row; x/y/z are affine in i,
-/// so each lane evaluates fma(i, step, row_constant) — the row constants
-/// are hoisted per (view, row) and computed in double so the walk starts
-/// exact (matching the seed incremental variant).  The inner loop runs
-/// simd::kLanes voxels at a time:
+/// Every matrix projection_matrix builds has m[0].z == m[2].z == 0, so
+/// along a slab's z a voxel column keeps its detector column x, its depth
+/// zn and its FDK weight; only the detector row y moves.  x/y/z are affine
+/// in i, and each lane evaluates fma(i, step, row_constant) with the row
+/// constants computed in double so the walk starts exact.
 ///
-///   * lane masks: zn > 0 and the detector bounds test combine into one
-///     blend mask; zn is sanitised to 1 on masked lanes so the divisions
-///     never produce inf/NaN that could leak through the blend;
-///   * fused bilinear gather: coordinates are clamped (CUDA "clamp"
-///     address mode on u), floor/fraction split, and the four texel reads
-///     become gathers off a flat base = zrow[t] + s*width + iu, where
-///     zrow[] pre-resolves the circular depth wrap for every global
-///     detector row t = floor(y) (and t+1) — replacing two mod operations
-///     per sample with one int gather;
-///   * the row accumulator comes from the per-thread scratch pool and is
-///     flushed to the volume once per row (checked writes).
+///   * rows j go to threads; each thread leases an acc[nz][nx]
+///     accumulator and room for a row's y constants of every (view, k);
+///   * per view and per simd::kLanes voxels of the row: zn, x, the zn > 0 /
+///     column mask, the clamp and floor of x and the weight 1/zn^2, once
+///     (zn is sanitised to 1 on masked lanes so no inf/NaN leaks through
+///     the blend); a vector whose lanes all fail is skipped for every k;
+///   * per k: y, its mask and the row fraction, then the four bilinear taps
+///     as three adjacent pairs — zrow[t], zrow[t+1] (zrow[] resolves the
+///     circular depth wrap of global detector row t) and texels (u, u+1)
+///     of both texture rows.  A pair starts at min(floor(x), nu-2), so it
+///     stays inside its row; lanes with floor(x) == nu-1 take the high
+///     texel for both taps (the clamp address mode on u).
 ///
-/// Indices fit int32 by the texture-size require below; gathers are always
-/// in-range because the clamps run before index arithmetic, independent of
-/// the validity mask.
+/// Per voxel the operations, their association and the view order of the
+/// sum are those of the per-(view, row) loop this replaced, so the output
+/// is bitwise identical to it (test_simd keeps that loop as its oracle).
+/// Indices fit int32 by the texture-size require below.
 void bp_vectorised(const sim::Texture3& tex, const MatrixPack& pack, Volume& vol,
                    const StreamOffsets& off, index_t nu, index_t nv)
 {
     require(pack.views() == tex.height(),
             "backproject_streaming: texture height must equal the view count");
     require(tex.width() == nu, "backproject_streaming: texture width must equal Nu");
+    require(pack.z_invariant(),
+            "backproject_streaming: every view matrix must have m[0].z == m[2].z == 0 "
+            "(detector parallel to the rotation axis)");
+    require(nu >= 2, "backproject_streaming: the detector needs at least two columns");
     const Dim3 d = vol.size();
     const index_t views = pack.views();
     const index_t width = tex.width();
@@ -129,6 +137,7 @@ void bp_vectorised(const sim::Texture3& tex, const MatrixPack& pack, Volume& vol
     const float x_hi = static_cast<float>(nu - 1);
     const float y_hi = static_cast<float>(nv - 1);
     constexpr index_t W = simd::kLanes;
+    const index_t nx_vec = d.x - d.x % W;
 
     // Circular-row offset table: global detector row t -> flat offset of
     // its texture plane, zrow[t] = ((t - proj_y) mod depth)*height*width.
@@ -147,85 +156,100 @@ void bp_vectorised(const sim::Texture3& tex, const MatrixPack& pack, Volume& vol
     const simd::VecF vone = simd::splat(1.0f);
     const simd::VecF vxhi = simd::splat(x_hi);
     const simd::VecF vyhi = simd::splat(y_hi);
-    const simd::VecI vone_i = simd::splat_i(1);
+    const simd::VecF vpair_hi = simd::splat(static_cast<float>(nu - 2));  // last pair start
+    const double kk0 = static_cast<double>(off.volume_z);
 
-#pragma omp parallel for collapse(2) schedule(static)
-    for (index_t k = 0; k < d.z; ++k) {
+    // Rows vary in cost (masked columns are skipped), so they are handed
+    // out dynamically; each thread leases its buffers once per call.
+#pragma omp parallel
+    {
+        scratch::Buffer<float> lease(static_cast<std::size_t>(d.z * d.x + views * d.z));
+        float* acc = lease.data();      // acc[k * nx + i]
+        float* yrow = acc + d.z * d.x;  // yrow[s * nz + k]
+#pragma omp for schedule(dynamic)
         for (index_t j = 0; j < d.y; ++j) {
-            const double kk = static_cast<double>(k + off.volume_z);
             const double jj = static_cast<double>(j);
-            scratch::Buffer<float> acc_lease(static_cast<std::size_t>(d.x));
-            float* acc = acc_lease.data();
-            for (index_t i = 0; i < d.x; ++i) acc[i] = 0.0f;
+            std::fill_n(acc, d.z * d.x, 0.0f);
+            // k outermost, view innermost: no product here is loop-invariant,
+            // so fma contraction rounds exactly as in the per-(view, row) loop.
+            for (index_t k = 0; k < d.z; ++k) {
+                const double kk = static_cast<double>(k + off.volume_z);
+                for (index_t s = 0; s < views; ++s) {
+                    const Mat34& m = pack.dmat(s);
+                    yrow[s * d.z + k] = static_cast<float>(m[1].y * jj + m[1].z * kk + m[1].w);
+                }
+            }
             for (index_t s = 0; s < views; ++s) {
                 const Mat34& m = pack.dmat(s);
                 const auto& f = pack.fmat(s);
-                // Row constants at i = 0 (double precision so the affine
-                // walk starts exact — same contract as the seed
-                // incremental variant).
-                const float xn0 = static_cast<float>(m[0].y * jj + m[0].z * kk + m[0].w);
-                const float yn0 = static_cast<float>(m[1].y * jj + m[1].z * kk + m[1].w);
-                const float zn0 = static_cast<float>(m[2].y * jj + m[2].z * kk + m[2].w);
+                // Zero z column: the same floats at every k of the slab.
+                const float xn0 = static_cast<float>(m[0].y * jj + m[0].z * kk0 + m[0].w);
+                const float zn0 = static_cast<float>(m[2].y * jj + m[2].z * kk0 + m[2].w);
                 const float dxn = f[0];
                 const float dyn = f[4];
                 const float dzn = f[8];
+                const float* yn0 = yrow + s * d.z;
 
                 const simd::VecF vxn0 = simd::splat(xn0);
-                const simd::VecF vyn0 = simd::splat(yn0);
                 const simd::VecF vzn0 = simd::splat(zn0);
                 const simd::VecF vdxn = simd::splat(dxn);
                 const simd::VecF vdyn = simd::splat(dyn);
                 const simd::VecF vdzn = simd::splat(dzn);
                 const simd::VecI vsrow = simd::splat_i(static_cast<std::int32_t>(s * width));
 
-                index_t i = 0;
-                for (; i + W <= d.x; i += W) {
+                for (index_t i = 0; i < nx_vec; i += W) {
                     const simd::VecF ii = simd::splat(static_cast<float>(i)) + viota;
                     const simd::VecF zn = simd::fmadd(ii, vdzn, vzn0);
                     const simd::Mask zpos = simd::cmp_gt(zn, vzero);
                     const simd::VecF zn_safe = simd::blend(zpos, zn, vone);
                     const simd::VecF x = simd::fmadd(ii, vdxn, vxn0) / zn_safe;
-                    const simd::VecF y = simd::fmadd(ii, vdyn, vyn0) / zn_safe;
-                    const simd::Mask ok = zpos & simd::cmp_ge(x, vzero) & simd::cmp_le(x, vxhi) &
-                                          simd::cmp_ge(y, vzero) & simd::cmp_le(y, vyhi);
-                    if (simd::none(ok)) continue;
+                    const simd::Mask xok = zpos & simd::cmp_ge(x, vzero) & simd::cmp_le(x, vxhi);
+                    if (simd::none(xok)) continue;
                     const simd::VecF xc = simd::clamp(x, vzero, vxhi);
-                    const simd::VecF yc = simd::clamp(y, vzero, vyhi);
                     const simd::VecF fx = simd::floor_(xc);
-                    const simd::VecF fy = simd::floor_(yc);
                     const simd::VecF du = xc - fx;
-                    const simd::VecF dv = yc - fy;
-                    const simd::VecI iu0 = simd::to_int(fx);
-                    const simd::VecI iu1 = simd::to_int(simd::min_(fx + vone, vxhi));
-                    const simd::VecI t0 = simd::to_int(fy);
-                    const simd::VecI t1 = t0 + vone_i;
-                    const simd::VecI z0 = simd::gather_i(zrow, t0) + vsrow;
-                    const simd::VecI z1 = simd::gather_i(zrow, t1) + vsrow;
-                    const simd::VecF f00 = simd::gather(texel, z0 + iu0);
-                    const simd::VecF f01 = simd::gather(texel, z0 + iu1);
-                    const simd::VecF f10 = simd::gather(texel, z1 + iu0);
-                    const simd::VecF f11 = simd::gather(texel, z1 + iu1);
                     const simd::VecF one_du = vone - du;
-                    const simd::VecF one_dv = vone - dv;
-                    const simd::VecF bil = (f00 * one_du + f01 * du) * one_dv +
-                                           (f10 * one_du + f11 * du) * dv;
+                    const simd::Mask last_col = simd::cmp_gt(fx, vpair_hi);
+                    const simd::VecI col = simd::to_int(simd::min_(fx, vpair_hi)) + vsrow;
                     const simd::VecF wgt = vone / (zn_safe * zn_safe);
-                    const simd::VecF contrib = simd::blend(ok, wgt * bil, vzero);
-                    simd::store(acc + i, simd::load(acc + i) + contrib);
+                    float* acc_k = acc + i;
+                    for (index_t k = 0; k < d.z; ++k, acc_k += d.x) {
+                        const simd::VecF y = simd::fmadd(ii, vdyn, simd::splat(yn0[k])) / zn_safe;
+                        const simd::Mask ok = xok & simd::cmp_ge(y, vzero) & simd::cmp_le(y, vyhi);
+                        if (simd::none(ok)) continue;
+                        const simd::VecF yc = simd::clamp(y, vzero, vyhi);
+                        const simd::VecF fy = simd::floor_(yc);
+                        const simd::VecF dv = yc - fy;
+                        const auto [z0, z1] = simd::gather_pair(zrow, simd::to_int(fy));
+                        const auto [r0lo, f01] = simd::gather_pair(texel, z0 + col);
+                        const auto [r1lo, f11] = simd::gather_pair(texel, z1 + col);
+                        const simd::VecF f00 = simd::blend(last_col, f01, r0lo);
+                        const simd::VecF f10 = simd::blend(last_col, f11, r1lo);
+                        const simd::VecF one_dv = vone - dv;
+                        const simd::VecF bil = (f00 * one_du + f01 * du) * one_dv +
+                                               (f10 * one_du + f11 * du) * dv;
+                        const simd::VecF contrib = simd::blend(ok, wgt * bil, vzero);
+                        simd::store(acc_k, simd::load(acc_k) + contrib);
+                    }
                 }
-                // Scalar tail (d.x % kLanes voxels), same affine walk.
-                for (; i < d.x; ++i) {
-                    const float fi = static_cast<float>(i);
-                    const float zn = fi * dzn + zn0;
-                    if (zn <= 0.0f) continue;
-                    const float x = (fi * dxn + xn0) / zn;
-                    const float y = (fi * dyn + yn0) / zn;
-                    if (x < 0.0f || x > x_hi || y < 0.0f || y > y_hi) continue;
-                    acc[i] += 1.0f / (zn * zn) *
-                              dev_sub_pixel(tex, x, y - static_cast<float>(off.proj_y), s);
+                // Scalar tail (d.x % kLanes voxels), same affine walk; i is
+                // innermost so fi * dyn is not hoisted away from its add.
+                for (index_t k = 0; k < d.z; ++k) {
+                    for (index_t i = nx_vec; i < d.x; ++i) {
+                        const float fi = static_cast<float>(i);
+                        const float zn = fi * dzn + zn0;
+                        if (zn <= 0.0f) continue;
+                        const float x = (fi * dxn + xn0) / zn;
+                        const float y = (fi * dyn + yn0[k]) / zn;
+                        if (x < 0.0f || x > x_hi || y < 0.0f || y > y_hi) continue;
+                        acc[k * d.x + i] +=
+                            1.0f / (zn * zn) *
+                            dev_sub_pixel(tex, x, y - static_cast<float>(off.proj_y), s);
+                    }
                 }
             }
-            for (index_t i = 0; i < d.x; ++i) vol.at(i, j, k) += acc[i];
+            for (index_t k = 0; k < d.z; ++k)
+                for (index_t i = 0; i < d.x; ++i) vol.at(i, j, k) += acc[k * d.x + i];
         }
     }
 }

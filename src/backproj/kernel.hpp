@@ -18,11 +18,14 @@
 //   offset_proj_y.
 //
 // Performance layer (DESIGN.md §3e): the default backproject_streaming is
-// the incremental-walk variant with an explicit-SIMD inner loop over i
-// (core/simd.hpp; AVX2/NEON when XCT_SIMD is ON, scalar lanes otherwise):
-// lane-wise zn<=0 / detector-bounds masks, fused bilinear gathers off a
-// precomputed circular-row offset table, hoisted per-view row constants,
-// pooled row accumulators.  The original Listing-1 loop is retained as
+// a column walk with an explicit-SIMD loop over i (core/simd.hpp;
+// AVX2/NEON when XCT_SIMD is ON, scalar lanes otherwise).  Because the
+// detector is parallel to the rotation axis (MatrixPack::z_invariant),
+// each view computes a voxel column's detector column, depth, masks and
+// FDK weight once and walks the slab's z changing only the detector row;
+// the bilinear taps come as adjacent pairs (simd::gather_pair) off a
+// circular-row offset table; rows go to threads with pooled [z][x]
+// accumulators.  The original Listing-1 loop is retained as
 // backproject_streaming_scalar and the agreement bound is documented below
 // (kSimdVsScalarRelBound, asserted in test_simd/test_backproj).
 
@@ -65,16 +68,23 @@ public:
     /// The original double-precision matrix of view s.
     const Mat34& dmat(index_t s) const { return dm_[static_cast<std::size_t>(s)]; }
 
+    /// True when every view has m[0].z == m[2].z == 0 (detector parallel to
+    /// the rotation axis, as projection_matrix builds it), so detector
+    /// column and depth do not change along z; backproject_streaming needs it.
+    bool z_invariant() const { return z_invariant_; }
+
 private:
     std::vector<std::array<float, 12>> fm_;
     std::vector<Mat34> dm_;
+    bool z_invariant_ = true;
 };
 
 /// Accumulate the back-projection of all `pack.views()` views held in
 /// `tex` into the slab `vol`.  `nu`/`nv` are the full detector dimensions
 /// for the off-detector bounds test.  The slab must be zero-initialised
 /// (or hold a partial accumulation from a previous view batch).  This is
-/// the vectorised incremental-walk kernel (see file header).
+/// the vectorised column-walk kernel (see file header); it throws
+/// std::invalid_argument unless `pack.z_invariant()` and nu >= 2.
 void backproject_streaming(const sim::Texture3& tex, const MatrixPack& pack, Volume& vol,
                            const StreamOffsets& off, index_t nu, index_t nv);
 
@@ -106,8 +116,11 @@ void backproject_streaming_q8(const sim::QuantizedTexture3& tex, const MatrixPac
 /// across randomized geometries including Table-4 calibration offsets).
 inline constexpr float kSimdVsScalarRelBound = 2e-4f;
 
-/// Approximate floating-point operations per (voxel, view) update of the
-/// kernel inner loop — used by the roofline analysis (Fig. 12).
+/// Floating-point operations per (voxel, view) update of Listing 1's
+/// algorithm — used by the roofline analysis (Fig. 12).  It counts the
+/// algorithm, not what executes: the column walk hoists x, zn and the
+/// weight out of z and so runs fewer flops per update, but fig12 keeps
+/// the paper's count so its FLOP/s stay comparable with the paper's.
 inline constexpr double kFlopsPerUpdate = 38.0;
 
 }  // namespace xct::backproj

@@ -4,11 +4,13 @@
 // Exposes a fixed-width lane abstraction (VecF / VecI / Mask) with exactly
 // the operations the streaming back-projection inner loop needs: splat,
 // affine index arithmetic (FMA), floor, clamp, lane-wise compares feeding
-// blend masks, int conversion and gathers from flat arrays.  Three
-// backends, chosen at compile time:
+// blend masks, int conversion and gathers of adjacent pairs from flat
+// arrays (both taps of a bilinear interpolation in one fetch per lane).
+// Three backends, chosen at compile time:
 //
 //   * AVX2 (8 lanes)  — x86-64, selected when the compiler sets __AVX2__
-//     (e.g. -march=native on any post-2013 core);
+//     (e.g. -march=native on any post-2013 core); when the target also
+//     has AVX-512F, gather_pair uses one 8 x 64-bit gather;
 //   * NEON (4 lanes)  — aarch64 (__ARM_NEON);
 //   * scalar fallback — plain arrays of kLanes elements, used when the
 //     XCT_SIMD CMake option is OFF or no vector ISA is available.  The
@@ -18,14 +20,18 @@
 //
 // Semantics contract (what the backends must agree on):
 //   * all lane operations are IEEE single precision, one rounding per op
-//     (fmadd may fuse — results are ULP-bounded, not bitwise, against the
-//     scalar kernel; see test_simd for the documented bounds);
+//     (fmadd fuses exactly when the target has FMA — results are
+//     ULP-bounded, not bitwise, against the scalar kernel; see test_simd
+//     for the documented bounds);
 //   * blend(m, a, b) selects a where m is true, b elsewhere;
-//   * gathers read base[idx[lane]] for every lane — callers mask/clamp
-//     indices BEFORE gathering, out-of-range lanes are not tolerated.
+//   * gather_pair reads base[idx[lane]] and base[idx[lane] + 1] for every
+//     lane — callers mask/clamp indices BEFORE gathering, out-of-range
+//     lanes are not tolerated.
 
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 #include <cmath>
 
@@ -106,13 +112,30 @@ inline void store_i(std::int32_t* p, VecI a)
     std::memcpy(p, tmp, sizeof(tmp));
 }
 
-inline VecF gather(const float* base, VecI idx)
+/// {base[idx], base[idx + 1]} per lane, for T = float or std::int32_t.
+template <typename T>
+    requires std::is_same_v<T, float> || std::is_same_v<T, std::int32_t>
+inline auto gather_pair(const T* base, VecI idx)
 {
-    return {_mm256_i32gather_ps(base, idx.v, 4)};
-}
-inline VecI gather_i(const std::int32_t* base, VecI idx)
-{
-    return {_mm256_i32gather_epi32(base, idx.v, 4)};
+#if defined(__AVX512F__)
+    // One unaligned 64-bit element per lane; its low half is base[idx]
+    // (x86 is little-endian), and narrowing splits the halves apart.  The
+    // all-lanes masked forms give the same code without the unmasked
+    // intrinsics' undefined pass-through, which GCC 12 warns about.
+    const __m512i q = _mm512_mask_i32gather_epi64(_mm512_setzero_si512(), 0xFF, idx.v, base, 4);
+    const __m256i lo = _mm512_maskz_cvtepi64_epi32(0xFF, q);
+    const __m256i hi = _mm512_maskz_cvtepi64_epi32(0xFF, _mm512_maskz_srli_epi64(0xFF, q, 32));
+#else
+    // Two 32-bit gathers: measured faster than two 4-lane 64-bit gathers
+    // plus the permutes that split them.
+    const auto* b = static_cast<const int*>(static_cast<const void*>(base));
+    const __m256i lo = _mm256_i32gather_epi32(b, idx.v, 4);
+    const __m256i hi = _mm256_i32gather_epi32(b + 1, idx.v, 4);
+#endif
+    if constexpr (std::is_same_v<T, float>)
+        return std::pair{VecF{_mm256_castsi256_ps(lo)}, VecF{_mm256_castsi256_ps(hi)}};
+    else
+        return std::pair{VecI{lo}, VecI{hi}};
 }
 
 #elif defined(XCT_SIMD_BACKEND_NEON)
@@ -162,21 +185,6 @@ inline VecI splat_i(std::int32_t x) { return {vdupq_n_s32(x)}; }
 inline VecI operator+(VecI a, VecI b) { return {vaddq_s32(a.v, b.v)}; }
 inline VecI load_i(const std::int32_t* p) { return {vld1q_s32(p)}; }
 inline void store_i(std::int32_t* p, VecI a) { vst1q_s32(p, a.v); }
-
-inline VecF gather(const float* base, VecI idx)
-{
-    std::int32_t ix[4];
-    vst1q_s32(ix, idx.v);
-    const float lanes[4] = {base[ix[0]], base[ix[1]], base[ix[2]], base[ix[3]]};
-    return {vld1q_f32(lanes)};
-}
-inline VecI gather_i(const std::int32_t* base, VecI idx)
-{
-    std::int32_t ix[4];
-    vst1q_s32(ix, idx.v);
-    const std::int32_t lanes[4] = {base[ix[0]], base[ix[1]], base[ix[2]], base[ix[3]]};
-    return {vld1q_s32(lanes)};
-}
 
 #else  // scalar fallback
 
@@ -241,10 +249,16 @@ inline VecF operator/(VecF a, VecF b)
     return r;
 }
 
+/// Fused exactly when the target has FMA — not left to contraction, which
+/// a compiler may skip once it hoists a*b out of a loop.
 inline VecF fmadd(VecF a, VecF b, VecF c)
 {
     VecF r;
+#if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
+    for (int l = 0; l < kLanes; ++l) r.v[l] = std::fma(a.v[l], b.v[l], c.v[l]);
+#else
     for (int l = 0; l < kLanes; ++l) r.v[l] = a.v[l] * b.v[l] + c.v[l];
+#endif
     return r;
 }
 
@@ -333,19 +347,27 @@ inline void store_i(std::int32_t* p, VecI a)
     for (int l = 0; l < kLanes; ++l) p[l] = a.v[l];
 }
 
-inline VecF gather(const float* base, VecI idx)
-{
-    VecF r;
-    for (int l = 0; l < kLanes; ++l) r.v[l] = base[idx.v[l]];
-    return r;
-}
-inline VecI gather_i(const std::int32_t* base, VecI idx)
-{
-    VecI r;
-    for (int l = 0; l < kLanes; ++l) r.v[l] = base[idx.v[l]];
-    return r;
-}
+#endif
 
+#if !defined(XCT_SIMD_BACKEND_AVX2)
+/// {base[idx], base[idx + 1]} per lane, for T = float or std::int32_t, by
+/// plain indexing (so sanitizers see every read).
+template <typename T>
+    requires std::is_same_v<T, float> || std::is_same_v<T, std::int32_t>
+inline auto gather_pair(const T* base, VecI idx)
+{
+    std::int32_t ix[kLanes];
+    store_i(ix, idx);
+    T lo[kLanes], hi[kLanes];
+    for (int l = 0; l < kLanes; ++l) {
+        lo[l] = base[ix[l]];
+        hi[l] = base[ix[l] + 1];
+    }
+    if constexpr (std::is_same_v<T, float>)
+        return std::pair{load(lo), load(hi)};
+    else
+        return std::pair{load_i(lo), load_i(hi)};
+}
 #endif
 
 /// Clamp every lane to [lo, hi].

@@ -1,6 +1,7 @@
 #include "perfmodel/model.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 
@@ -23,6 +24,23 @@ double ceil_log2(index_t n)
         l += 1.0;
     }
     return l;
+}
+
+/// Seconds per call of a calibration probe: the median of three timed calls
+/// after one untimed call (OpenMP team start, cold pools, first-touch pages).
+template <typename Probe>
+double warm_median_seconds(Probe&& probe)
+{
+    using clock = std::chrono::steady_clock;
+    probe();
+    std::array<double, 3> dt{};
+    for (double& d : dt) {
+        const auto t0 = clock::now();
+        probe();
+        d = std::chrono::duration<double>(clock::now() - t0).count();
+    }
+    std::ranges::sort(dt);
+    return dt[1];
 }
 }  // namespace
 
@@ -233,7 +251,6 @@ std::vector<SimSpan> simulate_spans(const RunConfig& cfg, const MachineParams& m
 MachineParams measure_local(const MachineParams& base)
 {
     MachineParams m = base;
-    using clock = std::chrono::steady_clock;
 
     // Back-projection throughput: time the streaming kernel on a small
     // problem (updates/s).
@@ -253,10 +270,11 @@ MachineParams measure_local(const MachineParams& base)
         std::vector<float> plane(static_cast<std::size_t>(g.nu * g.num_proj), 0.5f);
         for (index_t v = 0; v < g.nv; ++v) tex.copy_planes(plane, v, 1);
         Volume slab(g.vol);
-        const auto t0 = clock::now();
-        backproj::backproject_streaming(tex, backproj::MatrixPack(mats), slab,
-                                        backproj::StreamOffsets{0, 0}, g.nu, g.nv);
-        const double dt = std::chrono::duration<double>(clock::now() - t0).count();
+        const backproj::MatrixPack pack(mats);
+        const double dt = warm_median_seconds([&] {
+            backproj::backproject_streaming(tex, pack, slab, backproj::StreamOffsets{0, 0}, g.nu,
+                                            g.nv);
+        });
         const double updates = static_cast<double>(g.vol.count()) * static_cast<double>(g.num_proj);
         m.th_bp_gups = updates / dt / 1e9;
     }
@@ -274,9 +292,10 @@ MachineParams measure_local(const MachineParams& base)
         g.dx = g.dy = g.dz = 0.1;
         const filter::FilterEngine eng(g);
         ProjectionStack stack(8, g.nv, g.nu, 1.0f);
-        const auto t0 = clock::now();
-        eng.apply(stack);
-        const double dt = std::chrono::duration<double>(clock::now() - t0).count();
+        const double dt = warm_median_seconds([&] {
+            std::ranges::fill(stack.span(), 1.0f);  // the same input on every call
+            eng.apply(stack);
+        });
         m.th_flt_geps = static_cast<double>(stack.count()) / dt / 1e9;
     }
     return m;

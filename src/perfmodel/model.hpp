@@ -135,6 +135,7 @@ std::vector<SimSpan> simulate_spans(const RunConfig& cfg, const MachineParams& m
 
 /// Calibrate TH_bp and TH_flt on the present machine by timing the actual
 /// kernels on a small problem (keeps local Table-5 predictions honest).
+/// Each probe runs once untimed, then reports the median of three calls.
 MachineParams measure_local(const MachineParams& base = MachineParams{});
 
 }  // namespace xct::perfmodel

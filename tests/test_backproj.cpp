@@ -374,5 +374,44 @@ TEST(Streaming, RejectsMismatchedMatrixCount)
                  std::invalid_argument);
 }
 
+TEST(Streaming, RequiresZInvariantMatricesButScalarStaysGeneral)
+{
+    // The column walk hoists x and zn out of z, which is only valid when
+    // the detector is parallel to the rotation axis (m[0].z == m[2].z == 0,
+    // true of every projection_matrix).  A tilted matrix must be refused
+    // by name; the scalar Listing-1 loop handles any matrix.
+    const CbctGeometry g = geo(8);
+    const ProjectionStack p = random_stack(g, 15);
+    auto mats = projection_matrices(g);
+    ASSERT_TRUE(MatrixPack(mats).z_invariant());
+    sim::Device dev(64u << 20);
+    const sim::Texture3 tex = make_texture(dev, p, Range{0, g.nv});
+    for (const int row : {0, 2}) {
+        auto tilted = mats;
+        tilted[3][row].z = 1e-3;
+        const MatrixPack pack(tilted);
+        EXPECT_FALSE(pack.z_invariant());
+        Volume vol(g.vol);
+        try {
+            backproject_streaming(tex, pack, vol, StreamOffsets{0, 0}, g.nu, g.nv);
+            ADD_FAILURE() << "tilted row " << row << " accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("m[0].z == m[2].z == 0"), std::string::npos)
+                << e.what();
+        }
+        EXPECT_NO_THROW(
+            backproject_streaming_scalar(tex, pack, vol, StreamOffsets{0, 0}, g.nu, g.nv));
+        EXPECT_GT(max_abs(vol.span()), 0.0f);
+    }
+    // A tilted y row (m[1].z) is what every slab already has: accepted.
+    mats[3][1].z += 1e-3;
+    EXPECT_TRUE(MatrixPack(mats).z_invariant());
+    // A one-column detector has no (u, u+1) texel pair to fetch.
+    const sim::Texture3 narrow(dev, 1, g.num_proj, g.nv);
+    Volume vol(g.vol);
+    EXPECT_THROW(backproject_streaming(narrow, MatrixPack(mats), vol, StreamOffsets{0, 0}, 1, g.nv),
+                 std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace xct::backproj

@@ -1,5 +1,6 @@
 // Performance-layer tests (DESIGN.md §3e): the simd.hpp lane wrapper, the
-// vectorised back-projection kernel vs the retained scalar Listing-1 loop,
+// vectorised back-projection kernel vs the retained scalar Listing-1 loop
+// (bounded) and vs the per-(view, row) vectorisation it replaced (bitwise),
 // the fp32 filtering paths vs their double-precision references, the FFT
 // plan cache, and the zero-allocation guarantee of the scratch pools on
 // warm hot paths.
@@ -11,8 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -125,25 +129,47 @@ TEST(SimdWrapper, ToIntTruncatesTowardZero)
 
 TEST(SimdWrapper, GatherMatchesScalarIndexing)
 {
-    std::vector<float> table(64);
-    std::vector<std::int32_t> itable(64);
-    for (int i = 0; i < 64; ++i) {
-        table[static_cast<std::size_t>(i)] = 3.0f * i + 0.25f;
-        itable[static_cast<std::size_t>(i)] = 7 * i - 5;
+    // gather_pair: both halves of every lane, bit for bit, for float and
+    // int32 bases.  The table holds -0, a denormal and a NaN so no lane
+    // may round-trip through arithmetic.  Indices are random in [0, n-2]
+    // and include n-2, whose pair ends on the table's last element.
+    const int n = 97;
+    std::vector<float> table(static_cast<std::size_t>(n));
+    std::vector<std::int32_t> itable(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+        table[static_cast<std::size_t>(i)] = 1.5f * i - 40.25f;
+        itable[static_cast<std::size_t>(i)] = 1000003 * i - 48000000;
     }
-    std::array<std::int32_t, simd::kLanes> idx{};
-    for (int i = 0; i < simd::kLanes; ++i) idx[static_cast<std::size_t>(i)] = (i * 13 + 7) % 64;
-    const simd::VecI vidx = simd::load_i(idx.data());
+    table[3] = -0.0f;
+    table[4] = std::numeric_limits<float>::denorm_min();
+    table[5] = std::numeric_limits<float>::quiet_NaN();
+    std::mt19937 rng(61);
+    std::uniform_int_distribution<int> pick(0, n - 2);
+    for (int trial = 0; trial < 64; ++trial) {
+        std::array<std::int32_t, simd::kLanes> idx{};
+        for (auto& v : idx) v = pick(rng);
+        idx[static_cast<std::size_t>(trial) % idx.size()] = n - 2;
+        if (trial == 0) idx = {};  // every lane on element 0
+        const simd::VecI vidx = simd::load_i(idx.data());
 
-    std::array<float, simd::kLanes> got{};
-    simd::store(got.data(), simd::gather(table.data(), vidx));
-    std::array<std::int32_t, simd::kLanes> goti{};
-    simd::store_i(goti.data(), simd::gather_i(itable.data(), vidx));
-    for (int i = 0; i < simd::kLanes; ++i) {
-        EXPECT_FLOAT_EQ(got[static_cast<std::size_t>(i)],
-                        table[static_cast<std::size_t>(idx[static_cast<std::size_t>(i)])]);
-        EXPECT_EQ(goti[static_cast<std::size_t>(i)],
-                  itable[static_cast<std::size_t>(idx[static_cast<std::size_t>(i)])]);
+        const auto [lo, hi] = simd::gather_pair(table.data(), vidx);
+        const auto [ilo, ihi] = simd::gather_pair(itable.data(), vidx);
+        std::array<float, simd::kLanes> glo{}, ghi{};
+        std::array<std::int32_t, simd::kLanes> gilo{}, gihi{};
+        simd::store(glo.data(), lo);
+        simd::store(ghi.data(), hi);
+        simd::store_i(gilo.data(), ilo);
+        simd::store_i(gihi.data(), ihi);
+        for (std::size_t l = 0; l < idx.size(); ++l) {
+            const auto at = static_cast<std::size_t>(idx[l]);
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(glo[l]), std::bit_cast<std::uint32_t>(table[at]))
+                << "trial " << trial << " lane " << l;
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(ghi[l]),
+                      std::bit_cast<std::uint32_t>(table[at + 1]))
+                << "trial " << trial << " lane " << l;
+            ASSERT_EQ(gilo[l], itable[at]) << "trial " << trial << " lane " << l;
+            ASSERT_EQ(gihi[l], itable[at + 1]) << "trial " << trial << " lane " << l;
+        }
     }
 }
 
@@ -245,6 +271,284 @@ TEST(SimdBackproj, MatchesScalarOnBandRestrictedSlabs)
                         scalar.span()[static_cast<std::size_t>(i)], tol)
                 << "trial " << trial << " voxel " << i;
     }
+}
+
+// ---- column walk vs the per-(view, row) kernel it replaced (bitwise) -------
+
+/// Listing 1 devSubPixel over checked fetches (the per-row kernel's tail).
+float per_row_sub_pixel(const sim::Texture3& tex, float x, float yrel, index_t s)
+{
+    const float fx = std::floor(x);
+    const float fy = std::floor(yrel);
+    const float du = x - fx;
+    const float dv = yrel - fy;
+    const index_t iu = static_cast<index_t>(fx);
+    const index_t iv = static_cast<index_t>(fy);
+    const float v0 = tex.fetch(iu, s, iv);
+    const float v1 = tex.fetch(iu + 1, s, iv);
+    const float v2 = tex.fetch(iu, s, iv + 1);
+    const float v3 = tex.fetch(iu + 1, s, iv + 1);
+    return (v0 * (1.0f - du) + v1 * du) * (1.0f - dv) + (v2 * (1.0f - du) + v3 * du) * dv;
+}
+
+/// The per-row kernel's one-element gathers, as lane loops: a gather is
+/// an exact load, so how it is done cannot change the oracle's output.
+simd::VecF gather(const float* base, simd::VecI idx)
+{
+    std::array<std::int32_t, simd::kLanes> ix{};
+    std::array<float, simd::kLanes> v{};
+    simd::store_i(ix.data(), idx);
+    for (std::size_t l = 0; l < ix.size(); ++l) v[l] = base[ix[l]];
+    return simd::load(v.data());
+}
+simd::VecI gather_i(const std::int32_t* base, simd::VecI idx)
+{
+    std::array<std::int32_t, simd::kLanes> ix{}, v{};
+    simd::store_i(ix.data(), idx);
+    for (std::size_t l = 0; l < ix.size(); ++l) v[l] = base[ix[l]];
+    return simd::load_i(v.data());
+}
+
+/// The oracle: the production kernel as it was before the column walk,
+/// kept verbatim apart from running serially and the gathers above.  It re-derives x, zn and the
+/// weight at every (k, j) and fetches each bilinear tap with its own
+/// gather, so it stays correct for any matrix.
+void per_row_kernel(const sim::Texture3& tex, const backproj::MatrixPack& pack, Volume& vol,
+                    const backproj::StreamOffsets& off, index_t nu, index_t nv)
+{
+    const Dim3 d = vol.size();
+    const index_t views = pack.views();
+    const index_t width = tex.width();
+    const index_t height = tex.height();
+    const index_t depth = tex.depth();
+    const float* texel = tex.device_span().data();
+    const float x_hi = static_cast<float>(nu - 1);
+    const float y_hi = static_cast<float>(nv - 1);
+    constexpr index_t W = simd::kLanes;
+
+    std::vector<std::int32_t> zrow(static_cast<std::size_t>(nv + 1));
+    for (index_t t = 0; t <= nv; ++t) {
+        index_t zz = (t - off.proj_y) % depth;
+        if (zz < 0) zz += depth;
+        zrow[static_cast<std::size_t>(t)] = static_cast<std::int32_t>(zz * height * width);
+    }
+
+    const simd::VecF viota = simd::iota();
+    const simd::VecF vzero = simd::splat(0.0f);
+    const simd::VecF vone = simd::splat(1.0f);
+    const simd::VecF vxhi = simd::splat(x_hi);
+    const simd::VecF vyhi = simd::splat(y_hi);
+    const simd::VecI vone_i = simd::splat_i(1);
+
+    for (index_t k = 0; k < d.z; ++k) {
+        for (index_t j = 0; j < d.y; ++j) {
+            const double kk = static_cast<double>(k + off.volume_z);
+            const double jj = static_cast<double>(j);
+            std::vector<float> acc(static_cast<std::size_t>(d.x), 0.0f);
+            for (index_t s = 0; s < views; ++s) {
+                const Mat34& m = pack.dmat(s);
+                const auto& f = pack.fmat(s);
+                const float xn0 = static_cast<float>(m[0].y * jj + m[0].z * kk + m[0].w);
+                const float yn0 = static_cast<float>(m[1].y * jj + m[1].z * kk + m[1].w);
+                const float zn0 = static_cast<float>(m[2].y * jj + m[2].z * kk + m[2].w);
+                const float dxn = f[0];
+                const float dyn = f[4];
+                const float dzn = f[8];
+
+                const simd::VecF vxn0 = simd::splat(xn0);
+                const simd::VecF vyn0 = simd::splat(yn0);
+                const simd::VecF vzn0 = simd::splat(zn0);
+                const simd::VecF vdxn = simd::splat(dxn);
+                const simd::VecF vdyn = simd::splat(dyn);
+                const simd::VecF vdzn = simd::splat(dzn);
+                const simd::VecI vsrow = simd::splat_i(static_cast<std::int32_t>(s * width));
+
+                index_t i = 0;
+                for (; i + W <= d.x; i += W) {
+                    const simd::VecF ii = simd::splat(static_cast<float>(i)) + viota;
+                    const simd::VecF zn = simd::fmadd(ii, vdzn, vzn0);
+                    const simd::Mask zpos = simd::cmp_gt(zn, vzero);
+                    const simd::VecF zn_safe = simd::blend(zpos, zn, vone);
+                    const simd::VecF x = simd::fmadd(ii, vdxn, vxn0) / zn_safe;
+                    const simd::VecF y = simd::fmadd(ii, vdyn, vyn0) / zn_safe;
+                    const simd::Mask ok = zpos & simd::cmp_ge(x, vzero) & simd::cmp_le(x, vxhi) &
+                                          simd::cmp_ge(y, vzero) & simd::cmp_le(y, vyhi);
+                    if (simd::none(ok)) continue;
+                    const simd::VecF xc = simd::clamp(x, vzero, vxhi);
+                    const simd::VecF yc = simd::clamp(y, vzero, vyhi);
+                    const simd::VecF fx = simd::floor_(xc);
+                    const simd::VecF fy = simd::floor_(yc);
+                    const simd::VecF du = xc - fx;
+                    const simd::VecF dv = yc - fy;
+                    const simd::VecI iu0 = simd::to_int(fx);
+                    const simd::VecI iu1 = simd::to_int(simd::min_(fx + vone, vxhi));
+                    const simd::VecI t0 = simd::to_int(fy);
+                    const simd::VecI t1 = t0 + vone_i;
+                    const simd::VecI z0 = gather_i(zrow.data(), t0) + vsrow;
+                    const simd::VecI z1 = gather_i(zrow.data(), t1) + vsrow;
+                    const simd::VecF f00 = gather(texel, z0 + iu0);
+                    const simd::VecF f01 = gather(texel, z0 + iu1);
+                    const simd::VecF f10 = gather(texel, z1 + iu0);
+                    const simd::VecF f11 = gather(texel, z1 + iu1);
+                    const simd::VecF one_du = vone - du;
+                    const simd::VecF one_dv = vone - dv;
+                    const simd::VecF bil = (f00 * one_du + f01 * du) * one_dv +
+                                           (f10 * one_du + f11 * du) * dv;
+                    const simd::VecF wgt = vone / (zn_safe * zn_safe);
+                    const simd::VecF contrib = simd::blend(ok, wgt * bil, vzero);
+                    simd::store(acc.data() + i, simd::load(acc.data() + i) + contrib);
+                }
+                for (; i < d.x; ++i) {
+                    const float fi = static_cast<float>(i);
+                    const float zn = fi * dzn + zn0;
+                    if (zn <= 0.0f) continue;
+                    const float x = (fi * dxn + xn0) / zn;
+                    const float y = (fi * dyn + yn0) / zn;
+                    if (x < 0.0f || x > x_hi || y < 0.0f || y > y_hi) continue;
+                    acc[static_cast<std::size_t>(i)] +=
+                        1.0f / (zn * zn) *
+                        per_row_sub_pixel(tex, x, y - static_cast<float>(off.proj_y), s);
+                }
+            }
+            for (index_t i = 0; i < d.x; ++i)
+                vol.at(i, j, k) += acc[static_cast<std::size_t>(i)];
+        }
+    }
+}
+
+/// Every voxel's bit pattern, so +0 and -0 (and NaN payloads) count.
+void expect_bitwise_equal(const Volume& got, const Volume& want, const std::string& what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    const auto a = got.span();
+    const auto b = want.span();
+    if (std::memcmp(a.data(), b.data(), a.size_bytes()) == 0) return;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i]), std::bit_cast<std::uint32_t>(b[i]))
+            << what << ": voxel " << i << " got " << a[i] << " want " << b[i];
+}
+
+/// Run the production kernel and the oracle on the same slab and inputs;
+/// returns the slab's largest magnitude (0 for a slab no ray reaches).
+float expect_column_walk_matches(const sim::Texture3& tex, const backproj::MatrixPack& pack,
+                                 Dim3 slab, const backproj::StreamOffsets& off, index_t nu,
+                                 index_t nv, const std::string& what)
+{
+    Volume got(slab), want(slab);
+    backproj::backproject_streaming(tex, pack, got, off, nu, nv);
+    per_row_kernel(tex, pack, want, off, nu, nv);
+    expect_bitwise_equal(got, want, what);
+    return max_abs(want.span());
+}
+
+TEST(ColumnWalk, BitwiseEqualsPerRowKernelAcrossRandomGeometries)
+{
+    std::mt19937 rng(2024);
+    for (int trial = 0; trial < 6; ++trial) {
+        const CbctGeometry g = random_geometry(rng);
+        const ProjectionStack p = random_stack(g, rng);
+        const auto mats = projection_matrices(g);
+        const backproj::MatrixPack pack{std::span<const Mat34>(mats)};
+        sim::Device dev(256u << 20);
+        const sim::Texture3 tex = make_texture(dev, p, Range{0, g.nv});
+        EXPECT_GT(expect_column_walk_matches(tex, pack, g.vol, backproj::StreamOffsets{0, 0},
+                                             g.nu, g.nv, "trial " + std::to_string(trial)),
+                  0.0f);
+    }
+}
+
+TEST(ColumnWalk, BitwiseOnWrappedBandsAndSlabDepths)
+{
+    // Algorithm 3's streaming pattern: one texture of H rows anchored at
+    // the first band, later bands written at (v - origin) % H, so every
+    // slab after the first has proj_y != band.lo and its rows wrap.  Slab
+    // depths 1 and 12 bracket the z walk; nx = 8m + 5 runs the scalar tail.
+    std::mt19937 rng(515);
+    for (int trial = 0; trial < 4; ++trial) {
+        CbctGeometry g = random_geometry(rng);
+        g.vol = {8 * (2 + trial % 2) + 5, g.vol.y, 26};
+        const ProjectionStack p = random_stack(g, rng);
+        const auto mats = projection_matrices(g);
+        const backproj::MatrixPack pack{std::span<const Mat34>(mats)};
+        for (const index_t nb : {index_t{1}, index_t{12}}) {
+            const auto plans = plan_slabs(g, Range{0, g.vol.z}, nb);
+            index_t h = 0;
+            for (const auto& pl : plans) h = std::max(h, pl.rows.length());
+            const index_t origin = plans.front().rows.lo;
+            sim::Device dev(256u << 20);
+            sim::Texture3 tex(dev, g.nu, g.num_proj, h);
+            std::vector<float> plane(static_cast<std::size_t>(g.nu * g.num_proj));
+            bool wrapped = false;
+            std::size_t lit = 0;  // slabs some ray reaches (edge slabs may not)
+            for (const auto& pl : plans) {
+                for (index_t v = pl.delta.lo; v < pl.delta.hi; ++v) {
+                    for (index_t s = 0; s < g.num_proj; ++s) {
+                        const auto row = p.row(s, v);
+                        std::copy(row.begin(), row.end(),
+                                  plane.begin() + static_cast<std::ptrdiff_t>(s * g.nu));
+                    }
+                    tex.copy_planes(plane, (v - origin) % h, 1);
+                }
+                wrapped = wrapped || (pl.rows.hi - origin) > h;
+                const float peak = expect_column_walk_matches(
+                    tex, pack, Dim3{g.vol.x, g.vol.y, pl.slab.length()},
+                    backproj::StreamOffsets{pl.slab.lo, origin}, g.nu, g.nv,
+                    "trial " + std::to_string(trial) + " nb " + std::to_string(nb) +
+                        " slab " + std::to_string(pl.slab.lo));
+                if (peak > 0.0f) ++lit;
+            }
+            EXPECT_TRUE(wrapped) << "trial " << trial << " nb " << nb;
+            EXPECT_GE(2 * lit, plans.size()) << "trial " << trial << " nb " << nb;
+        }
+    }
+}
+
+TEST(ColumnWalk, BitwiseWhenVoxelsLandOnTheLastDetectorColumn)
+{
+    // Hand-built views whose x is exact: view 0 maps voxel i to x = i,
+    // view 1 to x = 0.625 (i + 1) at zn = 2, view 2 to x = 2i/2.  Voxels
+    // land exactly on x = nu - 1, where both horizontal taps read column
+    // nu - 1 through the clamped pair, and on x beyond it (masked).
+    const index_t nu = 16;
+    const index_t nv = 12;
+    std::vector<Mat34> mats(3);
+    mats[0][0] = Vec4{1.0, 0.0, 0.0, 0.0};
+    mats[0][1] = Vec4{0.0, 0.5, 0.25, 0.3};
+    mats[0][2] = Vec4{0.0, 0.0, 0.0, 1.0};
+    mats[1][0] = Vec4{1.25, 0.0, 0.0, 1.25};
+    mats[1][1] = Vec4{0.125, 0.75, 0.5, 0.5};
+    mats[1][2] = Vec4{0.0, 0.0, 0.0, 2.0};
+    mats[2][0] = Vec4{2.0, 0.0, 0.0, 0.0};
+    mats[2][1] = Vec4{0.0, 1.0, 0.0, 0.0};
+    mats[2][2] = Vec4{0.0, 0.0, 0.0, 2.0};
+    const backproj::MatrixPack pack{std::span<const Mat34>(mats)};
+    ASSERT_TRUE(pack.z_invariant());
+
+    CbctGeometry g;
+    g.num_proj = 3;
+    g.nu = nu;
+    g.nv = nv;
+    std::mt19937 rng(9);
+    const ProjectionStack p = random_stack(g, rng);
+    sim::Device dev(16u << 20);
+    const sim::Texture3 tex = make_texture(dev, p, Range{0, nv});
+    EXPECT_GT(expect_column_walk_matches(tex, pack, Dim3{29, 10, 4},
+                                         backproj::StreamOffsets{2, 0}, nu, nv, "last column"),
+              0.0f);
+
+    // The clamped pair really is taken: x = nu - 1 at i = nu - 1 in view 0.
+    Volume only(Dim3{nu, 1, 1});
+    const backproj::MatrixPack first{std::span<const Mat34>(mats.data(), 1)};
+    sim::Texture3 one(dev, nu, 1, nv);
+    std::vector<float> plane(static_cast<std::size_t>(nu));
+    for (index_t v = 0; v < nv; ++v) {
+        for (index_t u = 0; u < nu; ++u)
+            plane[static_cast<std::size_t>(u)] = static_cast<float>(100 * v + u);
+        one.copy_planes(plane, v, 1);
+    }
+    backproj::backproject_streaming(one, first, only, backproj::StreamOffsets{0, 0}, nu, nv);
+    // y = 0.3 at j = k = 0: 0.7 * row 0 + 0.3 * row 1 of column nu - 1.
+    EXPECT_FLOAT_EQ(only.at(nu - 1, 0, 0), 0.7f * (nu - 1) + 0.3f * (100 + nu - 1));
 }
 
 // ---- fp32 FFT vs double reference (randomized sizes) ----------------------
