@@ -12,7 +12,7 @@
 #include "bench_common.hpp"
 #include "minimpi/comm.hpp"
 #include "perfmodel/model.hpp"
-#include "pipeline/timeline.hpp"
+#include "telemetry/flight.hpp"
 
 int main()
 {
@@ -32,13 +32,13 @@ int main()
             std::vector<float> recv(c.rank() == 0 ? elems : 0);
             constexpr int reps = 10;
             c.barrier();
-            double t0 = pipeline::now_seconds();
+            double t0 = telemetry::flight::wall_now();
             for (int i = 0; i < reps; ++i) c.reduce_sum(send, recv, 0);
-            if (c.rank() == 0) t_flat = (pipeline::now_seconds() - t0) / reps * 1e3;
+            if (c.rank() == 0) t_flat = (telemetry::flight::wall_now() - t0) / reps * 1e3;
             c.barrier();
-            t0 = pipeline::now_seconds();
+            t0 = telemetry::flight::wall_now();
             for (int i = 0; i < reps; ++i) c.reduce_sum_hierarchical(send, recv, 0, 2);
-            if (c.rank() == 0) t_hier = (pipeline::now_seconds() - t0) / reps * 1e3;
+            if (c.rank() == 0) t_hier = (telemetry::flight::wall_now() - t0) / reps * 1e3;
         });
         std::printf("%-8lld %-18.3f %-22.3f\n", static_cast<long long>(nr), t_flat, t_hier);
     }
@@ -56,16 +56,16 @@ int main()
             std::vector<float> recv(group.rank() == 0 ? elems : 0);
             constexpr int reps = 10;
             world.barrier();
-            double t0 = pipeline::now_seconds();
+            double t0 = telemetry::flight::wall_now();
             for (int i = 0; i < reps; ++i) group.reduce_sum(send, recv, 0);  // segmented
             world.barrier();
-            if (world.rank() == 0) t_seg = (pipeline::now_seconds() - t0) / reps * 1e3;
+            if (world.rank() == 0) t_seg = (telemetry::flight::wall_now() - t0) / reps * 1e3;
 
             std::vector<float> grecv(world.rank() == 0 ? elems : 0);
-            t0 = pipeline::now_seconds();
+            t0 = telemetry::flight::wall_now();
             for (int i = 0; i < reps; ++i) world.reduce_sum(send, grecv, 0);  // global
             world.barrier();
-            if (world.rank() == 0) t_glob = (pipeline::now_seconds() - t0) / reps * 1e3;
+            if (world.rank() == 0) t_glob = (telemetry::flight::wall_now() - t0) / reps * 1e3;
         });
         std::printf("  segmented %.3f ms  vs  global %.3f ms (%.2fx)\n", t_seg, t_glob,
                     t_glob / t_seg);

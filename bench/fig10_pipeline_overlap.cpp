@@ -12,12 +12,14 @@
 // store/reduce tail (b) setting the critical path.
 
 #include <cstdio>
+#include <string_view>
 
 #include "bench_common.hpp"
+#include "core/names.hpp"
 #include "perfmodel/model.hpp"
 #include "pipeline/timeline.hpp"
 #include "recon/fdk.hpp"
-#include "telemetry/export.hpp"
+#include "telemetry/flight.hpp"
 
 int main()
 {
@@ -34,22 +36,21 @@ int main()
         recon::RankConfig cfg;
         cfg.geometry = g;
         cfg.batches = 8;
-        telemetry::tracer().enable();
+        const double t0 = telemetry::flight::wall_now();
         const recon::FdkResult r = recon::reconstruct_fdk(cfg, src);
-        telemetry::tracer().disable();  // keep the replay below out of the trace
-        const auto events = telemetry::tracer().events();
-        telemetry::write_chrome_trace("fig10_trace.json", events);
-        std::printf("wrote fig10_trace.json (%zu spans; open in ui.perfetto.dev)\n",
-                    events.size());
+        const std::size_t traced = telemetry::flight::dump("fig10_trace.json", t0);
+        std::printf("wrote fig10_trace.json (%zu spans; open in ui.perfetto.dev)\n", traced);
 
-        pipeline::Timeline tl;
-        for (const auto& s : r.stats.spans) tl.record(s.stage, s.item, s.begin, s.end);
+        std::vector<pipeline::StageSpan> chart;
+        for (const auto& e : telemetry::flight::snapshot(t0))
+            if (std::string_view(e.cat) == names::kCatPipeline)
+                chart.push_back({e.name, e.begin - t0, e.end - t0});
         std::printf("\n(a) measured single-device pipeline, tomo_00029 1/16 -> %lld^3:\n%s",
-                    static_cast<long long>(g.vol.x), tl.render(64).c_str());
+                    static_cast<long long>(g.vol.x), pipeline::render(chart, 64).c_str());
         std::printf("    stage busy: load %.3f filter %.3f bp %.3f store %.3f | wall %.3f s\n",
                     r.stats.t_load, r.stats.t_filter, r.stats.t_bp, r.stats.t_store, r.stats.wall);
         std::printf("    overlap factor %.2f (>1 means stages genuinely overlapped)\n",
-                    tl.overlap_factor());
+                    r.stats.overlap_factor());
     }
 
     // (b) modelled 128-GPU run (paper Fig. 10b: bumblebee, Ng=64, Nr=8).
@@ -60,11 +61,11 @@ int main()
         // Eq. 9 as 128/8 = 16 (the printed "Ng=64" contradicts Eq. 9).
         rc.layout = GroupLayout{16, 8};
         rc.batches = 8;
-        const auto spans = perfmodel::simulate_spans(rc, perfmodel::MachineParams::abci_v100());
-        pipeline::Timeline tl;
-        for (const auto& s : spans) tl.record(s.stage, s.batch, s.begin, s.end);
+        std::vector<pipeline::StageSpan> chart;
+        for (const auto& s : perfmodel::simulate_spans(rc, perfmodel::MachineParams::abci_v100()))
+            chart.push_back({s.stage, s.begin, s.end});
         std::printf("\n(b) modelled rank timeline at 128 GPUs (bumblebee -> 4096^3, Nr=8):\n%s",
-                    tl.render(64).c_str());
+                    pipeline::render(chart, 64).c_str());
         const perfmodel::Projection p =
             perfmodel::simulate(rc, perfmodel::MachineParams::abci_v100());
         std::printf("    modelled end-to-end %.1f s (paper Fig. 10b: ~23.3 s incl. I/O)\n",

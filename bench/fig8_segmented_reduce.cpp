@@ -16,6 +16,7 @@
 #include "minimpi/comm.hpp"
 #include "recon/distributed.hpp"
 #include "recon/fdk.hpp"
+#include "telemetry/flight.hpp"
 
 int main()
 {
@@ -61,12 +62,12 @@ int main()
     minimpi::run(4, [&](minimpi::Communicator& c) {
         std::vector<float> send(static_cast<std::size_t>(slab_elems), 1.0f);
         std::vector<float> recv(c.rank() == 0 ? send.size() : 0);
-        const double t0 = pipeline::now_seconds();
+        const double t0 = telemetry::flight::wall_now();
         for (int rep = 0; rep < 5; ++rep) c.reduce_sum(send, recv, 0);
-        const double t_red = (pipeline::now_seconds() - t0) / 5.0;
+        const double t_red = (telemetry::flight::wall_now() - t0) / 5.0;
 
         std::vector<float> gat(c.rank() == 0 ? send.size() * 4 : 0);
-        const double t1 = pipeline::now_seconds();
+        const double t1 = telemetry::flight::wall_now();
         for (int rep = 0; rep < 5; ++rep) {
             c.gather(send, gat, 0);
             if (c.rank() == 0) {
@@ -82,7 +83,7 @@ int main()
                 }
             }
         }
-        const double t_gat = (pipeline::now_seconds() - t1) / 5.0;
+        const double t_gat = (telemetry::flight::wall_now() - t1) / 5.0;
         if (c.rank() == 0) {
             const double slab_mib = static_cast<double>(slab_elems) * sizeof(float) /
                                     (1024.0 * 1024.0);

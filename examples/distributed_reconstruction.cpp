@@ -8,11 +8,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <string_view>
 
+#include "core/names.hpp"
 #include "io/raw_io.hpp"
 #include "pipeline/timeline.hpp"
 #include "recon/distributed.hpp"
 #include "recon/fdk.hpp"
+#include "telemetry/flight.hpp"
 
 int main(int argc, char** argv)
 {
@@ -47,6 +50,7 @@ int main(int argc, char** argv)
     // Stored slabs land in a bandwidth-accounted PFS directory.
     io::Pfs pfs(std::filesystem::temp_directory_path() / "xct_distributed_example",
                 /*load_gbps=*/2.0, /*store_gbps=*/28.5);
+    const double t0 = telemetry::flight::wall_now();
     const recon::DistributedResult r = recon::reconstruct_distributed(cfg, factory, &pfs);
 
     const Volume truth = phantom::voxelize(head, g);
@@ -64,12 +68,15 @@ int main(int argc, char** argv)
                     s.t_bp, s.t_reduce, s.t_store);
     }
 
-    // Fig. 10-style overlap timeline of rank 0, rebuilt from its spans.
-    pipeline::Timeline tl;
-    for (const auto& span : r.ranks[0].spans) tl.record(span.stage, span.item, span.begin, span.end);
-    std::printf("\n  rank 0 pipeline timeline ('#' = busy):\n%s", tl.render(64).c_str());
+    // Fig. 10-style overlap timeline of rank 0, read off the flight rings.
+    std::vector<pipeline::StageSpan> chart;
+    for (const auto& e : telemetry::flight::snapshot(t0))
+        if (e.rank == RankId{0} && std::string_view(e.cat) == names::kCatPipeline)
+            chart.push_back({e.name, e.begin - t0, e.end - t0});
+    std::printf("\n  rank 0 pipeline timeline ('#' = busy):\n%s",
+                pipeline::render(chart, 64).c_str());
     std::printf("  overlap factor: %.2f (1.0 = fully serial; > 1 = stages overlapped)\n",
-                tl.overlap_factor());
+                r.ranks[0].overlap_factor());
 
     io::write_pgm_slice("distributed_axial.pgm", r.volume, n / 2, -0.05f, 0.45f);
     std::printf("  wrote distributed_axial.pgm\n");

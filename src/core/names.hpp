@@ -7,10 +7,10 @@
 // a fault plan never fire.  This header is the single source of truth —
 // tools/xct_lint enforces (rule `names`) that every string literal passed
 // to telemetry::Registry::{counter,gauge,histogram}, ScopedTrace,
-// Tracer::record*, flight::{record,intern,dump_postmortem},
-// fleet_observe, faults::{check,should_fail}, sim::Device::gate and
-// io::Pfs::guarded either appears verbatim below or extends one of the
-// registered prefixes (entries ending in '.').
+// flight::{record,dump_postmortem}, fleet_observe,
+// faults::{check,should_fail}, sim::Device::gate and io::Pfs::guarded
+// either appears verbatim below or extends one of the registered
+// prefixes (entries ending in '.').
 //
 // To add a name: declare the constant here, use it at the call site, and
 // document non-obvious units in the comment.  Naming scheme (README
@@ -18,7 +18,7 @@
 
 namespace xct::names {
 
-// ---- trace categories (TraceEvent::cat, one per subsystem) --------------
+// ---- trace categories (FlightEvent::cat, one per subsystem) -------------
 inline constexpr const char* kCatPipeline = "pipeline";
 inline constexpr const char* kCatMinimpi = "minimpi";
 inline constexpr const char* kCatSim = "sim";
@@ -41,10 +41,24 @@ inline constexpr const char* kSpanRetry = "retry";
 inline constexpr const char* kSpanCkptSave = "ckpt.save";
 inline constexpr const char* kSpanCkptRestore = "ckpt.restore";
 inline constexpr const char* kSpanTakeover = "takeover";
-inline constexpr const char* kSpanPfsPrefix = "pfs.";  ///< + "load" / "store"
+inline constexpr const char* kSpanH2d = "h2d";  ///< modelled host->device copy (cat sim)
+inline constexpr const char* kSpanD2h = "d2h";  ///< modelled device->host copy (cat sim)
+inline constexpr const char* kSpanPfsLoad = "pfs.load";    ///< modelled PFS read (cat io)
+inline constexpr const char* kSpanPfsStore = "pfs.store";  ///< modelled PFS write (cat io)
 inline constexpr const char* kSpanVerify = "verify";   ///< one digest verification
 inline constexpr const char* kSpanFlightDump = "dump";  ///< one post-mortem ring dump
 inline constexpr const char* kSpanBenchProbe = "probe";  ///< flight-overhead probe span
+
+// ---- pipeline stage spans (cat kCatPipeline; pipeline::Stage) ------------
+// Also the <stage> of kMetricPipelineStagePrefix, e.g.
+// "pipeline.stage.bp.seconds".  "mpi" is the reduce stage of Fig. 9.
+inline constexpr const char* kStageRestore = "restore";  ///< checkpointed slab replay
+inline constexpr const char* kStageLoad = "load";
+inline constexpr const char* kStageFilter = "filter";
+inline constexpr const char* kStagePrefetch = "prefetch";  ///< band staging (gather + decode)
+inline constexpr const char* kStageBp = "bp";
+inline constexpr const char* kStageMpi = "mpi";
+inline constexpr const char* kStageStore = "store";
 
 // ---- metric names (registry counters / gauges / histograms) -------------
 inline constexpr const char* kMetricFaultsInjected = "faults.injected";

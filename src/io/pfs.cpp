@@ -5,7 +5,7 @@
 #include "core/names.hpp"
 #include "integrity/integrity.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
+#include "telemetry/flight.hpp"
 
 namespace xct::io {
 
@@ -74,19 +74,15 @@ void corrupt_and_verify(const char* site, std::span<float> payload,
     if (verifying) integrity::verify_of<float>(site, payload, expected);
 }
 
-/// Mirror a PFS transfer into the telemetry layer (counters always on; a
-/// modelled-duration "io" span when tracing is enabled, like sim::Device).
-void telemetry_io(const char* op, std::uint64_t bytes, double seconds)
+/// Mirror a PFS transfer into the telemetry layer: counters, plus a
+/// modelled-duration "io" flight span named `span`, like sim::Device.
+void telemetry_io(const char* op, const char* span, std::uint64_t bytes, double seconds)
 {
     auto& reg = telemetry::registry();
     reg.counter(std::string(names::kMetricIoPfsPrefix) + op + ".bytes").add(bytes);
     reg.counter(std::string(names::kMetricIoPfsPrefix) + op + ".operations").add(1);
-    auto& tr = telemetry::tracer();
-    if (tr.enabled()) {
-        const double now = tr.now();
-        tr.record(std::string(names::kSpanPfsPrefix) + op, names::kCatIo, now, now + seconds, -1,
-                  bytes);
-    }
+    const double now = telemetry::flight::wall_now();
+    telemetry::flight::record(names::kCatIo, span, now, now + seconds, -1, bytes);
 }
 }
 
@@ -107,14 +103,14 @@ void Pfs::account_load(std::uint64_t bytes)
 {
     const double seconds = static_cast<double>(bytes) / (load_gbps_ * kGiB);
     load_.add(bytes, seconds);
-    telemetry_io("load", bytes, seconds);
+    telemetry_io("load", names::kSpanPfsLoad, bytes, seconds);
 }
 
 void Pfs::account_store(std::uint64_t bytes)
 {
     const double seconds = static_cast<double>(bytes) / (store_gbps_ * kGiB);
     store_.add(bytes, seconds);
-    telemetry_io("store", bytes, seconds);
+    telemetry_io("store", names::kSpanPfsStore, bytes, seconds);
 }
 
 /// Consult the fault plan and run `op`, retrying transient failures when

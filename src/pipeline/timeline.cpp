@@ -1,87 +1,62 @@
 #include "pipeline/timeline.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <map>
 #include <sstream>
 
 #include "core/names.hpp"
-#include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 
 namespace xct::pipeline {
 
-double now_seconds()
-{
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
-}
+namespace {
 
-Timeline::Timeline() : epoch_(now_seconds()) {}
+/// The stage's registered span name, in Stage order.
+constexpr std::array<const char*, kStageCount> kStageNames = {
+    names::kStageRestore, names::kStageLoad, names::kStageFilter, names::kStagePrefetch,
+    names::kStageBp,      names::kStageMpi,  names::kStageStore};
 
-double Timeline::elapsed() const
-{
-    return now_seconds() - epoch_;
-}
+}  // namespace
 
-void Timeline::record(std::string stage, index_t item, double begin, double end)
+StageClock::StageClock(double epoch) : epoch_(epoch), last_end_(epoch) {}
+
+void StageClock::record(Stage stage, index_t item, double abs_begin, double abs_end)
 {
-    // Always feed the flight recorder: epoch_ is absolute on the same
-    // clock, and the stage names are in the intern fast path, so this is
-    // one lock-free ring store per span.
-    telemetry::flight::record(names::kCatPipeline, telemetry::flight::intern(stage),
-                              epoch_ + begin, epoch_ + end, item);
-    // Feed the process-wide telemetry when enabled: the span lands on the
-    // tracer's single timebase (epoch_ is absolute, same clock), and the
-    // per-stage busy time accumulates in the metrics registry.  Disabled
-    // path: one relaxed atomic load.
-    auto& tr = telemetry::tracer();
-    if (tr.enabled()) {
-        tr.record_interval_abs(stage, names::kCatPipeline, epoch_ + begin, epoch_ + end, item);
-        telemetry::registry()
-            .gauge(names::kMetricPipelineStagePrefix + stage + ".seconds")
-            .add(end - begin);
-        telemetry::registry().counter(names::kMetricPipelineStagePrefix + stage + ".spans").add(1);
+    telemetry::flight::record(names::kCatPipeline, kStageNames[index(stage)], abs_begin, abs_end,
+                              item);
+    busy_[index(stage)].add(abs_end - abs_begin);
+    spans_[index(stage)].add(1);
+    double last = last_end_.load(std::memory_order_relaxed);
+    while (abs_end > last &&
+           !last_end_.compare_exchange_weak(last, abs_end, std::memory_order_relaxed)) {
     }
-    MutexLock lk(m_);
-    spans_.push_back(StageSpan{std::move(stage), item, begin, end});
 }
 
-std::vector<StageSpan> Timeline::spans() const
+double StageClock::makespan() const
 {
-    MutexLock lk(m_);
-    return spans_;
+    return last_end_.load(std::memory_order_relaxed) - epoch_;
 }
 
-double Timeline::stage_busy(const std::string& stage) const
+void StageClock::publish() const
 {
-    MutexLock lk(m_);
-    double total = 0.0;
-    for (const auto& s : spans_)
-        if (s.stage == stage) total += s.end - s.begin;
-    return total;
+    auto& reg = telemetry::registry();
+    for (std::size_t i = 0; i < kStageCount; ++i) {
+        if (spans_[i].value() == 0) continue;
+        const std::string prefix = names::kMetricPipelineStagePrefix + std::string(kStageNames[i]);
+        reg.gauge(prefix + ".seconds").add(busy_[i].value());
+        reg.counter(prefix + ".spans").add(spans_[i].value());
+    }
 }
 
-double Timeline::makespan() const
+std::string render(const std::vector<StageSpan>& spans, index_t width)
 {
-    MutexLock lk(m_);
-    double m = 0.0;
-    for (const auto& s : spans_) m = std::max(m, s.end);
-    return m;
-}
-
-std::string Timeline::render(index_t width) const
-{
-    const auto all = spans();
-    if (all.empty()) return "(empty timeline)\n";
+    if (spans.empty()) return "(empty timeline)\n";
     double span_end = 0.0;
-    for (const auto& s : all) span_end = std::max(span_end, s.end);
+    for (const auto& s : spans) span_end = std::max(span_end, s.end);
     if (span_end <= 0.0) span_end = 1e-9;
 
     // Stable stage order: first appearance.
     std::vector<std::string> order;
-    for (const auto& s : all)
+    for (const auto& s : spans)
         if (std::find(order.begin(), order.end(), s.stage) == order.end()) order.push_back(s.stage);
 
     std::size_t label_w = 0;
@@ -90,7 +65,7 @@ std::string Timeline::render(index_t width) const
     std::ostringstream out;
     for (const auto& name : order) {
         std::string row(static_cast<std::size_t>(width), '.');
-        for (const auto& s : all) {
+        for (const auto& s : spans) {
             if (s.stage != name) continue;
             // Half-open pixel mapping: a span covers the columns its
             // interval intersects, never bleeding into the column that
@@ -110,16 +85,6 @@ std::string Timeline::render(index_t width) const
     out << std::string(label_w, ' ') << " 0" << std::string(static_cast<std::size_t>(width) - 1, ' ')
         << span_end << "s\n";
     return out.str();
-}
-
-double Timeline::overlap_factor() const
-{
-    const double mk = makespan();
-    if (mk <= 0.0) return 0.0;
-    MutexLock lk(m_);
-    double busy = 0.0;
-    for (const auto& s : spans_) busy += s.end - s.begin;
-    return busy / mk;
 }
 
 }  // namespace xct::pipeline

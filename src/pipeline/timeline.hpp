@@ -1,79 +1,87 @@
 #pragma once
-// Stage-span capture for the end-to-end pipeline: records when each
-// pipeline stage worked on which batch, and renders the Fig. 10-style
-// overlap timeline as ASCII.
+// Stage timing for the end-to-end pipeline: the per-rank stage clock that
+// every stage span adds to, and the Fig. 10-style overlap chart as ASCII.
+//
+// A stage span writes the flight ring once (telemetry/flight.hpp, the
+// process's one span store) and adds its length to its rank's StageClock:
+// fixed per-stage busy seconds, span counts and the makespan.  RankStats
+// comes from the clock, never from the ring — a ring keeps only its last
+// spans, and serve sessions run several ranks in one process at once.
 
+#include <array>
+#include <atomic>
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/mutex.hpp"
 #include "core/types.hpp"
+#include "telemetry/flight.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace xct::pipeline {
 
-/// Monotonic wall-clock seconds.
-double now_seconds();
+/// The stages of one rank's pipeline (Fig. 9), plus the checkpoint replay.
+enum class Stage { Restore, Load, Filter, Prefetch, Bp, Mpi, Store };
+inline constexpr std::size_t kStageCount = 7;
 
-/// One unit of recorded stage work.
-struct StageSpan {
-    std::string stage;   ///< e.g. "load", "filter", "bp", "mpi", "store"
-    index_t item = 0;    ///< batch index the stage worked on
-    double begin = 0.0;  ///< seconds, same epoch as Timeline::epoch()
-    double end = 0.0;
-};
-
-/// Thread-safe recorder shared by all stage threads of one rank.  When
-/// the process-wide telemetry tracer is enabled (telemetry/trace.hpp),
-/// every record() is additionally forwarded there as a "pipeline" span on
-/// the tracer's timebase, and per-stage busy seconds accumulate in the
-/// metrics registry under `pipeline.stage.<stage>.seconds`.
-class Timeline {
+/// Per-rank stage clock.  Lock-free and allocation-free: every stage
+/// thread of a rank records into it concurrently.
+class StageClock {
 public:
-    Timeline();
+    /// `epoch` (flight timebase) is where the makespan starts.
+    explicit StageClock(double epoch = telemetry::flight::wall_now());
 
-    /// Seconds since construction — use as the time base for record().
-    double elapsed() const;
+    /// Record the span [abs_begin, abs_end) (flight timebase) of `stage`
+    /// working on batch `item`: one flight-ring store plus the sums.
+    void record(Stage stage, index_t item, double abs_begin, double abs_end);
 
-    void record(std::string stage, index_t item, double begin, double end);
-
-    std::vector<StageSpan> spans() const;
-
-    /// Total busy time of one stage (sum of its span lengths).
-    double stage_busy(const std::string& stage) const;
-
-    /// End of the last span (the pipeline makespan).
+    double busy(Stage s) const { return busy_[index(s)].value(); }
+    std::uint64_t spans(Stage s) const { return spans_[index(s)].value(); }
+    /// End of the last span, in seconds since the epoch.
     double makespan() const;
 
-    /// Render an ASCII chart: one row per stage, '#' where the stage is
-    /// busy — the visual of Fig. 10.  `width` columns cover the makespan.
-    std::string render(index_t width = 72) const;
-
-    /// Overlap efficiency: sum of stage busy times / makespan.  > 1 means
-    /// stages genuinely overlapped; the upper bound is the stage count.
-    double overlap_factor() const;
+    /// Add each stage that recorded spans to the metrics registry as
+    /// `pipeline.stage.<stage>.seconds` and `.spans`.
+    void publish() const;
 
 private:
+    static std::size_t index(Stage s) { return static_cast<std::size_t>(s); }
+
     double epoch_;  ///< set once in the constructor, read-only afterwards
-    mutable Mutex m_{"pipeline.timeline"};
-    std::vector<StageSpan> spans_ XCT_GUARDED_BY(m_);
+    std::array<telemetry::Gauge, kStageCount> busy_;
+    std::array<telemetry::Counter, kStageCount> spans_;
+    std::atomic<double> last_end_;
 };
 
-/// RAII span recorder: records [construction, destruction) of a scope.
+/// RAII stage span: records [construction, destruction) of a scope.
 class ScopedSpan {
 public:
-    ScopedSpan(Timeline& t, std::string stage, index_t item)
-        : t_(&t), stage_(std::move(stage)), item_(item), begin_(t.elapsed())
+    ScopedSpan(StageClock& clock, Stage stage, index_t item)
+        : clock_(&clock), stage_(stage), item_(item), begin_(telemetry::flight::wall_now())
     {
+        telemetry::flight::warm();  // first span on a thread acquires its ring HERE
     }
-    ~ScopedSpan() { t_->record(stage_, item_, begin_, t_->elapsed()); }
+    ~ScopedSpan() { clock_->record(stage_, item_, begin_, telemetry::flight::wall_now()); }
     ScopedSpan(const ScopedSpan&) = delete;
     ScopedSpan& operator=(const ScopedSpan&) = delete;
 
 private:
-    Timeline* t_;
-    std::string stage_;
+    StageClock* clock_;
+    Stage stage_;
     index_t item_;
     double begin_;
 };
+
+/// One bar of the Fig. 10 chart: `stage` busy over [begin, end) seconds.
+struct StageSpan {
+    std::string stage;
+    double begin = 0.0;
+    double end = 0.0;
+};
+
+/// Render an ASCII chart: one row per stage (in order of first
+/// appearance), '#' where the stage is busy — the visual of Fig. 10.
+/// `width` columns cover [0, latest end].
+std::string render(const std::vector<StageSpan>& spans, index_t width = 72);
 
 }  // namespace xct::pipeline

@@ -10,7 +10,6 @@
 #include "filter/parker.hpp"
 #include "integrity/integrity.hpp"
 #include "integrity/watchdog.hpp"
-#include "pipeline/timeline.hpp"
 #include "recon/slab_backprojector.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -54,7 +53,7 @@ DistributedResult reconstruct_distributed(const DistributedConfig& cfg,
     DistributedResult result{Volume{}, std::vector<RankStats>(static_cast<std::size_t>(nranks)),
                              0.0, {}};
 
-    const double t0 = pipeline::now_seconds();
+    const double t0 = telemetry::flight::wall_now();
     minimpi::run(nranks, [&](minimpi::Communicator& world) {
         const RankId rank{world.rank()};
         const GroupId group = cfg.layout.group_of(rank);
@@ -300,7 +299,7 @@ DistributedResult reconstruct_distributed(const DistributedConfig& cfg,
             run_rank(rc, *source, reduce, store);
         fleet_gather(result.ranks[static_cast<std::size_t>(rank.value())]);
     });
-    result.wall_seconds = pipeline::now_seconds() - t0;
+    result.wall_seconds = telemetry::flight::wall_now() - t0;
     return result;
 }
 

@@ -13,10 +13,15 @@
 #include "integrity/watchdog.hpp"
 #include "io/raw_io.hpp"
 #include "pipeline/queue.hpp"
+#include "pipeline/timeline.hpp"
 #include "recon/slab_backprojector.hpp"
 #include "telemetry/trace.hpp"
 
 namespace xct::recon {
+
+using pipeline::ScopedSpan;
+using pipeline::Stage;
+
 namespace {
 
 struct LoadItem {
@@ -114,7 +119,7 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
     const index_t nb = (cfg.slices.length() + cfg.batches - 1) / cfg.batches;
     const auto plans = plan_slabs(cfg.geometry, cfg.slices, nb);
 
-    pipeline::Timeline tl;
+    pipeline::StageClock clock;
     SlabBackprojector::Config bpc{cfg.geometry, cfg.views, cfg.device_capacity,
                                   cfg.h2d_gbps,  cfg.d2h_gbps, cfg.retry};
     SlabBackprojector bp(bpc, plans);
@@ -146,7 +151,7 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
             resume = std::min(resume, cfg.checkpoint->resume_limit);
         for (index_t i = 0; i < resume; ++i) {
             if (!ckpt->has_slab(SlabId{i})) continue;
-            pipeline::ScopedSpan span(tl, "restore", i);
+            ScopedSpan span(clock, Stage::Restore, i);
             // load_slab runs the checkpoint.load corruption point and
             // digest verify; a transit flip is transient, so re-read.
             auto attempt = [&] { return ckpt->load_slab(SlabId{i}); };
@@ -161,7 +166,7 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
 
     auto load_one = [&](index_t idx) {
         cancel_point("load");
-        pipeline::ScopedSpan span(tl, "load", idx);
+        ScopedSpan span(clock, Stage::Load, idx);
         LoadItem item{idx, plans[static_cast<std::size_t>(idx)], std::nullopt, std::nullopt};
         const Range band = item.plan.delta;
         if (!band.empty()) {
@@ -206,7 +211,7 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
             LoadItem item = load_one(i);
             if (!item.delta) continue;
             {
-                pipeline::ScopedSpan span(tl, "filter", i);
+                ScopedSpan span(clock, Stage::Filter, i);
                 filter_item(cfg, engine, parker ? &*parker : nullptr, counts, item);
             }
             upload_item(item);
@@ -215,12 +220,12 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
     auto bp_one = [&](const LoadItem& item) {
         cancel_point("bp");
         upload_item(item);
-        pipeline::ScopedSpan span(tl, "bp", item.idx);
+        ScopedSpan span(clock, Stage::Bp, item.idx);
         return bp.backproject(item.plan);
     };
     auto reduce_one = [&](VolItem& v) {
         cancel_point("reduce");
-        pipeline::ScopedSpan span(tl, "mpi", v.idx);
+        ScopedSpan span(clock, Stage::Mpi, v.idx);
         // Supervised: a collective stuck past the deadline (stalled peer)
         // surfaces as DeadlineExceeded instead of wedging the run.  Note
         // this fail-louds the *team* — mid-collective state cannot be
@@ -237,7 +242,7 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
     };
     auto store_one = [&](const VolItem& v) {
         cancel_point("store");
-        pipeline::ScopedSpan span(tl, "store", v.idx);
+        ScopedSpan span(clock, Stage::Store, v.idx);
         store(v.slab, v.plan);
         // Roots record the reduced slab; the cursor only advances once the
         // slab is durably saved, so a crash between store and advance just
@@ -253,7 +258,7 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
         for (index_t i = resume; i < static_cast<index_t>(plans.size()); ++i) {
             LoadItem item = load_one(i);
             {
-                pipeline::ScopedSpan span(tl, "filter", i);
+                ScopedSpan span(clock, Stage::Filter, i);
                 filter_item(cfg, engine, parker ? &*parker : nullptr, counts, item);
             }
             VolItem v{i, item.plan, bp_one(item)};
@@ -311,7 +316,7 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
                 while (auto item = q0.pop()) {
                     cancel_point("filter");
                     {
-                        pipeline::ScopedSpan span(tl, "filter", item->idx);
+                        ScopedSpan span(clock, Stage::Filter, item->idx);
                         filter_item(cfg, engine, parker ? &*parker : nullptr, counts, *item);
                     }
                     q1.push(std::move(*item));
@@ -333,7 +338,7 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
                         if (item->delta || item->encoded) {
                             auto storage = qbuf->pop();
                             if (!storage) break;  // pipeline tearing down
-                            pipeline::ScopedSpan span(tl, "prefetch", item->idx);
+                            ScopedSpan span(clock, Stage::Prefetch, item->idx);
                             b.staged = item->encoded
                                            ? bp.stage_band(*item->encoded, std::move(*storage))
                                            : bp.stage_band(*item->delta, std::move(*storage));
@@ -355,7 +360,7 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
                         }
                         VolItem v{b->idx, b->plan, Volume{}};
                         {
-                            pipeline::ScopedSpan span(tl, "bp", b->idx);
+                            ScopedSpan span(clock, Stage::Bp, b->idx);
                             v.slab = bp.backproject(b->plan);
                         }
                         q2.push(std::move(v));
@@ -395,16 +400,16 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
         error.rethrow_if_set();
     }
 
-    stats.t_load = tl.stage_busy("load");
-    stats.t_filter = tl.stage_busy("filter");
-    stats.t_prefetch = tl.stage_busy("prefetch");
-    stats.t_bp = tl.stage_busy("bp");
-    stats.t_reduce = tl.stage_busy("mpi");
-    stats.t_store = tl.stage_busy("store");
-    stats.wall = tl.makespan();
+    stats.t_load = clock.busy(Stage::Load);
+    stats.t_filter = clock.busy(Stage::Filter);
+    stats.t_prefetch = clock.busy(Stage::Prefetch);
+    stats.t_bp = clock.busy(Stage::Bp);
+    stats.t_reduce = clock.busy(Stage::Mpi);
+    stats.t_store = clock.busy(Stage::Store);
+    stats.wall = clock.makespan();
     stats.h2d = bp.device().h2d_stats();
     stats.d2h = bp.device().d2h_stats();
-    stats.spans = tl.spans();
+    clock.publish();
     return stats;
 }
 

@@ -34,7 +34,6 @@
 #include "faults/retry.hpp"
 #include "filter/ramp.hpp"
 #include "io/band_codec.hpp"
-#include "pipeline/timeline.hpp"
 #include "recon/source.hpp"
 #include "sim/device.hpp"
 
@@ -97,7 +96,9 @@ struct RankConfig {
 };
 
 /// Measured per-rank statistics (stage busy times follow Table 5's
-/// columns; transfer stats come from the simulated device).
+/// columns and come from the rank's pipeline::StageClock; transfer stats
+/// come from the simulated device).  The spans themselves are in the
+/// flight rings (telemetry/flight.hpp).
 struct RankStats {
     double t_load = 0.0;
     double t_filter = 0.0;
@@ -109,12 +110,11 @@ struct RankStats {
     index_t slabs_restored = 0;  ///< slabs replayed from the checkpoint
     sim::LinkStats h2d{};
     sim::LinkStats d2h{};
-    std::vector<pipeline::StageSpan> spans;  ///< full Fig. 10 timeline
 
     /// Total stage busy time (the numerator of the overlap factor).
     double busy() const { return t_load + t_filter + t_prefetch + t_bp + t_reduce + t_store; }
     /// Overlap efficiency: busy() / wall; > 1 means stages genuinely
-    /// overlapped (same definition as pipeline::Timeline::overlap_factor).
+    /// overlapped, and the upper bound is the stage count.
     double overlap_factor() const { return wall > 0.0 ? busy() / wall : 0.0; }
 };
 

@@ -5,27 +5,24 @@
 
 #include "core/names.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
+#include "telemetry/flight.hpp"
 
 namespace xct::sim {
 
 namespace {
 constexpr double kGiB = 1024.0 * 1024.0 * 1024.0;
 
-/// Mirror a transfer into the process telemetry: always-on byte/transfer
-/// counters, plus (when tracing) a span whose duration is the *modelled*
-/// link time, placed at the wall-clock instant of the call — the trace
-/// shows T_H2D/T_D2H where they occur in the pipeline.
+/// Mirror a transfer into the process telemetry: byte/transfer counters,
+/// plus a flight span (named `dir`) whose duration is the *modelled* link
+/// time, placed at the wall-clock instant of the call — the trace shows
+/// T_H2D/T_D2H where they occur in the pipeline.
 void telemetry_transfer(const char* dir, std::size_t bytes, double seconds)
 {
     auto& reg = telemetry::registry();
     reg.counter(std::string(names::kMetricSimPrefix) + dir + ".bytes").add(bytes);
     reg.counter(std::string(names::kMetricSimPrefix) + dir + ".transfers").add(1);
-    auto& tr = telemetry::tracer();
-    if (tr.enabled()) {
-        const double now = tr.now();
-        tr.record(dir, names::kCatSim, now, now + seconds, -1, bytes);
-    }
+    const double now = telemetry::flight::wall_now();
+    telemetry::flight::record(names::kCatSim, dir, now, now + seconds, -1, bytes);
 }
 }
 
@@ -60,7 +57,7 @@ void Device::account_h2d(std::size_t bytes)
     h2d_.bytes += bytes;
     h2d_.transfers += 1;
     h2d_.seconds += seconds;
-    telemetry_transfer("h2d", bytes, seconds);
+    telemetry_transfer(names::kSpanH2d, bytes, seconds);
 }
 
 void Device::account_d2h(std::size_t bytes)
@@ -69,7 +66,7 @@ void Device::account_d2h(std::size_t bytes)
     d2h_.bytes += bytes;
     d2h_.transfers += 1;
     d2h_.seconds += seconds;
-    telemetry_transfer("d2h", bytes, seconds);
+    telemetry_transfer(names::kSpanD2h, bytes, seconds);
 }
 
 DeviceBuffer::DeviceBuffer(Device& dev, index_t count) : dev_(&dev)

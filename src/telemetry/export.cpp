@@ -28,7 +28,8 @@ std::ofstream open_out(const std::filesystem::path& path)
 
 }  // namespace
 
-void write_chrome_trace(std::ostream& os, const std::vector<TraceEvent>& events)
+void write_chrome_trace(std::ostream& os, const std::vector<flight::FlightEvent>& events,
+                        double t0)
 {
     os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
     bool first = true;
@@ -48,10 +49,10 @@ void write_chrome_trace(std::ostream& os, const std::vector<TraceEvent>& events)
     }
 
     for (const auto& e : events) {
-        // Clamp to the epoch: spans that began before enable() would get
-        // negative timestamps, which the viewers mishandle.
-        const double begin = std::max(0.0, e.begin);
-        const double dur = std::max(0.0, e.end - begin);
+        // Clamp to t0: spans that began before it would get negative
+        // timestamps, which the viewers mishandle.
+        const double begin = std::max(0.0, e.begin - t0);
+        const double dur = std::max(0.0, e.end - t0 - begin);
         sep();
         os << "{\"name\":" << json_quote(e.name) << ",\"cat\":" << json_quote(e.cat)
            << ",\"ph\":\"X\",\"ts\":" << fmt_double(begin * 1e6)
@@ -71,10 +72,11 @@ void write_chrome_trace(std::ostream& os, const std::vector<TraceEvent>& events)
     os << "\n]}\n";
 }
 
-void write_chrome_trace(const std::filesystem::path& path, const std::vector<TraceEvent>& events)
+void write_chrome_trace(const std::filesystem::path& path,
+                        const std::vector<flight::FlightEvent>& events, double t0)
 {
     auto os = open_out(path);
-    write_chrome_trace(os, events);
+    write_chrome_trace(os, events, t0);
 }
 
 void write_metrics_csv(std::ostream& os, const MetricsSnapshot& s)

@@ -6,12 +6,12 @@
 #include <csignal>
 #include <cstdio>
 #include <memory>
-#include <set>
 
 #include "core/mutex.hpp"
 #include "core/names.hpp"
 #include "core/scratch.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/trace.hpp"
 
 namespace xct::telemetry::flight {
 
@@ -44,7 +44,6 @@ struct State {
     mutable Mutex m{"telemetry.flight"};
     std::vector<std::shared_ptr<Ring>> rings XCT_GUARDED_BY(m);
     std::vector<std::size_t> free_rings XCT_GUARDED_BY(m);  ///< retired, reusable
-    std::set<std::string> interned XCT_GUARDED_BY(m);
     std::filesystem::path dump_dir XCT_GUARDED_BY(m);
     std::atomic<bool> armed{false};
     std::atomic<std::uint64_t> postmortems{0};
@@ -145,22 +144,7 @@ void record(const char* cat, const char* name, double abs_begin, double abs_end,
     r.head.store(h + 1, std::memory_order_release);
 }
 
-const char* intern(const std::string& s)
-{
-    // The pipeline's stage names — the only dynamic names on the warm
-    // path — resolve without the lock.
-    static constexpr std::array<const char*, 7> kWellKnown = {
-        "load", "filter", "bp", "mpi", "store", "restore", "reduce"};
-    for (const char* w : kWellKnown)
-        if (s == w) return w;
-    State& st = state();
-    MutexLock lk(st.m);
-    const auto [it, inserted] = st.interned.insert(s);
-    if (inserted) scratch::note_heap_event();
-    return it->c_str();
-}
-
-std::vector<FlightEvent> snapshot()
+std::vector<FlightEvent> snapshot(double since)
 {
     std::vector<FlightEvent> out;
     for (const auto& ring : all_rings()) {
@@ -181,11 +165,28 @@ std::vector<FlightEvent> snapshot()
             // Re-check: the owner may have started overwriting the slot
             // while we read it — drop the torn copy.
             if (s.seq.load(std::memory_order_acquire) != i + 1) continue;
-            if (e.cat == nullptr || e.name == nullptr) continue;
+            if (e.cat == nullptr || e.name == nullptr || e.begin < since) continue;
             out.push_back(e);
         }
     }
     return out;
+}
+
+bool wrapped(double since)
+{
+    for (const auto& ring : all_rings()) {
+        const std::uint64_t head = ring->head.load(std::memory_order_acquire);
+        if (head <= kRingCapacity) continue;
+        // Every overwritten span was recorded before the oldest survivor,
+        // so it began before the survivor ended: a survivor that ended
+        // before `since` proves the window lost nothing.  A survivor being
+        // overwritten right now counts as a loss.
+        const std::uint64_t oldest = head - kRingCapacity;
+        const Slot& s = ring->slots[oldest & (kRingCapacity - 1)];
+        const double end = s.end.load(std::memory_order_relaxed);
+        if (s.seq.load(std::memory_order_acquire) != oldest + 1 || end >= since) return true;
+    }
+    return false;
 }
 
 std::size_t ring_count()
@@ -247,27 +248,20 @@ std::filesystem::path dump_postmortem(const char* reason)
     return path;
 }
 
-void dump(const std::filesystem::path& path)
+std::size_t dump(const std::filesystem::path& path, double since)
 {
-    const std::vector<FlightEvent> events = snapshot();
+    std::vector<FlightEvent> events = snapshot(since);
+    if (wrapped(since))
+        std::fprintf(stderr, "flight: a ring wrapped inside the window; %s lacks its oldest "
+                     "spans\n", path.string().c_str());
+    std::sort(events.begin(), events.end(),
+              [](const FlightEvent& a, const FlightEvent& b) { return a.begin < b.begin; });
     // Rebase onto the earliest span so the trace opens at t = 0 (the
     // raw timebase is steady-clock seconds since boot).
-    double t0 = 0.0;
-    bool first = true;
-    for (const FlightEvent& e : events) {
-        if (first || e.begin < t0) t0 = e.begin;
-        first = false;
-    }
-    std::vector<TraceEvent> out;
-    out.reserve(events.size());
-    for (const FlightEvent& e : events)
-        out.push_back(TraceEvent{e.name, e.cat, e.rank, e.lane, e.item, e.bytes, e.begin - t0,
-                                 e.end - t0});
-    std::sort(out.begin(), out.end(), [](const TraceEvent& a, const TraceEvent& b) {
-        return a.begin < b.begin;
-    });
+    const double t0 = events.empty() ? 0.0 : events.front().begin;
     if (path.has_parent_path()) std::filesystem::create_directories(path.parent_path());
-    write_chrome_trace(path, out);
+    write_chrome_trace(path, events, t0);
+    return events.size();
 }
 
 void install_signal_handlers()

@@ -1,21 +1,22 @@
 #pragma once
 // Always-on flight recorder: the last N spans of every thread, for free.
 //
-// The tracer (telemetry/trace.hpp) records everything but only when
-// enabled — a run that crashes without --trace leaves no evidence.  The
-// flight recorder is the complement (DESIGN.md §3g "Performance
-// observatory"): every thread continuously writes its spans into a
-// private fixed-size ring, overwriting the oldest, so the *recent past*
-// of all threads is always available.  When the integrity Watchdog
-// trips, a fault is detected, or a fatal signal fires, the rings are
-// dumped as a Chrome/Perfetto trace — a post-mortem of what every stage
-// was doing in the seconds before the failure.
+// The process's one span store (DESIGN.md §3g "Flight recorder"): every
+// thread continuously writes its spans into a private fixed-size ring,
+// overwriting the oldest, so the *recent past* of all threads is always
+// available.  Every reader takes what it needs from the rings:
+//   * `--trace` and the run report read the spans of one time window
+//     (snapshot/dump with `since` = the run's start);
+//   * when the integrity Watchdog trips, a fault is detected, or a fatal
+//     signal fires, the rings are dumped whole as a Chrome/Perfetto trace
+//     — a post-mortem of what every stage was doing before the failure.
+// Exact per-stage sums do not come from here: a ring keeps only its last
+// kRingCapacity spans, so pipeline::StageClock sums them as they end.
 //
 // Cost model (the bench integrity/overhead section asserts < 2%):
 //   * recording is lock-free and allocation-free when warm — one ring
 //     slot store (relaxed atomics, single writer) per span; the only
-//     cold paths are first-record-on-a-thread (ring acquisition) and
-//     interning a previously unseen dynamic name;
+//     cold path is first-record-on-a-thread (ring acquisition);
 //   * rings are recycled through a free list when threads exit, so a
 //     pipeline that spawns stage threads per batch group reuses the same
 //     ~5 rings instead of growing without bound, and a dead thread's
@@ -24,14 +25,12 @@
 //     individually atomic, and a slot overwritten mid-read is detected
 //     via its sequence stamp and dropped.
 //
-// Name lifetime: rings store `const char*`.  Callers pass string
-// literals (ScopedTrace) or intern() dynamic names first; interned
-// pointers live for the process.
+// Name lifetime: rings store `const char*`, so callers pass string
+// literals or names:: constants.
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <string>
+#include <limits>
 #include <vector>
 
 #include "core/ids.hpp"
@@ -48,7 +47,7 @@ inline constexpr std::size_t kRingCapacity = 4096;
 inline constexpr std::uint64_t kMaxPostmortems = 16;
 
 /// One decoded span from a ring (snapshot form).  Times are absolute
-/// steady-clock seconds (same clock as pipeline::now_seconds).
+/// steady-clock seconds (wall_now()).
 struct FlightEvent {
     const char* cat = nullptr;
     const char* name = nullptr;
@@ -64,8 +63,8 @@ struct FlightEvent {
 double wall_now();
 
 /// Record a completed span into the calling thread's ring.  `cat` and
-/// `name` must outlive the process (string literals, names:: constants,
-/// or intern() results).  Lock-free and allocation-free when warm.
+/// `name` must outlive the process (string literals or names::
+/// constants).  Lock-free and allocation-free when warm.
 void record(const char* cat, const char* name, double abs_begin, double abs_end,
             index_t item = -1, std::uint64_t bytes = 0);
 
@@ -76,15 +75,18 @@ void record(const char* cat, const char* name, double abs_begin, double abs_end,
 /// cannot observe a peer's late first acquisition.
 void warm();
 
-/// Return a process-lifetime pointer for `s`.  Well-known stage names
-/// ("load", "filter", "bp", "mpi", "store", "restore") resolve without
-/// locking or allocation; other strings are interned under a mutex once
-/// and cached for the process.
-const char* intern(const std::string& s);
+/// No lower bound on a span's begin: the whole of every ring.
+inline constexpr double kAllTime = -std::numeric_limits<double>::infinity();
 
-/// Decode every ring (live and retired), oldest-first within a ring.
-/// Slots overwritten while being read are dropped, not torn.
-std::vector<FlightEvent> snapshot();
+/// Decode every ring (live and retired), oldest-first within a ring,
+/// keeping the spans that began at or after `since`.  Slots overwritten
+/// while being read are dropped, not torn.
+std::vector<FlightEvent> snapshot(double since = kAllTime);
+
+/// True when some ring may have overwritten a span that began at or
+/// after `since`, i.e. snapshot(since) may lack the window's oldest
+/// spans.  Conservative: it never misses a loss.
+bool wrapped(double since);
 
 /// Number of rings ever created (live + retired).  Test hook: a warm
 /// thread pool must not grow this.
@@ -109,9 +111,10 @@ bool postmortem_armed();
 /// from any thread; concurrent recording continues.
 std::filesystem::path dump_postmortem(const char* reason);
 
-/// Unconditionally write the current rings to `path` as Chrome
-/// trace-event JSON (timebase rebased so the earliest span is t=0).
-void dump(const std::filesystem::path& path);
+/// Write snapshot(since) to `path` as Chrome trace-event JSON, rebased
+/// so the earliest span is t=0, and return the number of spans written.
+/// Warns on stderr when wrapped(since).
+std::size_t dump(const std::filesystem::path& path, double since = kAllTime);
 
 /// Install handlers for fatal signals (SIGSEGV, SIGABRT, SIGBUS, SIGFPE,
 /// SIGILL) that attempt a post-mortem dump before re-raising with the

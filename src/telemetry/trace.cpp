@@ -1,21 +1,9 @@
 #include "telemetry/trace.hpp"
 
-#include <chrono>
-
 namespace xct::telemetry {
 
 namespace {
-
-/// Same clock as pipeline::now_seconds (steady_clock in seconds), so
-/// Timeline epochs translate directly onto the tracer's timebase.
-double wall_now()
-{
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(clock::now().time_since_epoch()).count();
-}
-
 thread_local RankId t_current_rank{};
-
 }  // namespace
 
 RankId current_rank()
@@ -26,73 +14,6 @@ RankId current_rank()
 void set_current_rank(RankId rank)
 {
     t_current_rank = rank;
-}
-
-void Tracer::enable()
-{
-    MutexLock lk(m_);
-    events_.clear();
-    lanes_.clear();
-    epoch_ = wall_now();
-    enabled_.store(true, std::memory_order_relaxed);
-}
-
-double Tracer::now() const
-{
-    return wall_now() - epoch_;
-}
-
-index_t Tracer::lane_locked()
-{
-    const auto id = std::this_thread::get_id();
-    const auto it = lanes_.find(id);
-    if (it != lanes_.end()) return it->second;
-    const index_t lane = static_cast<index_t>(lanes_.size());
-    lanes_.emplace(id, lane);
-    return lane;
-}
-
-void Tracer::record(std::string name, std::string cat, double begin, double end, index_t item,
-                    std::uint64_t bytes)
-{
-    if (!enabled()) return;
-    MutexLock lk(m_);
-    events_.push_back(TraceEvent{std::move(name), std::move(cat), current_rank(), lane_locked(),
-                                 item, bytes, begin, end});
-}
-
-void Tracer::record_interval_abs(std::string name, std::string cat, double abs_begin,
-                                 double abs_end, index_t item, std::uint64_t bytes)
-{
-    if (!enabled()) return;
-    MutexLock lk(m_);
-    events_.push_back(TraceEvent{std::move(name), std::move(cat), current_rank(), lane_locked(),
-                                 item, bytes, abs_begin - epoch_, abs_end - epoch_});
-}
-
-std::vector<TraceEvent> Tracer::events() const
-{
-    MutexLock lk(m_);
-    return events_;
-}
-
-std::size_t Tracer::event_count() const
-{
-    MutexLock lk(m_);
-    return events_.size();
-}
-
-void Tracer::clear()
-{
-    MutexLock lk(m_);
-    events_.clear();
-    lanes_.clear();
-}
-
-Tracer& tracer()
-{
-    static Tracer t;
-    return t;
 }
 
 }  // namespace xct::telemetry

@@ -1,47 +1,28 @@
 #pragma once
 // Trace-span capture across every subsystem of one process.
 //
-// The tracer generalises pipeline::Timeline: named spans carry a
-// *category* (the subsystem: "pipeline", "minimpi", "sim", "io",
-// "filter"), a *rank* (the minimpi world rank, see set_current_rank) and
-// a *lane* (a small per-thread id), all against ONE process-wide epoch —
-// so a distributed run's trace shows all ranks of all groups on a single
-// timebase.  Spans are exported as Chrome trace-event JSON
-// (telemetry/export.hpp) and open directly in Perfetto / chrome://tracing
-// with pid = rank and tid = lane.
+// Every span goes to the always-on flight recorder (telemetry/flight.hpp),
+// the process's one span store.  A span carries a *category* (the
+// subsystem: "pipeline", "minimpi", "sim", "io", "filter"), a *rank* (the
+// minimpi world rank, see set_current_rank) and a *lane* (the ring id),
+// all on ONE steady clock — so a distributed run's trace shows all ranks
+// of all groups on a single timebase.  Readers take the spans of a time
+// window (flight::snapshot / flight::dump) and export them as Chrome
+// trace-event JSON (telemetry/export.hpp), which opens directly in
+// Perfetto / chrome://tracing with pid = rank and tid = lane.
 //
-// Cost model: tracing is disabled by default; the disabled path is one
-// relaxed atomic load per potential span (no clock reads, no allocation),
-// so instrumented kernels do not regress.  When enabled, recording takes
-// a mutex — acceptable at span granularity (batches, collectives,
-// transfers), which is why the instrumentation sits at those boundaries
-// and not inside per-voxel loops.
+// Cost model: one clock read at each end of a span plus one lock-free,
+// allocation-free ring-slot store — cheap at span granularity (batches,
+// collectives, transfers), which is why the instrumentation sits at those
+// boundaries and not inside per-voxel loops.
 
-#include <atomic>
 #include <cstdint>
-#include <string>
-#include <thread>
-#include <unordered_map>
-#include <vector>
 
 #include "core/ids.hpp"
-#include "core/mutex.hpp"
 #include "core/types.hpp"
 #include "telemetry/flight.hpp"
 
 namespace xct::telemetry {
-
-/// One recorded span.  Times are seconds since the tracer's epoch.
-struct TraceEvent {
-    std::string name;          ///< e.g. "bp", "reduce_sum", "h2d"
-    std::string cat;           ///< subsystem: "pipeline", "minimpi", ...
-    RankId rank{};             ///< minimpi world rank (Chrome trace pid)
-    index_t lane = 0;          ///< per-thread id (Chrome trace tid)
-    index_t item = -1;         ///< batch index, -1 = not applicable
-    std::uint64_t bytes = 0;   ///< payload size, 0 = not applicable
-    double begin = 0.0;
-    double end = 0.0;
-};
 
 /// The per-thread rank attribution: minimpi::run() tags each rank thread
 /// with its world rank, and recon::run_rank() propagates the tag to its
@@ -50,68 +31,18 @@ struct TraceEvent {
 RankId current_rank();
 void set_current_rank(RankId rank);
 
-/// Span recorder.  enable() (re)sets the epoch and clears prior events.
-class Tracer {
-public:
-    void enable();
-    void disable() { enabled_.store(false, std::memory_order_relaxed); }
-    bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-    /// Seconds since the epoch (meaningless while disabled).
-    double now() const;
-
-    /// Record a span given epoch-relative times.  rank defaults to
-    /// current_rank(); the lane is derived from the calling thread.
-    void record(std::string name, std::string cat, double begin, double end, index_t item = -1,
-                std::uint64_t bytes = 0);
-
-    /// Record a span given *absolute* pipeline::now_seconds() times —
-    /// used by recorders with their own epoch (pipeline::Timeline).
-    void record_interval_abs(std::string name, std::string cat, double abs_begin, double abs_end,
-                             index_t item = -1, std::uint64_t bytes = 0);
-
-    std::vector<TraceEvent> events() const;
-    std::size_t event_count() const;
-    void clear();
-
-private:
-    std::atomic<bool> enabled_{false};
-    // Written by enable() under m_, read lock-free by now(): callers only
-    // consume now() while enabled, and enable() happens-before via the
-    // enabled_ store/load pair.
-    double epoch_ = 0.0;  ///< absolute seconds (pipeline::now_seconds base)
-    mutable Mutex m_{"telemetry.trace"};
-    std::vector<TraceEvent> events_ XCT_GUARDED_BY(m_);
-    std::unordered_map<std::thread::id, index_t> lanes_ XCT_GUARDED_BY(m_);
-
-    index_t lane_locked() XCT_REQUIRES(m_);
-};
-
-/// The process-wide tracer every subsystem feeds.
-Tracer& tracer();
-
-/// RAII span against the global tracer AND the always-on flight
-/// recorder (telemetry/flight.hpp).  With tracing disabled the cost is
-/// one clock read plus a lock-free ring-slot store per end of the span
-/// (< 2% on the pipeline clean path, asserted by the bench overhead
-/// section); when enabled, the tracer additionally records the span on
-/// its own timebase.  `cat` and `name` must be process-lifetime strings
-/// (literals / names:: constants) — the flight ring stores the pointers.
+/// RAII span recorded into the calling thread's flight ring (< 2% on the
+/// pipeline clean path, asserted by the bench overhead section).  `cat`
+/// and `name` must be process-lifetime strings (literals / names::
+/// constants) — the ring stores the pointers.
 class ScopedTrace {
 public:
     ScopedTrace(const char* cat, const char* name, index_t item = -1, std::uint64_t bytes = 0)
-        : cat_(cat), name_(name), item_(item), bytes_(bytes), traced_(tracer().enabled()),
-          begin_abs_(flight::wall_now())
+        : cat_(cat), name_(name), item_(item), bytes_(bytes), begin_abs_(flight::wall_now())
     {
         flight::warm();  // first span on a thread acquires its ring HERE
     }
-    ~ScopedTrace()
-    {
-        const double end_abs = flight::wall_now();
-        flight::record(cat_, name_, begin_abs_, end_abs, item_, bytes_);
-        if (traced_ && tracer().enabled())
-            tracer().record_interval_abs(name_, cat_, begin_abs_, end_abs, item_, bytes_);
-    }
+    ~ScopedTrace() { flight::record(cat_, name_, begin_abs_, flight::wall_now(), item_, bytes_); }
     ScopedTrace(const ScopedTrace&) = delete;
     ScopedTrace& operator=(const ScopedTrace&) = delete;
 
@@ -120,7 +51,6 @@ private:
     const char* name_;
     index_t item_;
     std::uint64_t bytes_;
-    bool traced_;  ///< tracer was enabled at span begin (skip straddlers)
     double begin_abs_;
 };
 

@@ -3,8 +3,14 @@
 // the preprocessing (raw counts) path.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <string_view>
+
+#include "core/names.hpp"
 #include "io/datasets.hpp"
 #include "recon/fdk.hpp"
+#include "telemetry/flight.hpp"
 
 namespace xct::recon {
 namespace {
@@ -165,6 +171,7 @@ TEST(Fdk, StatsReportEveryPipelineStage)
     PhantomSource src(phantom, g);
     RankConfig cfg;
     cfg.geometry = g;
+    const double t0 = telemetry::flight::wall_now();
     const FdkResult r = reconstruct_fdk(cfg, src);
     EXPECT_GT(r.stats.t_load, 0.0);
     EXPECT_GT(r.stats.t_filter, 0.0);
@@ -173,7 +180,22 @@ TEST(Fdk, StatsReportEveryPipelineStage)
     EXPECT_GT(r.stats.wall, 0.0);
     EXPECT_GT(r.stats.h2d.bytes, 0u);
     EXPECT_GT(r.stats.d2h.bytes, 0u);
-    EXPECT_FALSE(r.stats.spans.empty());
+    // The stage spans themselves are in the flight rings.
+    std::set<std::string> stages;
+    for (const auto& e : telemetry::flight::snapshot(t0))
+        if (std::string_view(e.cat) == names::kCatPipeline) stages.insert(e.name);
+    EXPECT_EQ(stages, (std::set<std::string>{"load", "filter", "bp", "mpi", "store"}));
+}
+
+TEST(RankStats, OverlapFactorMeasuresConcurrency)
+{
+    RankStats st;
+    EXPECT_DOUBLE_EQ(st.overlap_factor(), 0.0);
+    // Two stages fully overlapped: busy 2.0 over makespan 1.0.
+    st.t_load = 1.0;
+    st.t_bp = 1.0;
+    st.wall = 1.0;
+    EXPECT_DOUBLE_EQ(st.overlap_factor(), 2.0);
 }
 
 TEST(Fdk, ProjectionsMoveHostToDeviceExactlyOnce)

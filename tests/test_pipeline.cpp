@@ -1,10 +1,12 @@
-// Pipeline plumbing tests: bounded queues and the Fig. 10 timeline
-// recorder.
+// Pipeline plumbing tests: bounded queues, the per-rank stage clock
+// (exact sums however far its flight ring wraps) and the Fig. 10 chart.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string_view>
 #include <thread>
 
+#include "core/scratch.hpp"
 #include "pipeline/queue.hpp"
 #include "pipeline/timeline.hpp"
 
@@ -186,31 +188,21 @@ TEST(BoundedQueue, MoveOnlyItems)
 
 TEST(Timeline, RecordsAndAggregates)
 {
-    Timeline tl;
-    tl.record("load", 0, 0.0, 1.0);
-    tl.record("load", 1, 2.0, 2.5);
-    tl.record("bp", 0, 1.0, 3.0);
-    EXPECT_DOUBLE_EQ(tl.stage_busy("load"), 1.5);
-    EXPECT_DOUBLE_EQ(tl.stage_busy("bp"), 2.0);
-    EXPECT_DOUBLE_EQ(tl.stage_busy("absent"), 0.0);
-    EXPECT_DOUBLE_EQ(tl.makespan(), 3.0);
-}
-
-TEST(Timeline, OverlapFactorMeasuresConcurrency)
-{
-    Timeline tl;
-    // Two stages fully overlapped: busy 2.0 over makespan 1.0.
-    tl.record("a", 0, 0.0, 1.0);
-    tl.record("b", 0, 0.0, 1.0);
-    EXPECT_DOUBLE_EQ(tl.overlap_factor(), 2.0);
+    StageClock clock(0.0);  // spans below are in seconds since epoch 0
+    clock.record(Stage::Load, 0, 0.0, 1.0);
+    clock.record(Stage::Load, 1, 2.0, 2.5);
+    clock.record(Stage::Bp, 0, 1.0, 3.0);
+    EXPECT_DOUBLE_EQ(clock.busy(Stage::Load), 1.5);
+    EXPECT_DOUBLE_EQ(clock.busy(Stage::Bp), 2.0);
+    EXPECT_DOUBLE_EQ(clock.busy(Stage::Store), 0.0);
+    EXPECT_EQ(clock.spans(Stage::Load), 2u);
+    EXPECT_EQ(clock.spans(Stage::Store), 0u);
+    EXPECT_DOUBLE_EQ(clock.makespan(), 3.0);
 }
 
 TEST(Timeline, RenderShowsEveryStageRow)
 {
-    Timeline tl;
-    tl.record("load", 0, 0.0, 0.5);
-    tl.record("store", 0, 0.5, 1.0);
-    const std::string chart = tl.render(40);
+    const std::string chart = render({{"load", 0.0, 0.5}, {"store", 0.5, 1.0}}, 40);
     EXPECT_NE(chart.find("load"), std::string::npos);
     EXPECT_NE(chart.find("store"), std::string::npos);
     EXPECT_NE(chart.find('#'), std::string::npos);
@@ -236,11 +228,10 @@ TEST(Timeline, RenderNeverDropsShortSpans)
 {
     // Quantisation regression: spans far narrower than one column — or
     // fully degenerate — must still mark at least one '#'.
-    Timeline tl;
-    tl.record("bp", 0, 0.0, 10.0);
-    tl.record("store", 0, 5.0, 5.0000001);  // ~1/4000000 of a column
-    tl.record("load", 0, 10.0, 10.0);       // zero-length at the right edge
-    const std::string chart = tl.render(40);
+    const std::string chart = render({{"bp", 0.0, 10.0},
+                                      {"store", 5.0, 5.0000001},  // ~1/4000000 of a column
+                                      {"load", 10.0, 10.0}},      // zero-length at the right edge
+                                     40);
     for (const char* stage : {"bp", "store", "load"}) {
         const std::string row = render_row(chart, stage);
         ASSERT_EQ(row.size(), 40u) << stage;
@@ -252,47 +243,94 @@ TEST(Timeline, RenderDoesNotBleedPastSpanEnd)
 {
     // Half-open mapping: back-to-back spans split the chart exactly, the
     // first one not spilling into the column where the second begins.
-    Timeline tl;
-    tl.record("a", 0, 0.0, 0.5);
-    tl.record("b", 0, 0.5, 1.0);
-    const std::string chart = tl.render(40);
+    const std::string chart = render({{"a", 0.0, 0.5}, {"b", 0.5, 1.0}}, 40);
     EXPECT_EQ(render_row(chart, "a"), std::string(20, '#') + std::string(20, '.'));
     EXPECT_EQ(render_row(chart, "b"), std::string(20, '.') + std::string(20, '#'));
 }
 
 TEST(Timeline, EmptyRenders)
 {
-    Timeline tl;
-    EXPECT_EQ(tl.render(), "(empty timeline)\n");
-    EXPECT_DOUBLE_EQ(tl.overlap_factor(), 0.0);
+    EXPECT_EQ(render({}), "(empty timeline)\n");
+    EXPECT_DOUBLE_EQ(StageClock().makespan(), 0.0);
 }
 
 TEST(ScopedSpan, RecordsEnclosedInterval)
 {
-    Timeline tl;
+    StageClock clock;
+    const double since = telemetry::flight::wall_now();
     {
-        ScopedSpan s(tl, "work", 3);
+        ScopedSpan s(clock, Stage::Bp, 3);
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    const auto spans = tl.spans();
+    EXPECT_EQ(clock.spans(Stage::Bp), 1u);
+    EXPECT_GE(clock.busy(Stage::Bp), 0.004);
+    // The same span, written once to the flight ring.
+    const auto spans = telemetry::flight::snapshot(since);
     ASSERT_EQ(spans.size(), 1u);
-    EXPECT_EQ(spans[0].stage, "work");
+    EXPECT_STREQ(spans[0].cat, "pipeline");
+    EXPECT_STREQ(spans[0].name, "bp");
     EXPECT_EQ(spans[0].item, 3);
-    EXPECT_GE(spans[0].end - spans[0].begin, 0.004);
+    EXPECT_DOUBLE_EQ(spans[0].end - spans[0].begin, clock.busy(Stage::Bp));
+}
+
+TEST(ScopedSpan, WarmSpanAllocatesNothing)
+{
+    StageClock clock;
+    { ScopedSpan warmup(clock, Stage::Filter, 0); }  // the thread's ring exists from here on
+    const std::uint64_t e0 = scratch::heap_events();
+    for (index_t i = 0; i < 1000; ++i) ScopedSpan s(clock, Stage::Filter, i);
+    EXPECT_EQ(scratch::heap_events() - e0, 0u);
+    EXPECT_EQ(clock.spans(Stage::Filter), 1001u);
 }
 
 TEST(Timeline, ThreadSafeRecording)
 {
-    Timeline tl;
+    StageClock clock(0.0);
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t)
         threads.emplace_back([&, t] {
+            const Stage stage = t % 2 == 0 ? Stage::Load : Stage::Bp;
             for (int i = 0; i < 100; ++i)
-                tl.record("s" + std::to_string(t), i, static_cast<double>(i),
-                          static_cast<double>(i) + 0.5);
+                clock.record(stage, i, static_cast<double>(i), static_cast<double>(i) + 0.5);
         });
     for (auto& t : threads) t.join();
-    EXPECT_EQ(tl.spans().size(), 400u);
+    // Two threads per stage: the lock-free sums lose no update.
+    EXPECT_EQ(clock.spans(Stage::Load) + clock.spans(Stage::Bp), 400u);
+    EXPECT_DOUBLE_EQ(clock.busy(Stage::Load), 100.0);
+    EXPECT_DOUBLE_EQ(clock.busy(Stage::Bp), 100.0);
+    EXPECT_DOUBLE_EQ(clock.makespan(), 99.5);
+}
+
+TEST(StageClock, StaysExactWhenTheRingWraps)
+{
+    using telemetry::flight::kRingCapacity;
+    StageClock clock;
+    const double since = telemetry::flight::wall_now();
+    const std::size_t total = kRingCapacity + 100;
+    double seconds = 0.0;
+    for (std::size_t i = 0; i < total; ++i) {
+        const double begin = telemetry::flight::wall_now();
+        const double end = telemetry::flight::wall_now();
+        clock.record(Stage::Store, static_cast<index_t>(i), begin, end);
+        seconds += end - begin;  // the clock's additions, in the clock's order
+    }
+    EXPECT_EQ(clock.spans(Stage::Store), total);
+    EXPECT_EQ(clock.busy(Stage::Store), seconds);
+    // The ring kept only its newest spans, and the window says so.
+    std::size_t kept = 0;
+    for (const auto& e : telemetry::flight::snapshot(since))
+        if (std::string_view(e.name) == "store") ++kept;
+    EXPECT_LE(kept, kRingCapacity);
+    EXPECT_TRUE(telemetry::flight::wrapped(since));
+}
+
+TEST(StageClock, AWindowThatFitsReportsNoWrap)
+{
+    StageClock clock;
+    const double since = telemetry::flight::wall_now();
+    for (index_t i = 0; i < 100; ++i) ScopedSpan s(clock, Stage::Load, i);
+    EXPECT_EQ(telemetry::flight::snapshot(since).size(), 100u);
+    EXPECT_FALSE(telemetry::flight::wrapped(since));
 }
 
 }  // namespace

@@ -177,5 +177,35 @@ TEST(Device, ResetStatsClearsCounters)
     EXPECT_EQ(dev.h2d_stats().transfers, 0u);
 }
 
+// --- 8-bit textures (the QuantizedTexture3 precision ablation) ----------
+
+TEST(QuantizedTexture, DequantisesWithinOneStep)
+{
+    sim::Device dev(1 << 20);
+    sim::QuantizedTexture3 tex(dev, 4, 1, 1, 0.0f, 10.0f);
+    const std::vector<float> p{0.0f, 2.5f, 7.5f, 10.0f};
+    tex.copy_planes(p, 0, 1);
+    const float step = 10.0f / 255.0f;
+    for (index_t i = 0; i < 4; ++i)
+        EXPECT_NEAR(tex.fetch(i, 0, 0), p[static_cast<std::size_t>(i)], step);
+}
+
+TEST(QuantizedTexture, ClampsOutOfRangeValues)
+{
+    sim::Device dev(1 << 20);
+    sim::QuantizedTexture3 tex(dev, 2, 1, 1, 0.0f, 1.0f);
+    const std::vector<float> p{-5.0f, 5.0f};
+    tex.copy_planes(p, 0, 1);
+    EXPECT_FLOAT_EQ(tex.fetch(0, 0, 0), 0.0f);
+    EXPECT_FLOAT_EQ(tex.fetch(1, 0, 0), 1.0f);
+}
+
+TEST(QuantizedTexture, UsesOneBytePerTexel)
+{
+    sim::Device dev(1000);
+    sim::QuantizedTexture3 tex(dev, 10, 10, 10, 0.0f, 1.0f);
+    EXPECT_EQ(dev.used(), 1000u);  // vs 4000 for fp32
+}
+
 }  // namespace
 }  // namespace xct::sim

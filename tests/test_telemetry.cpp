@@ -1,6 +1,7 @@
 // Telemetry-core tests: concurrent instrument updates, snapshot
-// determinism, merge semantics, tracer span capture with rank/lane
-// attribution, Timeline forwarding, and the Chrome-trace / CSV exporters.
+// determinism, merge semantics, span capture into the flight rings with
+// rank/lane attribution, stage spans feeding the stage metrics, and the
+// Chrome-trace / CSV exporters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,11 +19,7 @@
 namespace xct::telemetry {
 namespace {
 
-/// Re-enable-free guard: every tracer test leaves the global tracer
-/// disabled so later tests (and other suites) see the default state.
-struct TracerOff {
-    ~TracerOff() { tracer().disable(); }
-};
+using flight::FlightEvent;
 
 TEST(Counter, ConcurrentAddsAreExact)
 {
@@ -219,39 +216,27 @@ TEST(FleetObserve, FillsLogBucketedStageHistograms)
     EXPECT_EQ(it->bounds, exp_bounds(1e-3, 2.0, 24));
 }
 
-TEST(Tracer, DisabledRecordsNothing)
-{
-    TracerOff off;
-    tracer().disable();
-    tracer().clear();
-    { ScopedTrace t("test", "noop"); }
-    tracer().record("direct", "test", 0.0, 1.0);
-    EXPECT_EQ(tracer().event_count(), 0u);
-}
-
 TEST(Tracer, EnableClearsAndCapturesSpans)
 {
-    TracerOff off;
-    tracer().enable();
+    const double t0 = flight::wall_now();
     { ScopedTrace t("sub", "work", /*item=*/7, /*bytes=*/128); }
-    const auto events = tracer().events();
+    const auto events = flight::snapshot(t0);
     ASSERT_EQ(events.size(), 1u);
-    EXPECT_EQ(events[0].name, "work");
-    EXPECT_EQ(events[0].cat, "sub");
+    EXPECT_STREQ(events[0].name, "work");
+    EXPECT_STREQ(events[0].cat, "sub");
     EXPECT_EQ(events[0].item, 7);
     EXPECT_EQ(events[0].bytes, 128u);
     EXPECT_GE(events[0].end, events[0].begin);
 
-    tracer().enable();  // re-enable resets epoch and clears prior events
-    EXPECT_EQ(tracer().event_count(), 0u);
+    // A later window starts empty: the span above began before it.
+    EXPECT_TRUE(flight::snapshot(flight::wall_now()).empty());
 }
 
 TEST(Tracer, RankAndLaneAttribution)
 {
-    TracerOff off;
-    tracer().enable();
-    // Both threads stay alive until each has recorded, so their thread
-    // ids — and therefore their lanes — are guaranteed distinct.
+    const double t0 = flight::wall_now();
+    // Both threads stay alive until each has recorded, so they hold
+    // distinct rings — and therefore distinct lanes.
     std::atomic<int> recorded{0};
     auto worker = [&](index_t rank, const char* name) {
         set_current_rank(RankId{rank});
@@ -263,10 +248,10 @@ TEST(Tracer, RankAndLaneAttribution)
     std::thread b(worker, 5, "rank5-span");
     a.join();
     b.join();
-    auto events = tracer().events();
+    auto events = flight::snapshot(t0);
     ASSERT_EQ(events.size(), 2u);
     std::sort(events.begin(), events.end(),
-              [](const TraceEvent& x, const TraceEvent& y) { return x.rank < y.rank; });
+              [](const FlightEvent& x, const FlightEvent& y) { return x.rank < y.rank; });
     EXPECT_EQ(events[0].rank, RankId{3});
     EXPECT_EQ(events[1].rank, RankId{5});
     EXPECT_NE(events[0].lane, events[1].lane);  // distinct live threads, distinct lanes
@@ -274,21 +259,21 @@ TEST(Tracer, RankAndLaneAttribution)
 
 TEST(Tracer, TimelineForwardsSpansOnOneTimebase)
 {
-    TracerOff off;
-    tracer().enable();
     registry().reset();
-    pipeline::Timeline tl;
-    tl.record("bp", 2, 0.125, 0.5);  // epoch-relative to the Timeline
-    const auto events = tracer().events();
+    const double t0 = flight::wall_now();
+    pipeline::StageClock clock;
+    { pipeline::ScopedSpan span(clock, pipeline::Stage::Bp, 2); }  // one ring store
+    const auto events = flight::snapshot(t0);
     ASSERT_EQ(events.size(), 1u);
-    EXPECT_EQ(events[0].name, "bp");
-    EXPECT_EQ(events[0].cat, "pipeline");
+    EXPECT_STREQ(events[0].name, "bp");
+    EXPECT_STREQ(events[0].cat, "pipeline");
     EXPECT_EQ(events[0].item, 2);
-    // The tracer's epoch predates the Timeline's, so the absolute span
-    // lands at >= the Timeline-relative begin, with the length preserved.
-    EXPECT_GE(events[0].begin, 0.125);
-    EXPECT_NEAR(events[0].end - events[0].begin, 0.375, 1e-9);
-    EXPECT_DOUBLE_EQ(registry().gauge("pipeline.stage.bp.seconds").value(), 0.375);
+    // The ring span, the clock and (once published, as run_rank does at
+    // its end) the stage metrics all hold the same seconds.
+    EXPECT_DOUBLE_EQ(events[0].end - events[0].begin, clock.busy(pipeline::Stage::Bp));
+    clock.publish();
+    EXPECT_DOUBLE_EQ(registry().gauge("pipeline.stage.bp.seconds").value(),
+                     clock.busy(pipeline::Stage::Bp));
     EXPECT_EQ(registry().counter("pipeline.stage.bp.spans").value(), 1u);
 }
 
@@ -303,8 +288,7 @@ std::size_t count_occurrences(const std::string& hay, const std::string& needle)
 
 TEST(Export, ChromeTraceIsValidJsonWithOneCompleteEventPerSpan)
 {
-    TracerOff off;
-    tracer().enable();
+    const double t0 = flight::wall_now();
     { ScopedTrace t("minimpi", "reduce_sum", -1, 4096); }
     { ScopedTrace t("sim", "h2d", 3, 1024); }
     std::thread remote([] {
@@ -312,11 +296,11 @@ TEST(Export, ChromeTraceIsValidJsonWithOneCompleteEventPerSpan)
         ScopedTrace t("io", "pfs.store");
     });
     remote.join();
-    const auto events = tracer().events();
+    const auto events = flight::snapshot(t0);
     ASSERT_EQ(events.size(), 3u);
 
     std::ostringstream os;
-    write_chrome_trace(os, events);
+    write_chrome_trace(os, events, t0);
     const std::string json = os.str();
     EXPECT_EQ(Json::parse(json).at("traceEvents").array.size(), events.size() + 2);
     // One complete event per recorded span.
@@ -331,10 +315,10 @@ TEST(Export, ChromeTraceIsValidJsonWithOneCompleteEventPerSpan)
 
 TEST(Export, ChromeTraceClampsPreEpochSpans)
 {
-    std::vector<TraceEvent> events;
-    events.push_back({"early", "test", RankId{0}, 0, -1, 0, -0.5, 0.25});
+    std::vector<FlightEvent> events;
+    events.push_back({"test", "early", RankId{0}, 0, -1, 0, 99.5, 100.25});
     std::ostringstream os;
-    write_chrome_trace(os, events);
+    write_chrome_trace(os, events, 100.0);
     EXPECT_EQ(os.str().find("-"), std::string::npos);  // no negative ts/dur
 }
 

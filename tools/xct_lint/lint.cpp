@@ -119,13 +119,10 @@ const std::vector<NamePattern>& name_patterns()
         {"counter", {1}},
         {"gauge", {1}},
         {"histogram", {1}},
-        {"ScopedTrace", {1, 2}},          // (category, name, ...)
-        {"record_interval_abs", {1, 2}},  // (name, category, ...)
-        {"record", {1, 2}},               // flight::record(cat, name, ...) /
-                                          // Tracer::record(name, cat, ...)
-        {"intern", {1}},                  // flight::intern(name)
-        {"fleet_observe", {1}},           // fleet_observe(stage, seconds)
-        {"dump_postmortem", {1}},         // flight::dump_postmortem(reason)
+        {"ScopedTrace", {1, 2}},   // (category, name, ...)
+        {"record", {1, 2}},        // flight::record(cat, name, ...)
+        {"fleet_observe", {1}},    // fleet_observe(stage, seconds)
+        {"dump_postmortem", {1}},  // flight::dump_postmortem(reason)
         {"faults::check", {1}},
         {"should_fail", {1}},
         {"with_retry", {1}},

@@ -14,11 +14,11 @@
 // `--metrics out.csv` dumps the telemetry metrics registry.
 // `--report out.json` emits the perfmodel-anchored run report (per-stage
 // and per-batch measured vs Eq. 13-17 predictions, per-rank efficiency,
-// straggler flags, fleet percentiles).  The flight recorder is always
-// on: a watchdog trip, a detected integrity fault or a fatal signal
-// writes a post-mortem Perfetto trace into `--flight-dir` (default:
-// alongside --output), and `--flight-dump out.json` dumps the rings
-// unconditionally at exit.
+// straggler flags, fleet percentiles).  --trace and the report's
+// per-batch rows read the always-on flight recorder over the run's time
+// window; a watchdog trip, a detected integrity fault or a fatal signal
+// dumps its rings as a post-mortem Perfetto trace into `--flight-dir`
+// (default: alongside --output).
 //
 // Resilience: `--faults "<site>[:k=v,...][;...]"` installs a deterministic
 // fault plan (sites: pfs.load, pfs.store, sim.h2d, sim.d2h, source.load,
@@ -36,10 +36,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string_view>
 
 #include "autotune/calibrate.hpp"
 #include "autotune/planner.hpp"
 #include "cli.hpp"
+#include "core/names.hpp"
 #include "faults/fault.hpp"
 #include "integrity/integrity.hpp"
 #include "io/geometry_io.hpp"
@@ -76,7 +78,6 @@ int main(int argc, char** argv)
         .option("metrics", "", "write a CSV dump of the telemetry metrics registry")
         .option("report", "", "write the perfmodel-anchored run report JSON")
         .option("flight-dir", "", "post-mortem flight-trace directory (default: output dir)")
-        .option("flight-dump", "", "also dump the flight-recorder rings here at exit")
         .option("faults", "", "fault plan: <site>[:k=v,...][;<site>...] (keys p,after,count,rank)")
         .option("fault-seed", "1", "seed for probabilistic fault triggers")
         .option("retry", "0", "retry transient faults up to N attempts (0 = fail loudly)")
@@ -129,24 +130,19 @@ int main(int argc, char** argv)
         telemetry::flight::install_signal_handlers();
     }
 
-    // Enable span capture before any work so every subsystem's telemetry
-    // lands on one timebase; dump_telemetry() runs at every exit path.
-    if (args.is_set("trace") || args.is_set("metrics")) telemetry::tracer().enable();
-    const auto dump_telemetry = [&args] {
+    // The run's spans are the flight-ring spans that begin from here on:
+    // --trace dumps them and the report's per-batch rows read them.
+    const double t0 = telemetry::flight::wall_now();
+    const auto dump_telemetry = [&args, t0] {
         if (args.is_set("trace")) {
-            telemetry::write_chrome_trace(args.get("trace"), telemetry::tracer().events());
+            const std::size_t n = telemetry::flight::dump(args.get("trace"), t0);
             std::printf("wrote %s (%zu spans; open in ui.perfetto.dev)\n",
-                        args.get("trace").c_str(), telemetry::tracer().event_count());
+                        args.get("trace").c_str(), n);
         }
         if (args.is_set("metrics")) {
             telemetry::write_metrics_csv(args.get("metrics"),
                                          telemetry::registry().snapshot());
             std::printf("wrote %s\n", args.get("metrics").c_str());
-        }
-        if (args.is_set("flight-dump")) {
-            telemetry::flight::dump(args.get("flight-dump"));
-            std::printf("wrote %s (flight rings; open in ui.perfetto.dev)\n",
-                        args.get("flight-dump").c_str());
         }
     };
 
@@ -169,7 +165,8 @@ int main(int argc, char** argv)
                     args.get("report").c_str(), rep.predicted_runtime_s,
                     rep.binding_stage.c_str(), rep.measured_wall_s, rep.efficiency);
     };
-    const auto to_timings = [](const recon::RankStats& st, RankId rank, GroupId group) {
+    const auto to_timings = [](const recon::RankStats& st, RankId rank, GroupId group,
+                               const std::vector<telemetry::flight::FlightEvent>& window) {
         telemetry::report::RankTimings t;
         t.rank = rank;
         t.group = group;
@@ -179,9 +176,9 @@ int main(int argc, char** argv)
         t.reduce = st.t_reduce;
         t.store = st.t_store;
         t.wall = st.wall;
-        t.spans.reserve(st.spans.size());
-        for (const auto& sp : st.spans)
-            t.spans.push_back({sp.stage, sp.item, sp.end - sp.begin});
+        for (const auto& e : window)
+            if (e.rank == rank && std::string_view(e.cat) == names::kCatPipeline)
+                t.spans.push_back({e.name, e.item, e.end - e.begin});
         return t;
     };
 
@@ -281,7 +278,8 @@ int main(int argc, char** argv)
         std::printf("stages: load %.3f filter %.3f bp %.3f store %.3f | wall %.3f s\n", st.t_load,
                     st.t_filter, st.t_bp, st.t_store, st.wall);
         if (args.is_set("report")) {
-            const telemetry::report::RankTimings t = to_timings(st, RankId{0}, GroupId{0});
+            const telemetry::report::RankTimings t =
+                to_timings(st, RankId{0}, GroupId{0}, telemetry::flight::snapshot(t0));
             telemetry::report::observe_fleet(t);  // single-rank fleet of one
             write_report(g, 1, 1, {t});
         }
@@ -310,11 +308,12 @@ int main(int argc, char** argv)
         if (args.is_set("report")) {
             // The fleet histograms were filled by the distributed layer's
             // final minimpi gather; here we only join model vs measured.
+            const auto window = telemetry::flight::snapshot(t0);
             std::vector<telemetry::report::RankTimings> ts;
             ts.reserve(r.ranks.size());
             for (RankId rank{0}; rank.value() < ng * nr; ++rank)
                 ts.push_back(to_timings(r.ranks[static_cast<std::size_t>(rank.value())], rank,
-                                        cfg.layout.group_of(rank)));
+                                        cfg.layout.group_of(rank), window));
             write_report(g, ng, nr, ts);
         }
     }
