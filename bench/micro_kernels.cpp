@@ -305,8 +305,8 @@ void emit_bench_json(const std::string& path)
     }
 
     // Ramp filtering: per-row double-precision reference vs the fp32
-    // pair-packed batched path, OpenMP on both sides so the speedup
-    // isolates fp32 + plan cache + scratch pooling.
+    // lane-batched apply(), OpenMP on both sides so the speedup isolates
+    // fp32 + batching + plan cache + scratch pooling.
     {
         const CbctGeometry g = bench_geo(64);
         const filter::FilterEngine eng(g);
@@ -347,12 +347,14 @@ void emit_bench_json(const std::string& path)
 
     // Raw FFT round-trip cost per transform (context for the filter row
     // numbers): seed per-call-twiddle reference vs plan-cached double vs
-    // plan-cached fp32.
+    // plan-cached fp32 vs the lane-batched fp32 transform the filter runs
+    // (per lane, so next to planned_f32 it reads as the batching gain).
     {
         const index_t n = 1024;
         const fft::Plan& plan = fft::plan_for(n);
         std::vector<std::complex<double>> d(static_cast<std::size_t>(n), {1.0, 0.5});
         std::vector<std::complex<float>> f(static_cast<std::size_t>(n), {1.0f, 0.5f});
+        std::vector<float> batch(2 * fft::kBatch * static_cast<std::size_t>(n), 0.0f);
         const int iters = 200;
         const auto per = [&](double secs) { return secs / (2.0 * iters); };
 
@@ -374,12 +376,22 @@ void emit_bench_json(const std::string& path)
                 fft::transform_f(f, plan, true);
             }
         });
+        // The batched inverse is unscaled, so a repeated round trip of
+        // non-zero data would overflow; zeros keep every lane finite.
+        const double t_batch = seconds_best_of(3, [&] {
+            for (int i = 0; i < iters; ++i) {
+                fft::transform_batch_f(batch, plan, false, fft::kBatch);
+                fft::transform_batch_f(batch, plan, true, fft::kBatch);
+            }
+        });
         bench::write_json_section(
             path, "fft",
             {{"n", json_number(static_cast<double>(n))},
              {"us_per_transform_reference", json_number(per(t_refr) * 1e6)},
              {"us_per_transform_planned_f64", json_number(per(t_plan) * 1e6)},
              {"us_per_transform_planned_f32", json_number(per(t_f32) * 1e6)},
+             {"us_per_transform_batched_f32",
+              json_number(per(t_batch) / static_cast<double>(fft::kBatch) * 1e6)},
              {"speedup_f32_vs_reference", json_number(t_refr / t_f32)}});
     }
 

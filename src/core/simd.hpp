@@ -20,14 +20,16 @@
 //
 // Semantics contract (what the backends must agree on):
 //   * all lane operations are IEEE single precision, one rounding per op
-//     (fmadd fuses exactly when the target has FMA — results are
-//     ULP-bounded, not bitwise, against the scalar kernel; see test_simd
-//     for the documented bounds);
+//     (fmadd fuses exactly when the target has FMA, here and in its scalar
+//     overload, so code written with it rounds alike at any width; the
+//     back-projection kernel is still ULP-bounded, not bitwise, against
+//     the scalar Listing-1 loop — see test_simd);
 //   * blend(m, a, b) selects a where m is true, b elsewhere;
 //   * gather_pair reads base[idx[lane]] and base[idx[lane] + 1] for every
 //     lane — callers mask/clamp indices BEFORE gathering, out-of-range
 //     lanes are not tolerated.
 
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
@@ -46,6 +48,18 @@
 #endif
 
 namespace xct::simd {
+
+/// Scalar a*b + c, fused exactly when the target has FMA — never left to
+/// contraction, which may fuse either product of a*b - c*d, or neither.
+template <std::floating_point T>
+inline T fmadd(T a, T b, T c)
+{
+#if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
+    return std::fma(a, b, c);
+#else
+    return a * b + c;
+#endif
+}
 
 #if defined(XCT_SIMD_BACKEND_AVX2)
 
@@ -249,16 +263,10 @@ inline VecF operator/(VecF a, VecF b)
     return r;
 }
 
-/// Fused exactly when the target has FMA — not left to contraction, which
-/// a compiler may skip once it hoists a*b out of a loop.
 inline VecF fmadd(VecF a, VecF b, VecF c)
 {
     VecF r;
-#if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
-    for (int l = 0; l < kLanes; ++l) r.v[l] = std::fma(a.v[l], b.v[l], c.v[l]);
-#else
-    for (int l = 0; l < kLanes; ++l) r.v[l] = a.v[l] * b.v[l] + c.v[l];
-#endif
+    for (int l = 0; l < kLanes; ++l) r.v[l] = fmadd(a.v[l], b.v[l], c.v[l]);
     return r;
 }
 

@@ -9,6 +9,7 @@
 #include "core/mutex.hpp"
 #include "core/names.hpp"
 #include "core/scratch.hpp"
+#include "core/simd.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace xct::fft {
@@ -85,7 +86,8 @@ std::unique_ptr<Plan> build_plan(index_t n)
 /// funnels through the NaN-checking __muldc3 libcall and defeats SIMD) and
 /// each stage reads its twiddles sequentially, with the inverse direction
 /// folded into a sign applied to the imaginary part instead of a
-/// per-butterfly conjugate.
+/// per-butterfly conjugate.  The products fuse by simd::fmadd's rule,
+/// which is what transform_batch_f's lanes repeat.
 template <typename T>
 void run_butterflies(std::span<std::complex<T>> data, const Plan& plan,
                      const std::vector<std::complex<T>>& stage_tw, bool inverse)
@@ -109,8 +111,8 @@ void run_butterflies(std::span<std::complex<T>> data, const Plan& plan,
                 const T wi = s * tw[j].imag();
                 const T ur = a[j].real(), ui = a[j].imag();
                 const T xr = b[j].real(), xi = b[j].imag();
-                const T vr = xr * wr - xi * wi;
-                const T vi = xr * wi + xi * wr;
+                const T vr = simd::fmadd(xr, wr, -(xi * wi));
+                const T vi = simd::fmadd(xi, wr, xr * wi);
                 a[j] = {ur + vr, ui + vi};
                 b[j] = {ur - vr, ui - vi};
             }
@@ -122,6 +124,37 @@ void run_butterflies(std::span<std::complex<T>> data, const Plan& plan,
         for (auto& x : data) x *= inv_n;
     }
 }
+
+/// simd::kLanes lanes of one batch sample: the vectors at `block` (real
+/// parts) and `block + kBatch` (imaginary parts).
+struct Lanes {
+    simd::VecF re, im;
+};
+
+Lanes load_lanes(const float* block) { return {simd::load(block), simd::load(block + kBatch)}; }
+
+void store_lanes(float* block, Lanes x)
+{
+    simd::store(block, x.re);
+    simd::store(block + kBatch, x.im);
+}
+
+/// A twiddle broadcast to every lane, with its negated imaginary part:
+/// x * -wi is exactly -(x * wi).
+struct Twiddle {
+    simd::VecF re, im, neg_im;
+};
+
+/// run_butterflies' butterfly on every lane at once.
+void butterfly(Lanes& a, Lanes& b, const Twiddle& w)
+{
+    const simd::VecF vr = simd::fmadd(b.re, w.re, b.im * w.neg_im);
+    const simd::VecF vi = simd::fmadd(b.im, w.re, b.re * w.im);
+    b = {a.re - vr, a.im - vi};
+    a = {a.re + vr, a.im + vi};
+}
+
+static_assert(kBatch % simd::kLanes == 0, "a batch is a whole number of vectors");
 
 }  // namespace
 
@@ -225,6 +258,75 @@ void transform_f(std::span<std::complex<float>> data, bool inverse)
     transform_f(data, plan_for(static_cast<index_t>(data.size())), inverse);
 }
 
+void transform_batch_f(std::span<float> data, const Plan& plan, bool inverse, std::size_t live)
+{
+    const std::size_t n = static_cast<std::size_t>(plan.n);
+    require(data.size() == 2 * kBatch * n && live <= kBatch,
+            "fft::transform_batch_f: data must hold 2 * kBatch * plan.n floats");
+    if (n == 1) return;
+
+    static telemetry::Counter& transforms =
+        telemetry::registry().counter(names::kMetricFftTransformsF32);
+    transforms.add(live);
+
+    const float s = inverse ? -1.0f : 1.0f;
+    const auto twiddle = [&](std::size_t stage, std::size_t j) {
+        const std::complex<float> w = plan.stage_twiddle_f[plan.stage_offset[stage] + j];
+        const float wi = s * w.imag();
+        return Twiddle{simd::splat(w.real()), simd::splat(wi), simd::splat(-wi)};
+    };
+    const auto block = [&](std::size_t i) { return data.data() + 2 * kBatch * i; };
+
+    // An odd stage count runs the len = 2 stage alone; every other pass
+    // applies stages len and 2 * len to four samples held in registers.
+    const std::size_t odd = plan.stage_offset.size() % 2;
+    if (odd != 0) {
+        const Twiddle w = twiddle(0, 0);
+        for (std::size_t i = 0; i < n; i += 2)
+            for (std::size_t v = 0; v < kBatch; v += simd::kLanes) {
+                Lanes a = load_lanes(block(i) + v), b = load_lanes(block(i + 1) + v);
+                butterfly(a, b, w);
+                store_lanes(block(i) + v, a);
+                store_lanes(block(i + 1) + v, b);
+            }
+    }
+    for (std::size_t stage = odd, len = std::size_t{2} << odd; len < n; len <<= 2, stage += 2) {
+        const std::size_t q = len / 2;
+        for (std::size_t j = 0; j < q; ++j) {
+            const Twiddle w1 = twiddle(stage, j);
+            const Twiddle w2 = twiddle(stage + 1, j);
+            const Twiddle w3 = twiddle(stage + 1, j + q);
+            for (std::size_t i = j; i < n; i += 2 * len)
+                for (std::size_t v = 0; v < kBatch; v += simd::kLanes) {
+                    Lanes x[4];
+                    for (std::size_t k = 0; k < 4; ++k) x[k] = load_lanes(block(i + k * q) + v);
+                    butterfly(x[0], x[1], w1);
+                    butterfly(x[2], x[3], w1);
+                    butterfly(x[0], x[2], w2);
+                    butterfly(x[1], x[3], w3);
+                    for (std::size_t k = 0; k < 4; ++k) store_lanes(block(i + k * q) + v, x[k]);
+                }
+        }
+    }
+}
+
+void multiply_spectra_batch(std::span<const float> in, std::span<const std::complex<float>> kernel,
+                            const Plan& plan, std::span<float> out)
+{
+    const std::size_t n = static_cast<std::size_t>(plan.n);
+    require(kernel.size() == n && in.size() == 2 * kBatch * n && out.size() == in.size(),
+            "fft::multiply_spectra_batch: size mismatch");
+    for (std::size_t i = 0; i < n; ++i) {
+        const simd::VecF br = simd::splat(kernel[i].real()), bi = simd::splat(kernel[i].imag());
+        const simd::VecF neg_bi = simd::splat(-kernel[i].imag());
+        for (std::size_t v = 0; v < kBatch; v += simd::kLanes) {
+            const Lanes a = load_lanes(in.data() + 2 * kBatch * i + v);
+            store_lanes(out.data() + 2 * kBatch * plan.bitrev[i] + v,
+                        {simd::fmadd(a.re, br, a.im * neg_bi), simd::fmadd(a.re, bi, a.im * br)});
+        }
+    }
+}
+
 std::vector<std::complex<double>> real_forward(std::span<const float> signal, index_t n)
 {
     require(is_pow2(n) && n >= static_cast<index_t>(signal.size()),
@@ -258,7 +360,7 @@ void multiply_spectra(std::span<std::complex<float>> a, std::span<const std::com
     for (std::size_t i = 0; i < a.size(); ++i) {
         const float ar = a[i].real(), ai = a[i].imag();
         const float br = b[i].real(), bi = b[i].imag();
-        a[i] = {ar * br - ai * bi, ar * bi + ai * br};
+        a[i] = {simd::fmadd(ar, br, -(ai * bi)), simd::fmadd(ar, bi, ai * br)};
     }
 }
 
@@ -284,12 +386,7 @@ RowConvolver::RowConvolver(index_t row_len, std::span<const float> kernel, index
     require(offset >= 0 && offset < static_cast<index_t>(kernel.size()),
             "RowConvolver: offset must lie within the kernel");
     padded_ = next_pow2(row_len + static_cast<index_t>(kernel.size()) - 1);
-    plan_ = &plan_for(padded_);
     kernel_spectrum_ = real_forward(kernel, padded_);
-    kernel_spectrum_f_.resize(kernel_spectrum_.size());
-    for (std::size_t i = 0; i < kernel_spectrum_.size(); ++i)
-        kernel_spectrum_f_[i] = {static_cast<float>(kernel_spectrum_[i].real()),
-                                 static_cast<float>(kernel_spectrum_[i].imag())};
 }
 
 void RowConvolver::apply(std::span<float> row) const
@@ -306,49 +403,6 @@ void RowConvolver::apply(std::span<float> row) const
     for (index_t i = 0; i < row_len_; ++i)
         row[static_cast<std::size_t>(i)] =
             static_cast<float>(buf[static_cast<std::size_t>(i + offset_)].real());
-}
-
-void RowConvolver::apply_pair_f(std::span<float> a, std::span<float> b) const
-{
-    // Real-pair trick: convolution is linear and the kernel is real, so
-    // filtering IFFT(FFT(a + i*b) * K) yields conv(a) in the real part and
-    // conv(b) in the imaginary part.
-    scratch::Buffer<std::complex<float>> lease(static_cast<std::size_t>(padded_));
-    const std::span<std::complex<float>> buf = lease.span();
-    for (index_t i = 0; i < row_len_; ++i)
-        buf[static_cast<std::size_t>(i)] = std::complex<float>(a[static_cast<std::size_t>(i)],
-                                                               b[static_cast<std::size_t>(i)]);
-    std::fill(buf.begin() + row_len_, buf.end(), std::complex<float>{});
-    transform_f(buf, *plan_, /*inverse=*/false);
-    multiply_spectra(buf, kernel_spectrum_f_);
-    transform_f(buf, *plan_, /*inverse=*/true);
-    for (index_t i = 0; i < row_len_; ++i) {
-        a[static_cast<std::size_t>(i)] = buf[static_cast<std::size_t>(i + offset_)].real();
-        b[static_cast<std::size_t>(i)] = buf[static_cast<std::size_t>(i + offset_)].imag();
-    }
-}
-
-void RowConvolver::apply_batch(std::span<float> rows, index_t nrows) const
-{
-    require(nrows >= 0 && static_cast<index_t>(rows.size()) == nrows * row_len_,
-            "RowConvolver::apply_batch: rows must hold nrows * row_len() samples");
-    const index_t pairs = nrows / 2;
-#pragma omp parallel for schedule(static)
-    for (index_t p = 0; p < pairs; ++p) {
-        const std::size_t at = static_cast<std::size_t>(2 * p * row_len_);
-        apply_pair_f(rows.subspan(at, static_cast<std::size_t>(row_len_)),
-                     rows.subspan(at + static_cast<std::size_t>(row_len_),
-                                  static_cast<std::size_t>(row_len_)));
-    }
-    if (nrows % 2 != 0) {
-        // Odd remainder: one fp32 transform with the imaginary half unused.
-        scratch::Buffer<float> zero_lease(static_cast<std::size_t>(row_len_));
-        const std::span<float> zeros = zero_lease.span();
-        std::fill(zeros.begin(), zeros.end(), 0.0f);
-        apply_pair_f(rows.subspan(static_cast<std::size_t>((nrows - 1) * row_len_),
-                                  static_cast<std::size_t>(row_len_)),
-                     zeros);
-    }
 }
 
 void RowConvolver::apply_reference(std::span<float> row) const

@@ -12,11 +12,11 @@
 //
 // Performance layer (DESIGN.md §3e): transforms are driven by a cached
 // Plan (bit-reversal permutation + twiddle tables, built once per size in
-// a process-wide PlanCache), and the production filtering path runs in
-// single precision (transform_f) with two real rows packed per complex
-// transform.  The double-precision transform_reference() preserves the
-// original per-call algorithm as the accuracy baseline for tests and
-// benchmarks.
+// a process-wide PlanCache).  Filtering runs in single precision, kBatch
+// transforms at once (transform_batch_f, one vector operation per
+// butterfly); each lane is bit for bit transform_f.  The double-precision
+// transform_reference() preserves the original per-call algorithm as the
+// accuracy baseline for tests and benchmarks.
 
 #include <complex>
 #include <cstdint>
@@ -77,6 +77,27 @@ void transform_reference(std::span<std::complex<double>> data, bool inverse);
 void transform_f(std::span<std::complex<float>> data, bool inverse);
 void transform_f(std::span<std::complex<float>> data, const Plan& plan, bool inverse);
 
+/// Lanes of the batched fp32 transform.  Eight fill one AVX2 vector; at
+/// n = 512 sixteen would need 64 KB per batch buffer, more than an L1.
+inline constexpr std::size_t kBatch = 8;
+
+/// kBatch independent fp32 transforms of size plan.n, in place, in
+/// structure-of-arrays blocks: sample i of lane l has its real part at
+/// data[2 * kBatch * i + l] and its imaginary part kBatch floats later
+/// (data.size() == 2 * kBatch * plan.n).  Each lane does exactly the
+/// arithmetic of transform_f except for two element-wise passes the
+/// caller fuses into its own loops: the input must already sit at its
+/// bit-reversed block (sample i in block plan.bitrev[i]), and the inverse
+/// is left unscaled (multiply by the float 1 / n while reading it out).
+/// Adds `live`, the lanes that carry data, to fft.transforms.f32.
+void transform_batch_f(std::span<float> data, const Plan& plan, bool inverse, std::size_t live);
+
+/// The fp32 multiply_spectra on every lane of a transform_batch_f block
+/// layout, writing each product to its bit-reversed block of `out`, so
+/// `out` is ready for the inverse transform_batch_f.
+void multiply_spectra_batch(std::span<const float> in, std::span<const std::complex<float>> kernel,
+                            const Plan& plan, std::span<float> out);
+
 /// Out-of-place forward FFT of a real signal zero-padded to `n` (power of
 /// two, n >= signal length).  Returns the full n-point complex spectrum.
 std::vector<std::complex<double>> real_forward(std::span<const float> signal, index_t n);
@@ -88,8 +109,9 @@ std::vector<std::complex<float>> real_forward_f(std::span<const float> signal, i
 
 /// Cyclic convolution theorem helper: multiply spectra element-wise in
 /// place (a *= b).  Sizes must match.  The fp32 overload is written in
-/// explicit real/imag arithmetic so it vectorises; it skips std::complex's
-/// inf/NaN recovery, which finite filter data never needs.
+/// explicit real/imag arithmetic so it vectorises (and fuses like
+/// multiply_spectra_batch); it skips std::complex's inf/NaN recovery,
+/// which finite filter data never needs.
 void multiply_spectra(std::span<std::complex<double>> a, std::span<const std::complex<double>> b);
 void multiply_spectra(std::span<std::complex<float>> a, std::span<const std::complex<float>> b);
 
@@ -102,8 +124,9 @@ std::vector<float> convolve_same(std::span<const float> signal, std::span<const 
                                  index_t offset);
 
 /// A reusable plan for filtering many equal-length rows with one fixed
-/// kernel spectrum: precomputes the padded kernel FFT once (what the
-/// paper's IPP-based filter thread amortises across rows).
+/// kernel spectrum: precomputes the padded kernel FFT once.  Double
+/// precision only — the ground truth test_fft checks the transforms
+/// against; the production filter is filter::FilterEngine.
 class RowConvolver {
 public:
     /// `row_len` is the signal length (Nu); `kernel` the spatial-domain
@@ -118,27 +141,16 @@ public:
     /// precision, pooled scratch — zero heap allocations when warm.
     void apply(std::span<float> row) const;
 
-    /// Filter `nrows` contiguous rows (rows.size() == nrows * row_len())
-    /// in place: the fp32 batched fast path — rows are packed in pairs
-    /// (re + i*im share one complex transform) and distributed over OpenMP
-    /// threads.  Results match apply() to fp32 rounding (bound documented
-    /// in test_simd).
-    void apply_batch(std::span<float> rows, index_t nrows) const;
-
     /// The original per-row double path with per-call buffers and the
-    /// reference transform — the baseline apply()/apply_batch() are
-    /// tested and benchmarked against.
+    /// reference transform — the baseline apply() is tested and
+    /// benchmarked against.
     void apply_reference(std::span<float> row) const;
 
 private:
-    void apply_pair_f(std::span<float> a, std::span<float> b) const;
-
     index_t row_len_ = 0;
     index_t padded_ = 0;
     index_t offset_ = 0;
-    const Plan* plan_ = nullptr;  ///< borrowed from the process PlanCache
     std::vector<std::complex<double>> kernel_spectrum_;
-    std::vector<std::complex<float>> kernel_spectrum_f_;
 };
 
 }  // namespace xct::fft

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numbers>
 
 #include "core/names.hpp"
@@ -186,6 +187,10 @@ void FilterEngine::apply_row_pair(std::span<float> a, index_t va, std::span<floa
 void FilterEngine::apply(ProjectionStack& stack) const
 {
     require(stack.cols() == nu_, "FilterEngine: stack width != Nu");
+    // Checked here, not per row: an exception may not leave the parallel
+    // region below.
+    require(stack.row_begin() >= 0 && stack.row_begin() + stack.rows() <= nv_,
+            "FilterEngine: band outside the detector");
     telemetry::ScopedTrace trace(names::kCatFilter, names::kSpanFilterApply, -1,
                                  static_cast<std::uint64_t>(stack.count()) * sizeof(float));
     {
@@ -195,18 +200,54 @@ void FilterEngine::apply(ProjectionStack& stack) const
         calls.add(1);
         rows_filtered.add(static_cast<std::uint64_t>(stack.views() * stack.rows()));
     }
-    const index_t views = stack.views();
+    // One task per apply_row_pair call, view-major, rows (2p, 2p + 1)
+    // counted from the band start; an odd last row pairs with zeros, which
+    // is what apply_row computes.  Lane l of a batch carries task first + l,
+    // its first row in the real part and its second in the imaginary part.
     const index_t v0 = stack.row_begin();
     const index_t rows = stack.rows();
-    const index_t pairs = rows / 2;
-#pragma omp parallel for collapse(2) schedule(static)
-    for (index_t s = 0; s < views; ++s)
-        for (index_t p = 0; p < pairs; ++p)
-            apply_row_pair(stack.row(s, v0 + 2 * p), v0 + 2 * p, stack.row(s, v0 + 2 * p + 1),
-                           v0 + 2 * p + 1);
-    if (rows % 2 != 0) {
+    const index_t per_view = (rows + 1) / 2;
+    const index_t tasks = stack.views() * per_view;
+    const index_t batch = static_cast<index_t>(fft::kBatch);
+    const std::size_t n = static_cast<std::size_t>(padded_);
+    const std::size_t nu = static_cast<std::size_t>(nu_);
+    const std::size_t block = 2 * fft::kBatch;
+    const float inv_n = static_cast<float>(1.0 / static_cast<double>(n));
 #pragma omp parallel for schedule(static)
-        for (index_t s = 0; s < views; ++s) apply_row(stack.row(s, v0 + rows - 1), v0 + rows - 1);
+    for (index_t first = 0; first < tasks; first += batch) {
+        const std::size_t live = static_cast<std::size_t>(std::min(batch, tasks - first));
+        const auto each_row = [&](auto&& visit) {
+            for (std::size_t l = 0; l < live; ++l) {
+                const index_t t = first + static_cast<index_t>(l), v = v0 + 2 * (t % per_view);
+                visit(l, stack.row(t / per_view, v), v);
+                if (v + 1 < v0 + rows)
+                    visit(fft::kBatch + l, stack.row(t / per_view, v + 1), v + 1);
+            }
+        };
+        // 64-byte aligned: no vector access straddles two cache lines (~15 %).
+        scratch::Buffer<float> lease(2 * block * n + block);
+        void* raw = lease.data();
+        std::size_t room = lease.size() * sizeof(float);
+        float* const base =
+            static_cast<float*>(std::align(64, 2 * block * n * sizeof(float), raw, room));
+        const std::span<float> spec(base, block * n), conv(base + block * n, block * n);
+
+        // Eq. 2 weighting, packed straight into bit-reversed blocks.
+        // Padding lanes, missing odd-row partners and samples past Nu
+        // stay zero and are never written back.
+        std::fill(spec.begin(), spec.end(), 0.0f);
+        each_row([&](std::size_t lane, std::span<float> row, index_t v) {
+            const float* w = weights_.data() + v * nu_;
+            for (std::size_t i = 0; i < nu; ++i)
+                spec[block * plan_->bitrev[i] + lane] = row[i] * w[i];
+        });
+        fft::transform_batch_f(spec, *plan_, /*inverse=*/false, live);
+        fft::multiply_spectra_batch(spec, kernel_spectrum_f_, *plan_, conv);
+        fft::transform_batch_f(conv, *plan_, /*inverse=*/true, live);
+        const std::size_t at = block * static_cast<std::size_t>(offset_);
+        each_row([&](std::size_t lane, std::span<float> row, index_t) {
+            for (std::size_t i = 0; i < nu; ++i) row[i] = conv[at + block * i + lane] * inv_n;
+        });
     }
 }
 

@@ -88,13 +88,18 @@ public:
     /// Weight + filter two rows with ONE complex FFT round-trip: the rows
     /// are packed as re + i*im; because the kernel taps are real, the
     /// packed spectrum stays packed under multiplication, so this computes
-    /// exactly apply_row(a) and apply_row(b) at half the transform cost
-    /// (the classic real-pair FFT trick; results match bit-for-bit-ish to
-    /// float rounding — see test_filter).
+    /// apply_row(a) and apply_row(b) at half the transform cost, to fp32
+    /// rounding (the classic real-pair FFT trick — see test_filter).  It
+    /// is the bitwise oracle of apply(): each pair there is one lane of a
+    /// batched transform doing exactly this arithmetic.
     void apply_row_pair(std::span<float> a, index_t va, std::span<float> b, index_t vb) const;
 
-    /// Weight + filter every row of the stack in place (OpenMP parallel,
-    /// rows processed in packed pairs).
+    /// Weight + filter every row of the stack in place.  Row pairs (2p,
+    /// 2p + 1) from the band start, and an odd last row on its own, go
+    /// through fft::kBatch-lane batched transforms, batches spread over
+    /// OpenMP threads.  The result is bitwise equal to apply_row_pair on
+    /// each pair and apply_row on the odd row, at any thread count.
+    /// Throws std::invalid_argument when the stack's band leaves [0, Nv).
     void apply(ProjectionStack& stack) const;
 
     index_t padded_len() const { return padded_; }

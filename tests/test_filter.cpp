@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 #include <random>
 
+#include "core/names.hpp"
+#include "core/scratch.hpp"
 #include "fft/fft.hpp"
 #include "filter/ramp.hpp"
+#include "scoped_threads.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace xct::filter {
 namespace {
@@ -264,6 +269,26 @@ std::vector<double> direct_filter(const CbctGeometry& g, std::span<const float> 
     return y;
 }
 
+/// apply()'s bitwise oracle, written out: apply_row_pair on rows (2p,
+/// 2p + 1) counted from the band start, apply_row on an odd last row.
+ProjectionStack filter_pairwise(const FilterEngine& eng, ProjectionStack stack)
+{
+    const Range band = stack.band();
+    for (index_t s = 0; s < stack.views(); ++s) {
+        index_t v = band.lo;
+        for (; v + 1 < band.hi; v += 2)
+            eng.apply_row_pair(stack.row(s, v), v, stack.row(s, v + 1), v + 1);
+        if (v < band.hi) eng.apply_row(stack.row(s, v), v);
+    }
+    return stack;
+}
+
+bool bitwise_equal(const ProjectionStack& a, const ProjectionStack& b)
+{
+    return a.span().size() == b.span().size() &&
+           std::memcmp(a.span().data(), b.span().data(), a.span().size_bytes()) == 0;
+}
+
 CbctGeometry oracle_geo(index_t nu, bool short_scan)
 {
     CbctGeometry g = geo();
@@ -303,6 +328,7 @@ TEST_P(FilterOracle, MatchesDirectConvolutionWithoutAliasing)
     for (float& v : in.span()) v = dist(rng);
     ProjectionStack fast = in;
     eng.apply(fast);
+    EXPECT_TRUE(bitwise_equal(fast, filter_pairwise(eng, in)));
 
     // Bounds relative to the largest oracle output of the stack.  The fp32
     // path carries one rounding per FFT stage over log2(2 Nu) stages plus
@@ -349,6 +375,73 @@ TEST(FilterOracle, SingleColumnDetectorIsRejected)
     // Nu = 1 has no valid geometry (CbctGeometry::validate needs 2x2), so
     // the smallest width the oracle can reach is Nu = 2.
     EXPECT_THROW(FilterEngine(oracle_geo(1, false)), std::invalid_argument);
+}
+
+TEST(FilterEngine, BatchedApplyIsBitwiseThePairPath)
+{
+    // Every window and a short scan; bands starting at even and odd rows
+    // with even and odd row counts; 1 to 24 tasks, so the task count is
+    // below a batch, a multiple of it (8, 16, 24) or neither.
+    std::mt19937 rng(29);
+    std::uniform_real_distribution<float> dist(0.0f, 3.0f);
+    for (const index_t nu : {2, 3, 64, 125, 128, 233, 251, 256})
+        for (const Window w : {Window::RamLak, Window::SheppLogan, Window::Cosine, Window::Hamming,
+                               Window::Hann}) {
+            const CbctGeometry g = oracle_geo(nu, w == Window::Hann);
+            const FilterEngine eng(g, w);
+            for (const Range band : {Range{0, 6}, Range{1, 7}, Range{2, 3}, Range{3, 6}})
+                for (const index_t views : {1, 2, 4, 5, 8}) {
+                    ProjectionStack in(views, band, nu);
+                    for (float& v : in.span()) v = dist(rng);
+                    ProjectionStack fast = in;
+                    eng.apply(fast);
+                    EXPECT_TRUE(bitwise_equal(fast, filter_pairwise(eng, in)))
+                        << "Nu=" << nu << " window " << static_cast<int>(w) << " band ["
+                        << band.lo << ", " << band.hi << ") views " << views;
+                }
+        }
+}
+
+TEST(FilterEngine, ApplyIsBitwiseSerialAtAnyThreadCount)
+{
+    // 37 tasks: four full batches and a short one, spread differently over
+    // each team size.  A warm repeat at each size leaves the heap alone.
+    const CbctGeometry g = geo();
+    const FilterEngine eng(g, Window::SheppLogan);
+    ProjectionStack in(37, Range{3, 5}, g.nu);
+    std::mt19937 rng(31);
+    std::uniform_real_distribution<float> dist(-1.0f, 2.0f);
+    for (float& v : in.span()) v = dist(rng);
+    const ProjectionStack want = filter_pairwise(eng, in);
+    for (const int threads : {1, 2, 3, 4}) {
+        testutil::ScopedThreads pin(threads);
+        ProjectionStack got = in;
+        eng.apply(got);
+        EXPECT_TRUE(bitwise_equal(got, want)) << threads << " threads";
+        const std::uint64_t before = scratch::heap_events();
+        got = in;
+        eng.apply(got);
+        EXPECT_EQ(scratch::heap_events() - before, 0u) << threads << " threads";
+    }
+}
+
+TEST(FilterEngine, CountsTwoTransformsPerPairAndPerOddRow)
+{
+    const CbctGeometry g = geo();
+    const FilterEngine eng(g);
+    telemetry::Counter& f32 = telemetry::registry().counter(names::kMetricFftTransformsF32);
+    ProjectionStack stack(3, Range{4, 9}, g.nu, 1.0f);  // 2 pairs + 1 odd row per view
+    const std::uint64_t before = f32.value();
+    eng.apply(stack);
+    EXPECT_EQ(f32.value() - before, 3u * 3u * 2u);
+}
+
+TEST(FilterEngine, RejectsABandOutsideTheDetector)
+{
+    const CbctGeometry g = geo();  // Nv = 32
+    const FilterEngine eng(g);
+    ProjectionStack past_the_end(4, Range{30, 34}, g.nu);
+    EXPECT_THROW(eng.apply(past_the_end), std::invalid_argument);
 }
 
 TEST(FilterEngine, RejectsWrongRowWidth)

@@ -662,27 +662,6 @@ TEST(Fp32Filter, ApplyRowMatchesReferenceRow)
     }
 }
 
-TEST(Fp32Filter, RowConvolverBatchMatchesDoubleApply)
-{
-    std::mt19937 rng(41);
-    std::uniform_real_distribution<float> u(-1.0f, 1.0f);
-    const index_t row_len = 72;
-    const auto taps = filter::ramp_kernel(24, 0.5);
-    const fft::RowConvolver conv(row_len, taps, static_cast<index_t>(taps.size() - 1) / 2);
-
-    const index_t nrows = 5;  // odd: exercises the unpaired remainder row
-    std::vector<float> rows(static_cast<std::size_t>(nrows * row_len));
-    for (float& v : rows) v = u(rng);
-    std::vector<float> ref = rows;
-
-    conv.apply_batch(rows, nrows);
-    for (index_t r = 0; r < nrows; ++r)
-        conv.apply(std::span<float>(ref.data() + r * row_len, static_cast<std::size_t>(row_len)));
-
-    const float tol = 1e-4f * std::max(1.0f, max_abs(ref));
-    for (std::size_t i = 0; i < rows.size(); ++i) ASSERT_NEAR(rows[i], ref[i], tol) << i;
-}
-
 TEST(Fp32Filter, ReferencePathsAgreeBitwiseWithSeedAlgorithm)
 {
     // apply_reference must remain the seed per-call path: double precision
