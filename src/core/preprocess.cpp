@@ -1,26 +1,15 @@
 #include "core/preprocess.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace xct {
 namespace {
-
-constexpr float kMinTransmission = 1e-6f;  // clamp so log() stays finite
 
 /// Spans shorter than this stay on the calling thread: below it, opening
 /// a parallel region costs more than the loop.  Both Eq. 1 loops are
 /// element-wise, so the OpenMP split gives bitwise the same result at any
 /// thread count.
 constexpr std::size_t kParallelMin = std::size_t{1} << 15;
-
-inline float beer_one(float count, float dark, float blank)
-{
-    const float denom = blank - dark;
-    float t = (count - dark) / denom;
-    t = std::max(t, kMinTransmission);
-    return -std::log(t);
-}
 
 }  // namespace
 
@@ -31,7 +20,7 @@ void beer_law(std::span<float> counts, const BeerLawScalar& cal)
 #pragma omp parallel for schedule(static) if (counts.size() >= kParallelMin)
     for (index_t i = 0; i < n; ++i) {
         float& c = counts[static_cast<std::size_t>(i)];
-        c = beer_one(c, cal.dark, cal.blank);
+        c = beer_law_texel(c, cal.dark, cal.blank);
     }
 }
 
@@ -47,7 +36,7 @@ void beer_law(std::span<float> counts, std::span<const float> dark, std::span<co
     for (index_t i = 0; i < n; ++i) {
         const std::size_t at = static_cast<std::size_t>(i);
         const std::size_t p = at % pix;
-        counts[at] = beer_one(counts[at], dark[p], blank[p]);
+        counts[at] = beer_law_texel(counts[at], dark[p], blank[p]);
     }
 }
 

@@ -7,6 +7,8 @@
 // dark/blank fields may be scalars (tomobank-style constants of Table 4) or
 // full per-pixel calibration images.
 
+#include <algorithm>
+#include <cmath>
 #include <optional>
 #include <span>
 
@@ -22,9 +24,16 @@ struct BeerLawScalar {
     float blank = 65536.0f;
 };
 
+/// Eq. 1 for one count, the element function of every Eq. 1 loop (here
+/// and in FilterEngine::apply's pack).  Counts are clamped to a tiny
+/// positive transmission so dead pixels give large-but-finite attenuation;
+/// std::log stays scalar, as a vector log would round differently.
+inline float beer_law_texel(float count, float dark, float blank)
+{
+    return -std::log(std::max((count - dark) / (blank - dark), 1e-6f));
+}
+
 /// Apply Eq. 1 in place to a span of raw counts with scalar calibration.
-/// Counts are clamped to a tiny positive transmission before the log so
-/// dead pixels produce large-but-finite attenuation instead of inf/NaN.
 void beer_law(std::span<float> counts, const BeerLawScalar& cal);
 
 /// Apply Eq. 1 in place with per-pixel dark/blank images (each the size of

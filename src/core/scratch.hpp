@@ -23,7 +23,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -104,6 +106,21 @@ public:
 
 private:
     std::vector<T> store_;
+};
+
+/// std::allocator whose value-less construct() leaves a trivial T as is
+/// (construction from a value is allocator_traits' default), so
+/// std::vector<T, DefaultInit<T>> grows without zero-filling and each new
+/// page is first touched by the consumer's own write.
+template <typename T>
+struct DefaultInit : std::allocator<T> {
+    static_assert(std::is_trivially_default_constructible_v<T>);
+    template <typename U>
+    struct rebind {
+        using other = DefaultInit<U>;
+    };
+    template <typename U>
+    void construct(U*) noexcept {}
 };
 
 }  // namespace xct::scratch

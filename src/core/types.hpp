@@ -11,6 +11,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -105,6 +106,23 @@ constexpr Range hull(Range a, Range b)
     if (b.empty()) return a;
     return {a.lo < b.lo ? a.lo : b.lo, a.hi > b.hi ? a.hi : b.hi};
 }
+
+/// Value extent [lo, hi] of a float sequence (the q8 range) and the one
+/// definition of its fold: from {x0, x0}, std::min / std::max each value,
+/// so the first of tied -0/+0 wins, a NaN at x0 poisons both ends and a
+/// later NaN is skipped.  Parts folded from the empty extent and merged in
+/// order into {x0, x0} give that serial pass bit for bit at any split.
+struct Extent {
+    float lo = std::numeric_limits<float>::infinity();
+    float hi = -std::numeric_limits<float>::infinity();
+
+    constexpr void merge(const Extent& part)
+    {
+        lo = part.lo < lo ? part.lo : lo;
+        hi = hi < part.hi ? part.hi : hi;
+    }
+    constexpr void add(float v) { merge(Extent{v, v}); }
+};
 
 /// Throw std::invalid_argument with `msg` when `cond` is false.  Used to
 /// validate public API arguments eagerly (P.7: catch run-time errors early).

@@ -62,12 +62,10 @@ void ParkerWeights::apply(ProjectionStack& stack) const
     require(stack.cols() == nu_, "ParkerWeights: stack width mismatch");
     require(stack.views() == views_.length(), "ParkerWeights: view count mismatch");
     for (index_t s = 0; s < stack.views(); ++s) {
-        const float* wrow = &w_[static_cast<std::size_t>(s * nu_)];
-        const index_t v0 = stack.row_begin();
-        for (index_t r = 0; r < stack.rows(); ++r) {
-            auto row = stack.row(s, v0 + r);
-            for (index_t u = 0; u < nu_; ++u)
-                row[static_cast<std::size_t>(u)] *= wrow[static_cast<std::size_t>(u)];
+        const std::span<const float> w = view(s);
+        for (index_t v = stack.row_begin(); v < stack.band().hi; ++v) {
+            const std::span<float> row = stack.row(s, v);
+            for (std::size_t u = 0; u < row.size(); ++u) row[u] *= w[u];
         }
     }
 }

@@ -52,12 +52,21 @@ public:
         return w_[static_cast<std::size_t>((s - views_.lo) * nu_ + u)];
     }
 
+    /// Weights of the table's s-th view (global view views().lo + s).
+    std::span<const float> view(index_t s) const
+    {
+        XCT_CHECK_BOUNDS(s >= 0 && s < views_.length(), "ParkerWeights: view out of range");
+        return std::span<const float>(w_).subspan(static_cast<std::size_t>(s * nu_),
+                                                  static_cast<std::size_t>(nu_));
+    }
+
     /// Multiply every pixel of the stack (whose views are global indices
     /// views.lo + s) by its weight.  Row bands are irrelevant — the weight
     /// is row-independent.
     void apply(ProjectionStack& stack) const;
 
     Range views() const { return views_; }
+    index_t cols() const { return nu_; }
 
 private:
     Range views_{};

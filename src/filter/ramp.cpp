@@ -6,8 +6,10 @@
 #include <numbers>
 
 #include "core/names.hpp"
+#include "core/preprocess.hpp"
 #include "core/scratch.hpp"
 #include "fft/fft.hpp"
+#include "filter/parker.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -184,13 +186,18 @@ void FilterEngine::apply_row_pair(std::span<float> a, index_t va, std::span<floa
     }
 }
 
-void FilterEngine::apply(ProjectionStack& stack) const
+void FilterEngine::apply(ProjectionStack& stack, const Prologue& pre, Extent* extent) const
 {
     require(stack.cols() == nu_, "FilterEngine: stack width != Nu");
     // Checked here, not per row: an exception may not leave the parallel
     // region below.
     require(stack.row_begin() >= 0 && stack.row_begin() + stack.rows() <= nv_,
             "FilterEngine: band outside the detector");
+    const BeerLawScalar* const beer = pre.beer;
+    const ParkerWeights* const parker = pre.parker;
+    require(!beer || beer->blank > beer->dark, "FilterEngine: Beer-law blank must exceed dark");
+    require(!parker || (parker->views().length() == stack.views() && parker->cols() == nu_),
+            "FilterEngine: Parker table does not match the stack's views and columns");
     telemetry::ScopedTrace trace(names::kCatFilter, names::kSpanFilterApply, -1,
                                  static_cast<std::uint64_t>(stack.count()) * sizeof(float));
     {
@@ -213,15 +220,19 @@ void FilterEngine::apply(ProjectionStack& stack) const
     const std::size_t nu = static_cast<std::size_t>(nu_);
     const std::size_t block = 2 * fft::kBatch;
     const float inv_n = static_cast<float>(1.0 / static_cast<double>(n));
+    // A batch's rows are consecutive in the stack, so folding each batch
+    // and merging the parts in batch order is the serial fold (Extent).
+    const std::size_t batches = static_cast<std::size_t>((tasks + batch - 1) / batch);
+    scratch::Buffer<Extent> parts(extent ? batches : 0);
 #pragma omp parallel for schedule(static)
     for (index_t first = 0; first < tasks; first += batch) {
         const std::size_t live = static_cast<std::size_t>(std::min(batch, tasks - first));
         const auto each_row = [&](auto&& visit) {
             for (std::size_t l = 0; l < live; ++l) {
                 const index_t t = first + static_cast<index_t>(l), v = v0 + 2 * (t % per_view);
-                visit(l, stack.row(t / per_view, v), v);
+                visit(l, stack.row(t / per_view, v), v, t / per_view);
                 if (v + 1 < v0 + rows)
-                    visit(fft::kBatch + l, stack.row(t / per_view, v + 1), v + 1);
+                    visit(fft::kBatch + l, stack.row(t / per_view, v + 1), v + 1, t / per_view);
             }
         };
         // 64-byte aligned: no vector access straddles two cache lines (~15 %).
@@ -232,22 +243,36 @@ void FilterEngine::apply(ProjectionStack& stack) const
             static_cast<float*>(std::align(64, 2 * block * n * sizeof(float), raw, room));
         const std::span<float> spec(base, block * n), conv(base + block * n, block * n);
 
-        // Eq. 2 weighting, packed straight into bit-reversed blocks.
-        // Padding lanes, missing odd-row partners and samples past Nu
-        // stay zero and are never written back.
+        // The prologue and the Eq. 2 weighting, packed straight into
+        // bit-reversed blocks.  Padding lanes, missing odd-row partners and
+        // samples past Nu stay zero and are never written back.
         std::fill(spec.begin(), spec.end(), 0.0f);
-        each_row([&](std::size_t lane, std::span<float> row, index_t v) {
+        each_row([&](std::size_t lane, std::span<float> row, index_t v, index_t s) {
             const float* w = weights_.data() + v * nu_;
-            for (std::size_t i = 0; i < nu; ++i)
-                spec[block * plan_->bitrev[i] + lane] = row[i] * w[i];
+            const float* p = parker ? parker->view(s).data() : nullptr;
+            for (std::size_t i = 0; i < nu; ++i) {
+                float x = row[i];
+                if (beer) x = beer_law_texel(x, beer->dark, beer->blank);
+                if (p) x *= p[i];
+                spec[block * plan_->bitrev[i] + lane] = x * w[i];
+            }
         });
         fft::transform_batch_f(spec, *plan_, /*inverse=*/false, live);
         fft::multiply_spectra_batch(spec, kernel_spectrum_f_, *plan_, conv);
         fft::transform_batch_f(conv, *plan_, /*inverse=*/true, live);
         const std::size_t at = block * static_cast<std::size_t>(offset_);
-        each_row([&](std::size_t lane, std::span<float> row, index_t) {
-            for (std::size_t i = 0; i < nu; ++i) row[i] = conv[at + block * i + lane] * inv_n;
+        Extent part;
+        each_row([&](std::size_t lane, std::span<float> row, index_t, index_t) {
+            for (std::size_t i = 0; i < nu; ++i) {
+                row[i] = conv[at + block * i + lane] * inv_n;
+                if (extent) part.add(row[i]);
+            }
         });
+        if (extent) parts[static_cast<std::size_t>(first / batch)] = part;
+    }
+    if (extent) {
+        *extent = Extent{stack.span()[0], stack.span()[0]};
+        for (const Extent& p : parts.span()) extent->merge(p);
     }
 }
 

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "core/geometry.hpp"
+#include "core/preprocess.hpp"
 #include "core/volume.hpp"
 
 namespace xct::fft {
@@ -45,6 +46,8 @@ struct Plan;
 }
 
 namespace xct::filter {
+
+class ParkerWeights;
 
 /// Apodisation window applied on top of the ramp response.
 enum class Window { RamLak, SheppLogan, Cosine, Hamming, Hann };
@@ -59,6 +62,13 @@ std::vector<float> ramp_kernel(index_t half_width, double du);
 
 /// Window gain at normalised frequency x in [0, 1] (x = f / f_Nyquist).
 double window_gain(Window w, double x);
+
+/// Per-texel steps before the Eq. 2 weight, both optional: Eq. 1 for raw
+/// counts, and the Parker table of the stack's views for a short scan.
+struct Prologue {
+    const BeerLawScalar* beer = nullptr;
+    const ParkerWeights* parker = nullptr;
+};
 
 /// Row-parallel FDK filter: cosine weighting + windowed ramp convolution
 /// for every detector row of a projection stack.  One engine precomputes
@@ -97,10 +107,15 @@ public:
     /// Weight + filter every row of the stack in place.  Row pairs (2p,
     /// 2p + 1) from the band start, and an odd last row on its own, go
     /// through fft::kBatch-lane batched transforms, batches spread over
-    /// OpenMP threads.  The result is bitwise equal to apply_row_pair on
-    /// each pair and apply_row on the odd row, at any thread count.
-    /// Throws std::invalid_argument when the stack's band leaves [0, Nv).
-    void apply(ProjectionStack& stack) const;
+    /// OpenMP threads.  The pack takes each texel raw count -> Eq. 1 ->
+    /// Parker weight (as `pre` asks) -> Eq. 2 weight, so the result is
+    /// bitwise beer_law, then ParkerWeights::apply, then apply_row_pair on
+    /// each pair and apply_row on the odd row, at any thread count.  With
+    /// `extent`, the unpack also folds the result's io::value_range.
+    /// Throws std::invalid_argument, before touching the stack, when the
+    /// band leaves [0, Nv), blank <= dark, or the Parker table does not
+    /// match the stack's views and columns.
+    void apply(ProjectionStack& stack, const Prologue& pre = {}, Extent* extent = nullptr) const;
 
     index_t padded_len() const { return padded_; }
 

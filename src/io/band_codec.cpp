@@ -13,41 +13,14 @@ namespace {
 
 // The codec loops run across OpenMP threads with results bitwise equal to
 // a serial scan at any thread count: quantise and dequantise are
-// element-wise, and the [lo, hi] reduction splits the band at fixed
-// kRangeChunk boundaries (independent of the thread count) and folds every
-// chunk from src[0] in serial order — so ties between +0 and -0 and a NaN
-// in src[0] resolve exactly as in one left-to-right pass.
+// element-wise, and the [lo, hi] reduction folds fixed kRangeChunk
+// chunks (independent of the thread count) and merges them in order
+// (Extent), so ties between +0 and -0 and a NaN in src[0] resolve exactly
+// as in one left-to-right pass.
 
 /// Bands shorter than this stay on the calling thread.
 constexpr std::size_t kParallelMin = std::size_t{1} << 15;
 constexpr std::size_t kRangeChunk = std::size_t{1} << 16;
-
-struct Extent {
-    float lo = 0.0f;
-    float hi = 0.0f;
-};
-
-Extent value_range(std::span<const float> src)
-{
-    const index_t chunks = static_cast<index_t>((src.size() + kRangeChunk - 1) / kRangeChunk);
-    std::vector<Extent> part(static_cast<std::size_t>(chunks));
-#pragma omp parallel for schedule(static) if (src.size() >= kParallelMin)
-    for (index_t c = 0; c < chunks; ++c) {
-        const std::size_t end = std::min(src.size(), static_cast<std::size_t>(c + 1) * kRangeChunk);
-        float lo = src[0], hi = src[0];
-        for (std::size_t i = static_cast<std::size_t>(c) * kRangeChunk; i < end; ++i) {
-            lo = std::min(lo, src[i]);
-            hi = std::max(hi, src[i]);
-        }
-        part[static_cast<std::size_t>(c)] = {lo, hi};
-    }
-    Extent r{src[0], src[0]};
-    for (const Extent& p : part) {
-        r.lo = std::min(r.lo, p.lo);
-        r.hi = std::max(r.hi, p.hi);
-    }
-    return r;
-}
 
 }  // namespace
 
@@ -72,7 +45,29 @@ std::size_t EncodedBand::wire_bytes() const
            sizeof(integrity::digest_t);
 }
 
+Extent value_range(std::span<const float> src)
+{
+    require(!src.empty(), "value_range: empty band");
+    const index_t chunks = static_cast<index_t>((src.size() + kRangeChunk - 1) / kRangeChunk);
+    scratch::Buffer<Extent> part(static_cast<std::size_t>(chunks));
+#pragma omp parallel for schedule(static) if (src.size() >= kParallelMin)
+    for (index_t c = 0; c < chunks; ++c) {
+        const std::size_t end = std::min(src.size(), static_cast<std::size_t>(c + 1) * kRangeChunk);
+        Extent r;
+        for (std::size_t i = static_cast<std::size_t>(c) * kRangeChunk; i < end; ++i) r.add(src[i]);
+        part[static_cast<std::size_t>(c)] = r;
+    }
+    Extent r{src[0], src[0]};
+    for (const Extent& p : part.span()) r.merge(p);
+    return r;
+}
+
 EncodedBand encode_band(const ProjectionStack& band)
+{
+    return encode_band(band, value_range(band.span()));
+}
+
+EncodedBand encode_band(const ProjectionStack& band, Extent extent)
 {
     const std::span<const float> src = band.span();
     require(!src.empty(), "encode_band: empty band");
@@ -80,8 +75,7 @@ EncodedBand encode_band(const ProjectionStack& band)
     e.views = band.views();
     e.cols = band.cols();
     e.band = band.band();
-    const Extent range = value_range(src);
-    const float lo = range.lo, hi = range.hi;
+    const float lo = extent.lo, hi = extent.hi;
     e.lo = lo;
     e.hi = hi;
     e.payload.resize(src.size());
@@ -109,10 +103,12 @@ EncodedBand encode_band(const ProjectionStack& band)
     return e;
 }
 
-ProjectionStack decode_band(const EncodedBand& e)
+void decode_band_into(const EncodedBand& e, std::span<float> dst, RowOrder order)
 {
+    const index_t views = e.views, rows = e.band.length(), cols = e.cols;
     require(!e.payload.empty(), "decode_band: empty payload");
-    require(static_cast<index_t>(e.payload.size()) == e.views * e.band.length() * e.cols,
+    require(static_cast<index_t>(e.payload.size()) == views * rows * cols &&
+                dst.size() == e.payload.size(),
             "decode_band: payload size mismatch");
     // Throw-class faults fire before the transit copy, like every other
     // gated movement.
@@ -125,19 +121,29 @@ ProjectionStack decode_band(const EncodedBand& e)
     std::copy(e.payload.begin(), e.payload.end(), transit.data());
     faults::corrupt(names::kSiteBandDecode, std::as_writable_bytes(transit.span()));
     integrity::verify_of<std::uint8_t>(names::kSiteBandDecode, transit.span(), e.digest);
-    ProjectionStack out(e.views, e.band, e.cols);
-    const std::span<float> dst = out.span();
     // Same expression (and evaluation order) as QuantizedTexture3::fetch,
-    // so the two q8 paths dequantise bit-identically.
-    const float range = e.hi - e.lo;
-    const std::span<const std::uint8_t> q = transit.span();
-    const index_t n = static_cast<index_t>(dst.size());
+    // so the two q8 paths dequantise bit-identically.  Destination row k
+    // is source row (s, r); each thread writes, and so first touches, its
+    // own run of destination rows.
+    const float lo = e.lo, range = e.hi - e.lo;
+    const bool upload = order == RowOrder::Upload;
+    const std::uint8_t* const q = transit.data();
+    const index_t n = views * rows;
 #pragma omp parallel for schedule(static) if (dst.size() >= kParallelMin)
-    for (index_t i = 0; i < n; ++i) {
-        const std::size_t at = static_cast<std::size_t>(i);
-        dst[at] = e.lo + static_cast<float>(q[at]) * range / 255.0f;
+    for (index_t k = 0; k < n; ++k) {
+        const index_t s = upload ? k % views : k / rows;
+        const index_t r = upload ? k / views : k % rows;
+        const std::uint8_t* in = q + (s * rows + r) * cols;
+        float* out = dst.data() + k * cols;
+        for (index_t u = 0; u < cols; ++u) out[u] = lo + static_cast<float>(in[u]) * range / 255.0f;
     }
     telemetry::registry().counter(names::kMetricBandDecodes).add(1);
+}
+
+ProjectionStack decode_band(const EncodedBand& e)
+{
+    ProjectionStack out(e.views, e.band, e.cols);
+    decode_band_into(e, out.span(), RowOrder::Stack);
     return out;
 }
 

@@ -57,15 +57,27 @@ struct EncodedBand {
     std::size_t raw_bytes() const { return payload.size() * sizeof(float); }
 };
 
+/// The serial fold (Extent) of `src`, over fixed chunks on OpenMP threads.
+Extent value_range(std::span<const float> src);
+
 /// Quantise `band` to q8 against its own [min, max].  Round-to-nearest,
 /// exactly the QuantizedTexture3 mapping: q = round((v-lo)*255/(hi-lo)).
+/// The `extent` overload takes value_range(band.span()) as already folded
+/// (by FilterEngine::apply's unpack) and only quantises and digests.
 EncodedBand encode_band(const ProjectionStack& band);
+EncodedBand encode_band(const ProjectionStack& band, Extent extent);
 
-/// Dequantise back to a ProjectionStack.  The payload crosses the
-/// "band.decode" fault gate (throw-class faults fire before the copy, a
-/// corrupt-class fault flips bits in the transit copy) and is digest
-/// verified before dequantisation; the source EncodedBand stays intact,
-/// so a retried decode recovers bitwise.
+/// Row order of a decoded band: ProjectionStack's [view][row][col], or the
+/// circular texture's upload order [row][view][col] (StagedBand::planes).
+enum class RowOrder { Stack, Upload };
+
+/// The one dequantiser.  The payload crosses the "band.decode" fault gate
+/// (throw-class faults fire before the copy, a corrupt-class fault flips
+/// bits in the transit copy) and is digest verified; only then is each
+/// (view, row) row dequantised into `dst` in `order`, rows spread over
+/// OpenMP threads.  The source EncodedBand stays intact, so a retried
+/// decode recovers bitwise.  decode_band is the same into a fresh stack.
+void decode_band_into(const EncodedBand& e, std::span<float> dst, RowOrder order);
 ProjectionStack decode_band(const EncodedBand& e);
 
 /// Maximum absolute round-trip error of encode+decode for this band:

@@ -64,15 +64,16 @@ std::optional<io::EncodedBand> prepare_band(ProjectionStack& band, bool raw_coun
                                             const filter::FilterEngine& engine,
                                             io::BandCodec codec)
 {
-    if (raw_counts) {
-        require(beer.has_value(),
-                "prepare_band: source emits raw counts but no Beer-law calibration configured");
-        beer_law(band, *beer);
+    require(!raw_counts || beer.has_value(),
+            "prepare_band: source emits raw counts but no Beer-law calibration configured");
+    const filter::Prologue pre{raw_counts ? &*beer : nullptr, parker};
+    if (codec != io::BandCodec::Q8) {
+        engine.apply(band, pre);
+        return std::nullopt;
     }
-    if (parker != nullptr) parker->apply(band);
-    engine.apply(band);
-    if (codec == io::BandCodec::Q8) return io::encode_band(band);
-    return std::nullopt;
+    Extent extent;
+    engine.apply(band, pre, &extent);
+    return io::encode_band(band, extent);
 }
 
 Storer file_storer(io::VolumeWriter& out, index_t z0)
@@ -276,11 +277,11 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
         // recycling them makes the steady state allocation-free once
         // every buffer has grown to the largest band.
         std::optional<pipeline::BoundedQueue<BpItem>> qp;
-        std::optional<pipeline::BoundedQueue<std::vector<float>>> qbuf;
+        std::optional<pipeline::BoundedQueue<SlabBackprojector::Planes>> qbuf;
         if (cfg.prefetch) {
             qp.emplace(qd);
             qbuf.emplace(qd + 1);
-            for (std::size_t i = 0; i < qd + 1; ++i) qbuf->push(std::vector<float>{});
+            for (std::size_t i = 0; i < qd + 1; ++i) qbuf->push(SlabBackprojector::Planes{});
         }
 
         // Stage threads inherit the rank tag of the calling (minimpi rank)

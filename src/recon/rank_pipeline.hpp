@@ -159,10 +159,12 @@ RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reduce
 
 /// Prepare one loaded band for upload: Eq. 1 when the source emits raw
 /// counts (`beer` must then be set), Parker weighting for short scans
-/// (`parker` non-null), the Eq. 2 filter, then the wire encoding.  `band`
-/// is weighted and filtered in place; returns its q8 form under
-/// BandCodec::Q8 and nullopt under Raw.  The live filter stage and the
-/// degraded-takeover replay both go through here, so a takeover rebuilds
+/// (`parker` non-null) and the Eq. 2 filter, all in one
+/// FilterEngine::apply (the first two as its prologue), then the wire
+/// encoding against the extent that apply folded.  `band` is weighted and
+/// filtered in place; returns its q8 form under BandCodec::Q8 and nullopt
+/// under Raw.  The live filter stage, the checkpoint replay and the
+/// degraded-takeover replay all go through here, so a takeover rebuilds
 /// the dead rank's texture bitwise.
 std::optional<io::EncodedBand> prepare_band(ProjectionStack& band, bool raw_counts,
                                             const std::optional<BeerLawScalar>& beer,

@@ -46,47 +46,57 @@ SlabBackprojector::SlabBackprojector(const Config& cfg, const std::vector<SlabPl
 {
 }
 
-SlabBackprojector::StagedBand SlabBackprojector::stage_band(const ProjectionStack& band,
-                                                            std::vector<float> storage) const
+SlabBackprojector::StagedBand SlabBackprojector::staging_for(index_t views, index_t cols,
+                                                             Range rows, Planes storage) const
 {
-    const index_t views = band.views();
-    const index_t nu = band.cols();
-    const index_t h = tex_.depth();
+    require(views == tex_.height() && cols == tex_.width() && rows.length() <= tex_.depth(),
+            "SlabBackprojector::stage_band: band does not fit the texture");
     StagedBand staged;
     staged.planes = std::move(storage);
-    staged.planes.resize(static_cast<std::size_t>(band.rows() * views * nu));
-    index_t v = band.row_begin();
-    const index_t v_end = v + band.rows();
-    std::size_t off = 0;
-    while (v < v_end) {
+    const std::size_t n = static_cast<std::size_t>(rows.length() * views * cols);
+    if (staged.planes.capacity() < n) {
+        // Grow from empty: nothing old is copied, nothing new is filled.
+        scratch::note_heap_event();
+        staged.planes.clear();
+    }
+    staged.planes.resize(n);
+    const index_t h = tex_.depth();
+    for (index_t v = rows.lo; v < rows.hi;) {
         index_t depth = (v - origin_) % h;
         if (depth < 0) depth += h;
-        const index_t run = std::min(v_end - v, h - depth);
-        for (index_t r = 0; r < run; ++r)
-            for (index_t s = 0; s < views; ++s) {
-                const auto row = band.row(s, v + r);
-                std::copy(row.begin(), row.end(),
-                          staged.planes.begin() +
-                              static_cast<std::ptrdiff_t>(off + static_cast<std::size_t>(
-                                                                    (r * views + s) * nu)));
-            }
+        const index_t run = std::min(rows.hi - v, h - depth);
         staged.segments.push_back(StagedBand::Segment{depth, run});
-        off += static_cast<std::size_t>(run * views * nu);
         v += run;
     }
     return staged;
 }
 
-SlabBackprojector::StagedBand SlabBackprojector::stage_band(const io::EncodedBand& e,
-                                                            std::vector<float> storage) const
+SlabBackprojector::StagedBand SlabBackprojector::stage_band(const ProjectionStack& band,
+                                                            Planes storage) const
 {
+    const index_t views = band.views();
+    const index_t nu = band.cols();
+    StagedBand staged = staging_for(views, nu, band.band(), std::move(storage));
+    for (index_t r = 0; r < band.rows(); ++r)
+        for (index_t s = 0; s < views; ++s) {
+            const auto row = band.row(s, band.row_begin() + r);
+            std::copy(row.begin(), row.end(),
+                      staged.planes.begin() + static_cast<std::ptrdiff_t>((r * views + s) * nu));
+        }
+    return staged;
+}
+
+SlabBackprojector::StagedBand SlabBackprojector::stage_band(const io::EncodedBand& e,
+                                                            Planes storage) const
+{
+    StagedBand staged = staging_for(e.views, e.cols, e.band, std::move(storage));
     // A transit bit-flip surfaces as IntegrityError (a TransientError);
     // the source EncodedBand is intact, so a retried decode recovers.
-    auto attempt = [&] { return io::decode_band(e); };
-    const ProjectionStack band =
-        cfg_.retry ? faults::with_retry(names::kSiteBandDecode, *cfg_.retry, attempt)
-                   : attempt();
-    StagedBand staged = stage_band(band, std::move(storage));
+    auto attempt = [&] { io::decode_band_into(e, staged.planes, io::RowOrder::Upload); };
+    if (cfg_.retry)
+        faults::with_retry(names::kSiteBandDecode, *cfg_.retry, attempt);
+    else
+        attempt();
     staged.wire_bytes = e.wire_bytes();
     return staged;
 }
@@ -95,6 +105,10 @@ void SlabBackprojector::commit_band(const StagedBand& staged)
 {
     const index_t plane = tex_.width() * tex_.height();
     const std::size_t total = staged.planes.size();
+    std::size_t covered = 0;
+    for (const StagedBand::Segment& seg : staged.segments)
+        covered += static_cast<std::size_t>(seg.nplanes * plane);
+    require(covered == total, "SlabBackprojector::commit_band: segments do not cover the planes");
     std::size_t off = 0;
     for (const StagedBand::Segment& seg : staged.segments) {
         const std::size_t n = static_cast<std::size_t>(seg.nplanes * plane);

@@ -17,6 +17,7 @@
 #include "backproj/kernel.hpp"
 #include "core/decompose.hpp"
 #include "core/geometry.hpp"
+#include "core/scratch.hpp"
 #include "core/volume.hpp"
 #include "faults/retry.hpp"
 #include "io/band_codec.hpp"
@@ -44,19 +45,23 @@ public:
     /// Convenience: derive h/origin/max_slab from a full slab schedule.
     SlabBackprojector(const Config& cfg, const std::vector<SlabPlan>& plans);
 
+    /// Staging storage, never zero-filled (scratch::DefaultInit).
+    using Planes = std::vector<float, scratch::DefaultInit<float>>;
+
     /// A band gathered into upload-ready plane order: the host-side half
     /// of Algorithm 3, split from the device copy so the prefetch stage
     /// can run it for band i+1 while band i's slab back-projects.
-    /// `planes` holds the wrap-split segments concatenated (each segment
-    /// is nplanes contiguous height*width planes); the buffer is plain
-    /// storage the pipeline recycles through its double-buffer ring.
+    /// `planes` holds the band's rows in order, one height*width plane
+    /// each; `segments` split them where the circular depth wraps.  The
+    /// buffer is plain storage the pipeline recycles through its
+    /// double-buffer ring.
     struct StagedBand {
         struct Segment {
             index_t depth = 0;    ///< circular texture depth of the first plane
             index_t nplanes = 0;  ///< consecutive planes in this run
         };
         std::vector<Segment> segments;
-        std::vector<float> planes;
+        Planes planes;
         /// Bytes this band moved over the wire before staging (q8 payload
         /// + header); 0 means raw fp32 — commit bills texel bytes.
         std::size_t wire_bytes = 0;
@@ -66,17 +71,23 @@ public:
     /// depth addressing, wrap-split runs).  Pure host-side work — no
     /// device traffic, no fault gates — so commit_band(stage_band(b)) is
     /// bitwise-identical to the historical one-shot upload_band(b).
-    /// `storage` is recycled as the staging buffer (resized as needed).
-    StagedBand stage_band(const ProjectionStack& band, std::vector<float> storage = {}) const;
+    /// `storage` is recycled as the staging buffer (growing it counts as
+    /// a scratch::heap_events() event).  Throws std::invalid_argument,
+    /// before any write, unless the band's views and columns are the
+    /// texture's and its rows fit the depth.
+    StagedBand stage_band(const ProjectionStack& band, Planes storage = {}) const;
 
-    /// Decode a q8 band (site "band.decode", digest-verified, retried
-    /// under the configured policy) and gather it.  wire_bytes is set so
-    /// commit bills the compressed transport, not fp32 texels.
-    StagedBand stage_band(const io::EncodedBand& e, std::vector<float> storage = {}) const;
+    /// Decode a q8 band straight into upload order: io::decode_band_into
+    /// (fault gate, transit copy, digest verify, one dequantise pass),
+    /// retried under Config::retry at "band.decode".  The planes are
+    /// bitwise stage_band(io::decode_band(e)); wire_bytes is set so commit
+    /// bills the compressed transport.  Same fit checks.
+    StagedBand stage_band(const io::EncodedBand& e, Planes storage = {}) const;
 
     /// Device half: copy the staged segments into the circular texture
     /// (the simulated cudaMemcpy3D calls, fault-gated + digest-verified
-    /// at "sim.h2d").
+    /// at "sim.h2d").  Throws std::invalid_argument unless the segments
+    /// cover exactly the staged planes.
     void commit_band(const StagedBand& staged);
 
     /// Algorithm 3: copy a (differential) row band into circular depth
@@ -96,6 +107,9 @@ public:
     const sim::Device& device() const { return device_; }
 
 private:
+    /// Fit-check a band, size `storage` for it, split its rows into runs.
+    StagedBand staging_for(index_t views, index_t cols, Range rows, Planes storage) const;
+
     Config cfg_;
     index_t origin_;
     sim::Device device_;

@@ -9,9 +9,11 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 
 #include "core/names.hpp"
+#include "core/scratch.hpp"
 #include "faults/fault.hpp"
 #include "faults/retry.hpp"
 #include "integrity/integrity.hpp"
@@ -19,6 +21,7 @@
 #include "recon/distributed.hpp"
 #include "recon/fdk.hpp"
 #include "recon/quality.hpp"
+#include "recon/slab_backprojector.hpp"
 #include "scoped_threads.hpp"
 #include "sim/device.hpp"
 #include "telemetry/metrics.hpp"
@@ -241,9 +244,235 @@ TEST(BandCodec, DecodeIsBitwiseSerialAtAnyThreadCount)
     }
 }
 
+TEST(BandCodec, ValueRangeIsTheSerialFoldAtAnyThreadCount)
+{
+    // Two kRangeChunk chunks past the parallel threshold: signed zeros at
+    // the start and later (the minimum ties), NaN at src[0] and NaN
+    // elsewhere, the second chunk's first texel included.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    std::vector<std::vector<float>> cases(3, std::vector<float>(100000));
+    std::mt19937 rng(5);
+    std::uniform_real_distribution<float> dist(0.5f, 2.5f);
+    for (auto& c : cases)
+        for (float& v : c) v = dist(rng);
+    cases[0][0] = -0.0f;
+    cases[0][70000] = 0.0f;
+    cases[1][0] = nan;
+    cases[2][3] = nan;
+    cases[2][65536] = nan;
+    cases[2][90000] = 0.0f;
+    cases[2][90001] = -0.0f;
+    for (const auto& c : cases) {
+        float lo = c[0], hi = c[0];
+        for (const float v : c) {
+            lo = std::min(lo, v);
+            hi = std::max(hi, v);
+        }
+        for (const int threads : {1, 4}) {
+            ScopedThreads pin(threads);
+            const Extent got = value_range(c);
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(got.lo), std::bit_cast<std::uint32_t>(lo));
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(got.hi), std::bit_cast<std::uint32_t>(hi));
+        }
+    }
+}
+
+// ---- the one-pass band path: filter extent, staging, faults -------------
+
+CbctGeometry geo(index_t n = 24, index_t np = 36);
+
+TEST(BandCodec, FilterUnpackFoldsTheValueRangeBitwise)
+{
+    // 37 views x 40 rows x 48 columns: two value_range chunks.  Views of
+    // -0 and +0 at the start and later, a NaN reaching src[0], a NaN
+    // elsewhere, and an all-zero band whose extent is a tie from start to
+    // end.  (The filter maps zero rows of either sign to +0, so the -0/+0
+    // tie rule itself is pinned by Extent.PartsMergedInOrderAreTheSerialFold
+    // and ValueRangeIsTheSerialFoldAtAnyThreadCount.)  encode_band against
+    // the folded extent is encode_band's own scan, field for field.
+    integrity::ScopedEnable on;
+    const CbctGeometry g = geo();
+    const filter::FilterEngine eng(g);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const auto bits = [](float f) { return std::bit_cast<std::uint32_t>(f); };
+    const auto zero_view = [](ProjectionStack& b, index_t s, float zero) {
+        for (index_t v = b.band().lo; v < b.band().hi; ++v)
+            std::fill(b.row(s, v).begin(), b.row(s, v).end(), zero);
+    };
+    std::vector<std::pair<const char*, ProjectionStack>> cases;
+    const ProjectionStack base = random_band(37, Range{4, 44}, g.nu, 61);
+    cases.emplace_back("random", base);
+    cases.emplace_back("zero views", base);
+    zero_view(cases.back().second, 0, -0.0f);
+    zero_view(cases.back().second, 20, 0.0f);
+    cases.emplace_back("NaN at src[0]", base);
+    cases.back().second.span()[0] = nan;
+    cases.emplace_back("NaN later", base);
+    cases.back().second.row(30, 10)[7] = nan;
+    cases.emplace_back("all zero", ProjectionStack(37, Range{4, 44}, g.nu, 0.0f));
+    for (const auto& [name, in] : cases)
+        for (const int threads : {1, 2, 3, 4}) {
+            ScopedThreads pin(threads);
+            ProjectionStack plain = in, folded = in;
+            eng.apply(plain);
+            Extent extent;
+            eng.apply(folded, {}, &extent);
+            ASSERT_EQ(std::memcmp(folded.span().data(), plain.span().data(),
+                                  plain.span().size_bytes()),
+                      0)
+                << name;
+            const Extent want = value_range(plain.span());
+            EXPECT_EQ(bits(extent.lo), bits(want.lo)) << name << ", " << threads << " threads";
+            EXPECT_EQ(bits(extent.hi), bits(want.hi)) << name << ", " << threads << " threads";
+            const EncodedBand a = encode_band(plain), b = encode_band(plain, extent);
+            EXPECT_EQ(bits(a.lo), bits(b.lo)) << name;
+            EXPECT_EQ(bits(a.hi), bits(b.hi)) << name;
+            EXPECT_TRUE(a.payload == b.payload) << name;
+            EXPECT_EQ(a.digest, b.digest) << name;
+        }
+}
+
+using recon::SlabBackprojector;
+
+/// An engine config over views [0, views) of `g`.
+SlabBackprojector::Config share(const CbctGeometry& g, index_t views)
+{
+    SlabBackprojector::Config cfg;
+    cfg.geometry = g;
+    cfg.views = Range{0, views};
+    return cfg;
+}
+
+void expect_same_staging(const SlabBackprojector::StagedBand& a,
+                         const SlabBackprojector::StagedBand& b, const std::string& what)
+{
+    ASSERT_EQ(a.segments.size(), b.segments.size()) << what;
+    for (std::size_t i = 0; i < a.segments.size(); ++i) {
+        EXPECT_EQ(a.segments[i].depth, b.segments[i].depth) << what;
+        EXPECT_EQ(a.segments[i].nplanes, b.segments[i].nplanes) << what;
+    }
+    ASSERT_EQ(a.planes.size(), b.planes.size()) << what;
+    EXPECT_EQ(std::memcmp(a.planes.data(), b.planes.data(), a.planes.size() * sizeof(float)), 0)
+        << what;
+}
+
+TEST(SlabBackprojector, StagingAQ8BandIsBitwiseDecodeThenGather)
+{
+    // A 24-deep texture: bands that wrap it (origins 0 and 5), start at an
+    // odd row or end at its last depth; 1 view and 36 views (past the
+    // decode's parallel threshold); random and constant bands.
+    const CbctGeometry g = geo();
+    struct Case {
+        index_t origin;
+        Range rows;
+        std::size_t segments;
+    };
+    for (const Case c : {Case{0, Range{13, 33}, 2}, Case{5, Range{3, 6}, 2},
+                         Case{0, Range{21, 24}, 1}, Case{0, Range{7, 8}, 1}})
+        for (const index_t views : {1, 36})
+            for (const bool constant : {false, true}) {
+                const SlabBackprojector bp(share(g, views), 24,
+                                           c.origin, 4);
+                const ProjectionStack band =
+                    constant ? ProjectionStack(views, c.rows, g.nu, 0.75f)
+                             : random_band(views, c.rows, g.nu, 11);
+                const EncodedBand e = encode_band(band);
+                ASSERT_EQ(e.hi == e.lo, constant);
+                const SlabBackprojector::StagedBand want = bp.stage_band(decode_band(e));
+                ASSERT_EQ(want.segments.size(), c.segments);
+                for (const int threads : {1, 2, 3, 4}) {
+                    ScopedThreads pin(threads);
+                    const SlabBackprojector::StagedBand got = bp.stage_band(e);
+                    expect_same_staging(got, want,
+                                        "rows [" + std::to_string(c.rows.lo) + ", " +
+                                            std::to_string(c.rows.hi) + ") origin " +
+                                            std::to_string(c.origin) + ", " +
+                                            std::to_string(views) + " views, " +
+                                            std::to_string(threads) + " threads");
+                    EXPECT_EQ(got.wire_bytes, e.wire_bytes());
+                }
+            }
+}
+
+TEST(SlabBackprojector, CorruptDecodeUnderRetryStagesTheSamePlanes)
+{
+    integrity::ScopedEnable on;
+    const CbctGeometry g = geo();
+    SlabBackprojector::Config cfg = share(g, 36);
+    faults::RetryPolicy policy;
+    policy.max_attempts = 3;
+    policy.base_delay_s = 0.0;
+    cfg.retry = policy;
+    const SlabBackprojector bp(cfg, 24, 0, 4);
+    const EncodedBand e = encode_band(random_band(36, Range{13, 33}, g.nu, 3));
+    const SlabBackprojector::StagedBand clean = bp.stage_band(e);
+
+    auto& reg = telemetry::registry();
+    auto& injected =
+        reg.counter(std::string(names::kMetricFaultsInjectedPrefix) + names::kSiteBandDecode);
+    auto& detected =
+        reg.counter(std::string(names::kMetricIntegrityDetectedPrefix) + names::kSiteBandDecode);
+    auto& decodes = reg.counter(names::kMetricBandDecodes);
+    const auto injected_before = injected.value(), detected_before = detected.value(),
+               decodes_before = decodes.value();
+    faults::ScopedPlan install(
+        faults::FaultPlan::parse("band.decode:kind=corrupt,flips=3,after=0,count=1"));
+    const SlabBackprojector::StagedBand retried = bp.stage_band(e);
+    expect_same_staging(retried, clean, "retried decode");
+    EXPECT_EQ(injected.value() - injected_before, 1u);
+    EXPECT_EQ(detected.value() - detected_before, 1u);
+    EXPECT_EQ(decodes.value() - decodes_before, 1u);  // only the verified attempt decodes
+}
+
+TEST(SlabBackprojector, WarmStagingLeavesTheHeapAlone)
+{
+    const CbctGeometry g = geo();
+    const SlabBackprojector bp(share(g, 36), 24, 0, 4);
+    const ProjectionStack band = random_band(36, Range{13, 33}, g.nu, 9);
+    const EncodedBand e = encode_band(band);
+    const std::uint64_t cold = scratch::heap_events();
+    SlabBackprojector::StagedBand staged = bp.stage_band(e);
+    EXPECT_GT(scratch::heap_events(), cold);  // fresh staging storage is an allocation
+    for (const int threads : {1, 2, 3, 4}) {
+        ScopedThreads pin(threads);
+        std::uint64_t before = scratch::heap_events();
+        staged = bp.stage_band(e, std::move(staged.planes));
+        EXPECT_EQ(scratch::heap_events() - before, 0u) << threads << " threads";
+        before = scratch::heap_events();
+        staged = bp.stage_band(band, std::move(staged.planes));
+        EXPECT_EQ(scratch::heap_events() - before, 0u) << threads << " threads, raw";
+    }
+}
+
+TEST(SlabBackprojector, RejectsABandThatDoesNotFitTheTexture)
+{
+    // An engine over an 8-view share.  Before the fit checks, a 6-view band
+    // staged 6 views per plane and commit_band read past the buffer.
+    const CbctGeometry g = geo();
+    const std::vector<SlabPlan> plans = plan_slabs(g, Range{0, g.vol.z}, 4);
+    index_t depth = 1;
+    for (const SlabPlan& p : plans) depth = std::max(depth, p.rows.length());
+    SlabBackprojector bp(share(g, 8), plans);
+    const Range rows = plans[0].rows;
+    for (const ProjectionStack& band :
+         {ProjectionStack(6, rows, g.nu), ProjectionStack(8, rows, g.nu - 1),
+          ProjectionStack(8, Range{0, depth + 1}, g.nu)}) {
+        EXPECT_THROW(bp.upload_band(band), std::invalid_argument);
+        EXPECT_THROW(bp.upload_band(encode_band(band)), std::invalid_argument);
+    }
+    // commit_band takes only segments that cover the staged planes exactly.
+    SlabBackprojector::StagedBand staged = bp.stage_band(ProjectionStack(8, rows, g.nu));
+    staged.segments.back().nplanes += 1;
+    EXPECT_THROW(bp.commit_band(staged), std::invalid_argument);
+    staged.segments.back().nplanes -= 2;
+    EXPECT_THROW(bp.commit_band(staged), std::invalid_argument);
+    staged.segments.back().nplanes += 1;
+    EXPECT_NO_THROW(bp.commit_band(staged));
+}
+
 // ---- end-to-end pipeline contracts --------------------------------------
 
-CbctGeometry geo(index_t n = 24, index_t np = 36)
+CbctGeometry geo(index_t n, index_t np)
 {
     CbctGeometry g;
     g.dso = 100.0;

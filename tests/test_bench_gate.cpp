@@ -198,6 +198,20 @@ TEST(BenchGate, TransportAndAutotuneRulesOutrankTheByteGlobs)
     EXPECT_FALSE(compare(doc(base), cur, default_rules()).pass);
 }
 
+TEST(BenchGate, ZeroToleranceFindingPrintsBothValuesDistinctly)
+{
+    // A baseline rounded to 8 significant digits sits just above the value
+    // the tree writes; the finding must show the difference it failed on.
+    const Doc base = doc(R"({"autotune": {"jobs_per_hour": 4017263.4}})");
+    const Doc cur = doc(R"({"autotune": {"jobs_per_hour": 4017263.3508211845}})");
+    const GateResult r = compare(base, cur, default_rules());
+    EXPECT_FALSE(r.pass);
+    const std::string text = format(r);
+    EXPECT_NE(text.find("4017263.3508211845 vs baseline 4017263.4 "), std::string::npos) << text;
+    EXPECT_NE(text.find("REGRESSED"), std::string::npos) << text;
+    EXPECT_TRUE(compare(cur, cur, default_rules()).pass);
+}
+
 TEST(BenchGate, MissingMetricFailsAndNewMetricIsANote)
 {
     Doc cur = doc(kBaseline);

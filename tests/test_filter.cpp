@@ -4,12 +4,16 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numbers>
+#include <optional>
 #include <random>
 
 #include "core/names.hpp"
+#include "core/preprocess.hpp"
 #include "core/scratch.hpp"
 #include "fft/fft.hpp"
+#include "filter/parker.hpp"
 #include "filter/ramp.hpp"
 #include "scoped_threads.hpp"
 #include "telemetry/metrics.hpp"
@@ -423,6 +427,75 @@ TEST(FilterEngine, ApplyIsBitwiseSerialAtAnyThreadCount)
         eng.apply(got);
         EXPECT_EQ(scratch::heap_events() - before, 0u) << threads << " threads";
     }
+}
+
+// ---- the prologue: Eq. 1 and Parker inside the pack ---------------------
+
+/// Raw counts around a blank of 50000, with the texels Eq. 1 clamps or
+/// propagates: exact zeros, negatives, counts above blank and a NaN.
+ProjectionStack raw_counts(index_t views, Range band, index_t nu)
+{
+    ProjectionStack s(views, band, nu);
+    std::mt19937 rng(43);
+    std::uniform_real_distribution<float> dist(-500.0f, 60000.0f);
+    const std::span<float> all = s.span();
+    for (float& c : all) c = dist(rng);
+    for (std::size_t i = 0; i < all.size(); i += 37) all[i] = 0.0f;
+    for (std::size_t i = 5; i < all.size(); i += 41) all[i] = -1.0f;
+    for (std::size_t i = 11; i < all.size(); i += 53) all[i] = 70000.0f;
+    all[all.size() / 2] = std::numeric_limits<float>::quiet_NaN();
+    return s;
+}
+
+CbctGeometry parker_geo(index_t nu, bool short_scan)
+{
+    CbctGeometry g = oracle_geo(nu, false);
+    if (short_scan) g.scan_range = std::numbers::pi + 2.0 * fan_half_angle(g) + 0.05;
+    return g;
+}
+
+TEST(FilterEngine, PrologueIsBitwiseBeerLawThenParkerThenApply)
+{
+    // 37 views of 5 rows: 111 tasks in 14 batches, spread differently over
+    // each team size.  Eq. 1 alone, Parker alone and both, full and short.
+    const BeerLawScalar cal{10.0f, 50000.0f};
+    const Range views{5, 42};
+    for (const bool short_scan : {false, true}) {
+        const CbctGeometry g = parker_geo(125, short_scan);
+        const FilterEngine eng(g, Window::SheppLogan);
+        std::optional<ParkerWeights> pw;
+        if (short_scan) pw.emplace(g, views);
+        const ProjectionStack in = raw_counts(views.length(), Range{1, 6}, g.nu);
+        for (const bool counts : {false, true}) {
+            if (!counts && !pw) continue;
+            ProjectionStack want = in;
+            if (counts) beer_law(want, cal);
+            if (pw) pw->apply(want);
+            eng.apply(want);
+            const Prologue pre{counts ? &cal : nullptr, pw ? &*pw : nullptr};
+            for (const int threads : {1, 2, 3, 4}) {
+                testutil::ScopedThreads pin(threads);
+                ProjectionStack got = in;
+                eng.apply(got, pre);
+                EXPECT_TRUE(bitwise_equal(got, want))
+                    << (short_scan ? "short" : "full") << " scan, Eq. 1 " << counts << ", "
+                    << threads << " threads";
+            }
+        }
+    }
+}
+
+TEST(FilterEngine, PrologueChecksRunBeforeTheStackIsTouched)
+{
+    const CbctGeometry g = parker_geo(64, true);
+    const FilterEngine eng(g);
+    const ParkerWeights four_views(g, Range{0, 4});
+    const ProjectionStack in(5, Range{0, 4}, g.nu, 100.0f);
+    ProjectionStack stack = in;
+    const BeerLawScalar flat{5.0f, 5.0f};
+    EXPECT_THROW(eng.apply(stack, Prologue{&flat, nullptr}), std::invalid_argument);
+    EXPECT_THROW(eng.apply(stack, Prologue{nullptr, &four_views}), std::invalid_argument);
+    EXPECT_TRUE(bitwise_equal(stack, in));
 }
 
 TEST(FilterEngine, CountsTwoTransformsPerPairAndPerOddRow)

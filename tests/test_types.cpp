@@ -1,6 +1,11 @@
 // Unit tests for core value types: ranges, matrices, containers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <limits>
+#include <vector>
+
 #include "core/types.hpp"
 #include "core/volume.hpp"
 
@@ -132,6 +137,50 @@ TEST(Require, ThrowsWithMessage)
 {
     EXPECT_THROW(require(false, "boom"), std::invalid_argument);
     EXPECT_NO_THROW(require(true, "ok"));
+}
+
+/// The serial pass Extent defines: {x0, x0}, then std::min / std::max.
+Extent serial_extent(const std::vector<float>& x)
+{
+    Extent r{x[0], x[0]};
+    for (const float v : x) {
+        r.lo = std::min(r.lo, v);
+        r.hi = std::max(r.hi, v);
+    }
+    return r;
+}
+
+TEST(Extent, PartsMergedInOrderAreTheSerialFold)
+{
+    // Signed-zero ties at the start and later, NaN at x0 and elsewhere
+    // (also at a part's start), infinities: every split of every sequence
+    // into two and three parts, each part folded from the empty extent
+    // and merged into {x0, x0}, is the serial pass bit for bit.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const std::vector<std::vector<float>> cases = {
+        {-0.0f, 1.0f, 0.0f, 2.0f, -0.0f},  {0.0f, -0.0f, 3.0f, -0.0f},
+        {2.0f, 0.0f, -0.0f, 1.0f, 0.0f},   {-1.0f, -0.0f, 0.0f, -2.0f, -0.0f},
+        {nan, 1.0f, -3.0f, 2.0f},          {1.0f, nan, -3.0f, nan, 2.0f},
+        {0.5f, 2.0f, nan, nan, 0.25f},     {inf, 1.0f, -inf, nan, 0.0f},
+        {-inf, -inf, nan},                  {3.0f},
+    };
+    const auto bits = [](float f) { return std::bit_cast<std::uint32_t>(f); };
+    for (const std::vector<float>& x : cases) {
+        const Extent want = serial_extent(x);
+        for (std::size_t a = 0; a <= x.size(); ++a)
+            for (std::size_t b = a; b <= x.size(); ++b) {
+                Extent parts[3];
+                for (std::size_t i = 0; i < x.size(); ++i)
+                    parts[i < a ? 0 : i < b ? 1 : 2].add(x[i]);
+                Extent got{x[0], x[0]};
+                for (const Extent& p : parts) got.merge(p);
+                EXPECT_EQ(bits(got.lo), bits(want.lo)) << "case of size " << x.size() << " split "
+                                                       << a << "/" << b;
+                EXPECT_EQ(bits(got.hi), bits(want.hi)) << "case of size " << x.size() << " split "
+                                                       << a << "/" << b;
+            }
+    }
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include "gate.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -18,10 +17,9 @@ namespace {
 
 std::string describe(const Value& v)
 {
-    if (!v.is_number) return "\"" + v.text + "\"";
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.8g", v.number);
-    return buf;
+    // Round-trip form: two numbers that differ never print alike, so a
+    // zero-tolerance finding shows why it failed.
+    return v.is_number ? json_number(v.number) : "\"" + v.text + "\"";
 }
 
 void add(GateResult& r, const std::string& metric, bool fail, std::string message)
@@ -213,19 +211,17 @@ GateResult compare(const Doc& baseline, const Doc& current, const std::vector<Ru
                 add(r, metric, true, "non-numeric value " + describe(*cur) + " for numeric rule");
                 continue;
             }
-            char buf[160];
+            const std::string now = describe(*cur);
             if (rule->cls == Class::Cap) {
                 const bool ok = cur->number <= rule->cap;
-                std::snprintf(buf, sizeof(buf), "%.8g %s cap %.8g", cur->number,
-                              ok ? "within" : "EXCEEDS", rule->cap);
-                add(r, metric, !ok, buf);
+                add(r, metric, !ok,
+                    now + (ok ? " within" : " EXCEEDS") + " cap " + json_number(rule->cap));
                 continue;
             }
             if (rule->cls == Class::Floor) {
                 const bool ok = cur->number >= rule->floor;
-                std::snprintf(buf, sizeof(buf), "%.8g %s floor %.8g", cur->number,
-                              ok ? "above" : "BELOW", rule->floor);
-                add(r, metric, !ok, buf);
+                add(r, metric, !ok,
+                    now + (ok ? " above" : " BELOW") + " floor " + json_number(rule->floor));
                 continue;
             }
             const double tol = rule->tolerance * tolerance_scale;
@@ -233,10 +229,9 @@ GateResult compare(const Doc& baseline, const Doc& current, const std::vector<Ru
             const double limit =
                 higher ? base.number * (1.0 - tol) : base.number * (1.0 + tol);
             const bool ok = higher ? cur->number >= limit : cur->number <= limit;
-            std::snprintf(buf, sizeof(buf), "%.8g vs baseline %.8g (%s limit %.8g)%s",
-                          cur->number, base.number, higher ? "min" : "max", limit,
-                          ok ? "" : " REGRESSED");
-            add(r, metric, !ok, buf);
+            add(r, metric, !ok,
+                now + " vs baseline " + describe(base) + " (" + (higher ? "min" : "max") +
+                    " limit " + json_number(limit) + ")" + (ok ? "" : " REGRESSED"));
         }
     }
     // Metrics only in the current run are fine (new coverage) but worth
