@@ -490,29 +490,28 @@ void emit_bench_json(const std::string& path)
     // Bytes moved by the simulated device over a fixed single-rank run —
     // fully determined by geometry and batching, so the trend gate pins
     // them exactly: any drift means the pipeline transfers different data.
-    // The q8 twin (band codec + prefetch, DESIGN.md §3j) measures the
+    // The q8 twin (band codec, DESIGN.md §3j) measures the
     // compressed wire volume over the same run, the ratio against raw,
     // and the quantisation quality against the raw volume.
     {
         const CbctGeometry g = bench_geo(32);
         const auto ph = phantom::shepp_logan_3d(g.dx * 10.0);
         auto& reg = telemetry::registry();
-        const auto run_fdk = [&](io::BandCodec codec, bool prefetch) {
+        const auto run_fdk = [&](io::BandCodec codec) {
             recon::PhantomSource src(ph, g);
             recon::RankConfig cfg;
             cfg.geometry = g;
             cfg.batches = 8;
             cfg.band_codec = codec;
-            cfg.prefetch = prefetch;
             return recon::reconstruct_fdk(cfg, src).volume;
         };
         const std::uint64_t h0 = reg.counter(names::kMetricSimH2dBytes).value();
         const std::uint64_t d0 = reg.counter(names::kMetricSimD2hBytes).value();
-        const Volume raw = run_fdk(io::BandCodec::Raw, false);
+        const Volume raw = run_fdk(io::BandCodec::Raw);
         const std::uint64_t h2d = reg.counter(names::kMetricSimH2dBytes).value() - h0;
         const std::uint64_t d2h = reg.counter(names::kMetricSimD2hBytes).value() - d0;
         const std::uint64_t hq0 = reg.counter(names::kMetricSimH2dBytes).value();
-        const Volume q8 = run_fdk(io::BandCodec::Q8, true);
+        const Volume q8 = run_fdk(io::BandCodec::Q8);
         const std::uint64_t h2d_q8 = reg.counter(names::kMetricSimH2dBytes).value() - hq0;
 
         // Codec-level round-trip error against the documented bound, on a

@@ -53,15 +53,21 @@ private:
     std::atomic<double> last_end_;
 };
 
-/// RAII stage span: records [construction, destruction) of a scope.
+/// RAII stage span: records [construction, destruction) of a scope.  A
+/// null clock records nothing.
 class ScopedSpan {
 public:
-    ScopedSpan(StageClock& clock, Stage stage, index_t item)
-        : clock_(&clock), stage_(stage), item_(item), begin_(telemetry::flight::wall_now())
+    ScopedSpan(StageClock* clock, Stage stage, index_t item)
+        : clock_(clock), stage_(stage), item_(item),
+          begin_(clock ? telemetry::flight::wall_now() : 0.0)
     {
-        telemetry::flight::warm();  // first span on a thread acquires its ring HERE
+        if (clock) telemetry::flight::warm();  // first span on a thread acquires its ring HERE
     }
-    ~ScopedSpan() { clock_->record(stage_, item_, begin_, telemetry::flight::wall_now()); }
+    ScopedSpan(StageClock& clock, Stage stage, index_t item) : ScopedSpan(&clock, stage, item) {}
+    ~ScopedSpan()
+    {
+        if (clock_) clock_->record(stage_, item_, begin_, telemetry::flight::wall_now());
+    }
     ScopedSpan(const ScopedSpan&) = delete;
     ScopedSpan& operator=(const ScopedSpan&) = delete;
 

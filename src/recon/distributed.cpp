@@ -7,33 +7,26 @@
 #include "core/names.hpp"
 #include "faults/checkpoint.hpp"
 #include "faults/fault.hpp"
-#include "filter/parker.hpp"
-#include "integrity/integrity.hpp"
 #include "integrity/watchdog.hpp"
-#include "recon/slab_backprojector.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 namespace xct::recon {
 namespace {
 
-/// Replay state for one dead rank's view share, owned by the survivor the
-/// takeover was assigned to.  bp holds internal pointers (device/texture),
+/// One dead rank's view share, owned by the survivor the takeover was
+/// assigned to.  The band path holds internal pointers (device/texture),
 /// so Takeover lives behind unique_ptr and is constructed in place.
 struct Takeover {
-    Takeover(index_t k, Range v, std::unique_ptr<ProjectionSource> src,
-             std::optional<filter::ParkerWeights> pw, const SlabBackprojector::Config& bc,
+    Takeover(index_t k, const RankConfig& share, std::unique_ptr<ProjectionSource> src,
              const std::vector<SlabPlan>& plans)
-        : key(k), views(v), source(std::move(src)), parker(std::move(pw)), bp(bc, plans)
+        : key(k), source(std::move(src)), path(share, *source, plans)
     {
     }
 
-    index_t key;    ///< the dead rank's rank_in_group (reduction position)
-    Range views;    ///< the dead rank's view share
+    index_t key;  ///< the dead rank's rank_in_group (reduction position)
     std::unique_ptr<ProjectionSource> source;
-    std::optional<filter::ParkerWeights> parker;
-    SlabBackprojector bp;
-    bool primed = false;  ///< texture holds the previous slab's rows
+    BandPath path;
 };
 
 }  // namespace
@@ -203,27 +196,23 @@ DistributedResult reconstruct_distributed(const DistributedConfig& cfg,
                 for (std::size_t d = 0; d < group_dead.size(); ++d) {
                     if (group_alive[d % group_alive.size()] != rank) continue;
                     const RankId dead_rank = group_dead[d];
-                    const Range dv = cfg.layout.views_of_rank(dead_rank, cfg.geometry.num_proj);
-                    std::optional<filter::ParkerWeights> pw;
-                    if (cfg.geometry.short_scan()) pw.emplace(cfg.geometry, dv);
                     auto src = make_source(dead_rank);
                     require(src != nullptr,
                             "reconstruct_distributed: source factory returned null");
-                    SlabBackprojector::Config bc{cfg.geometry,  dv,
-                                                 cfg.device_capacity, cfg.h2d_gbps,
-                                                 cfg.d2h_gbps,  cfg.retry};
+                    RankConfig share = rc;
+                    share.views = cfg.layout.views_of_rank(dead_rank, cfg.geometry.num_proj);
                     takeovers.push_back(std::make_unique<Takeover>(
-                        cfg.layout.rank_in_group(dead_rank), dv, std::move(src), std::move(pw),
-                        bc, plans));
+                        cfg.layout.rank_in_group(dead_rank), share, std::move(src), plans));
+                    // A resumed run needs the dead share's texture as its
+                    // first live slab finds it.  Rebuilding it here, before
+                    // run_rank, keeps the replay outside the reduce deadline.
+                    takeovers.back()->path.replay(plans, first_live);
                 }
                 if (!takeovers.empty())
                     telemetry::registry().counter(names::kMetricFaultsDegradedTakeovers).add(
                         takeovers.size());
             }
         }
-        std::optional<filter::FilterEngine> tk_engine;
-        if (!takeovers.empty()) tk_engine.emplace(cfg.geometry, cfg.window);
-
         const bool is_root = gcomm.rank() == 0;
         std::vector<float> recv;
         index_t next_slab = first_live;  // reduce is called once per live slab, in order
@@ -247,39 +236,8 @@ DistributedResult reconstruct_distributed(const DistributedConfig& cfg,
                 replayed.reserve(takeovers.size());
                 for (auto& t : takeovers) {
                     telemetry::ScopedTrace trace(names::kCatFaults, names::kSpanTakeover, idx);
-                    const Range band = t->primed ? plan.delta : plan.rows;
-                    if (!band.empty()) {
-                        auto attempt = [&] {
-                            faults::check(names::kSiteSourceLoad);
-                            ProjectionStack stack = t->source->load(t->views, band);
-                            // Same digest-corrupt-verify discipline as the
-                            // live pipeline's load stage: the takeover path
-                            // must not become an unverified side door.
-                            const integrity::digest_t d =
-                                integrity::enabled()
-                                    ? integrity::checksum_of<float>(stack.span())
-                                    : 0;
-                            faults::corrupt(names::kSiteSourceLoad,
-                                            std::as_writable_bytes(stack.span()));
-                            integrity::verify_of<float>(names::kSiteSourceLoad, stack.span(), d);
-                            return stack;
-                        };
-                        ProjectionStack delta =
-                            cfg.retry ? faults::with_retry(names::kSiteSourceLoad, *cfg.retry,
-                                                           attempt)
-                                      : attempt();
-                        // The dead rank's exact band preparation, wire
-                        // format included, or the partial diverges bitwise.
-                        const std::optional<io::EncodedBand> encoded = prepare_band(
-                            delta, t->source->raw_counts(), cfg.beer,
-                            t->parker ? &*t->parker : nullptr, *tk_engine, cfg.band_codec);
-                        if (encoded)
-                            t->bp.upload_band(*encoded);
-                        else
-                            t->bp.upload_band(delta);
-                    }
-                    t->primed = true;
-                    replayed.push_back(t->bp.backproject(plan));
+                    t->path.advance(idx, plan);
+                    replayed.push_back(t->path.backproject(idx, plan));
                     telemetry::registry().counter(names::kMetricFaultsDegradedSlabs).add(1);
                 }
                 std::vector<minimpi::ReducePart> parts;

@@ -1,25 +1,29 @@
 #pragma once
 // One rank's end-to-end reconstruction pipeline (Fig. 9):
 //
-//   load -> filter -> back-projection -> reduce -> store
+//   load -> filter -> prefetch -> back-projection -> reduce -> store
 //
-// Five std::threads connected by four bounded FIFO queues; the MPI/reduce
-// and store stages are injected as callables so the same pipeline serves
-// the single-node out-of-core reconstructor (identity reducer) and the
-// distributed framework (segmented minimpi reduction, PFS store).
+// Five std::threads (load, filter, prefetch, bp, store) plus the calling
+// thread (reduce), joined by bounded FIFO queues; a ring of staging
+// buffers returns from bp to prefetch.  The reduce and store stages are
+// injected as callables so the same pipeline serves the single-node
+// out-of-core reconstructor (identity reducer) and the distributed
+// framework (segmented minimpi reduction, PFS store).
 //
-// The back-projection stage owns the simulated device and implements
-// Algorithm 3: a circular texture of H detector rows; each batch uploads
-// only its *differential* rows (Eq. 6), splitting copies that wrap.
+// Every band goes through one BandPath: the load, filter and prefetch
+// stages, the device copy of Algorithm 3 (a circular texture of H
+// detector rows; each batch uploads only its *differential* rows, Eq. 6)
+// and the back-projection.  The stage threads, the in-order twin
+// (threaded = false), the checkpoint-restart replay and the degraded
+// takeover (recon::distributed) all call the same BandPath functions.
 //
 // Resilience (see DESIGN.md "Resilience"): source loads pass the
 // "source.load" fault gate and are retried under cfg.retry; with
 // cfg.checkpoint set, completed slabs are recorded in a CheckpointStore
 // (group roots also save the reduced slab) and a restarted run replays
-// saved slabs through the store callable before resuming live computation
-// at the first incomplete slab — the restart is bitwise-identical to an
-// uninterrupted run because every per-row operation (noise realisation,
-// filtering, Parker weighting) is independent of the band split.
+// saved slabs through the store callable, rebuilds the texture from the
+// completed slabs' original delta bands, and resumes live computation at
+// the first incomplete slab, bitwise-identical to an uninterrupted run.
 
 #include <atomic>
 #include <filesystem>
@@ -32,16 +36,19 @@
 #include "core/preprocess.hpp"
 #include "core/volume.hpp"
 #include "faults/retry.hpp"
+#include "filter/parker.hpp"
 #include "filter/ramp.hpp"
+#include "integrity/watchdog.hpp"
 #include "io/band_codec.hpp"
+#include "recon/slab_backprojector.hpp"
 #include "recon/source.hpp"
 #include "sim/device.hpp"
 
-namespace xct::filter {
-class ParkerWeights;
-}
 namespace xct::io {
 class VolumeWriter;
+}
+namespace xct::pipeline {
+class StageClock;
 }
 
 namespace xct::recon {
@@ -66,7 +73,7 @@ struct RankConfig {
     std::size_t device_capacity = 512u << 20;    ///< per-rank device budget [bytes]
     double h2d_gbps = 12.0;                      ///< PCIe model for T_H2D
     double d2h_gbps = 12.0;                      ///< PCIe model for T_D2H
-    bool threaded = true;                        ///< 5-thread pipeline vs in-order execution
+    bool threaded = true;                        ///< stage threads vs the same stages in order
     std::optional<BeerLawScalar> beer;           ///< Eq. 1 calibration when source emits counts
     /// Retry transient source-load and device-transfer faults (nullopt —
     /// the default — fails loudly on the first fault).
@@ -84,12 +91,6 @@ struct RankConfig {
     /// per-range after filtering, cutting the host->device byte volume
     /// ~4x at the QuantizedTexture3 ablation's established precision.
     io::BandCodec band_codec = io::BandCodec::Raw;
-    /// Stage band i+1 (gather + q8 decode, the host half of Algorithm 3)
-    /// on a dedicated thread while slab i back-projects; the device copy
-    /// stays on the bp thread.  Raw results are bitwise-independent of
-    /// this switch.  Only meaningful with threaded = true (the sequential
-    /// path stages and commits back-to-back).
-    bool prefetch = false;
     /// Inter-stage FIFO capacity (the Fig. 9 queue depth; the perfmodel's
     /// queue_capacity).  The seed pipeline hard-coded 2.
     index_t queue_depth = 2;
@@ -121,8 +122,8 @@ struct RankStats {
 /// External control surface of one running rank pipeline (the handle the
 /// serve engine holds; DESIGN.md §3k).  All members are optional: a null
 /// field simply disables that control.  The token is *polled* at every
-/// stage boundary of every slab (load, filter, prefetch hand-off, bp,
-/// reduce, store), so a cancel unwinds the pipeline — and releases the
+/// stage boundary of every slab (load, filter, prefetch, bp, reduce,
+/// store), so a cancel unwinds the pipeline — and releases the
 /// simulated device budget with it — within one stage boundary;
 /// `slabs_done` counts slabs that reached their terminal stage (reduce
 /// for non-roots, store for roots, restore for checkpoint replays) and is
@@ -157,20 +158,82 @@ Storer volume_storer(Volume& out, index_t z0 = 0);
 RankStats run_rank(const RankConfig& cfg, ProjectionSource& source, const Reducer& reduce,
                    const Storer& store, const RankControl& ctl = {});
 
-/// Prepare one loaded band for upload: Eq. 1 when the source emits raw
-/// counts (`beer` must then be set), Parker weighting for short scans
-/// (`parker` non-null) and the Eq. 2 filter, all in one
-/// FilterEngine::apply (the first two as its prologue), then the wire
-/// encoding against the extent that apply folded.  `band` is weighted and
-/// filtered in place; returns its q8 form under BandCodec::Q8 and nullopt
-/// under Raw.  The live filter stage, the checkpoint replay and the
-/// degraded-takeover replay all go through here, so a takeover rebuilds
-/// the dead rank's texture bitwise.
-std::optional<io::EncodedBand> prepare_band(ProjectionStack& band, bool raw_counts,
-                                            const std::optional<BeerLawScalar>& beer,
-                                            const filter::ParkerWeights* parker,
-                                            const filter::FilterEngine& engine,
-                                            io::BandCodec codec);
+/// One slab's differential band on its way through a BandPath.
+struct Band {
+    index_t idx = 0;
+    SlabPlan plan;
+    std::optional<ProjectionStack> delta;  ///< loaded rows; absent when Eq. 6's delta is empty
+    /// q8 wire form of the filtered delta (BandCodec::Q8).  `delta` is
+    /// released once encoded: later stages see only the wire form, which
+    /// is what makes the transport compression honest.
+    std::optional<io::EncodedBand> encoded;
+    std::optional<SlabBackprojector::StagedBand> staged;  ///< upload-ordered planes
+
+    /// Nothing to stage: the delta was empty, or the band is staged.
+    bool empty() const { return !delta && !encoded; }
+};
+
+/// The band path of one view share (cfg.views): the load, filter and
+/// prefetch stages, the device copy and the back-projection, over one
+/// source, filter engine, Parker table, watchdog and SlabBackprojector.
+/// The stage threads, the in-order twin, the checkpoint-restart replay
+/// and the degraded takeover all run these functions, so a band takes
+/// the same steps whichever of them moves it.  Stage spans go to `clock`
+/// and the stage boundaries poll `cancel` (null: neither).
+class BandPath {
+public:
+    /// Throws sim::DeviceOutOfMemory when the texture does not fit the
+    /// device budget, std::invalid_argument when the source emits raw
+    /// counts and cfg.beer is unset.
+    BandPath(const RankConfig& cfg, ProjectionSource& source, const std::vector<SlabPlan>& plans,
+             pipeline::StageClock* clock = nullptr, core::CancelToken* cancel = nullptr);
+    BandPath(const BandPath&) = delete;  // stage threads and the prologue hold its address
+    BandPath& operator=(const BandPath&) = delete;
+
+    /// Load stage: the plan's delta rows, once per attempt of the retry:
+    /// watchdog -> source.load fault and stall points -> source -> digest
+    /// -> transit corruption point -> verify.  No read for an empty delta.
+    Band load(index_t idx, const SlabPlan& plan);
+    /// Filter stage: Eq. 1 for raw counts, Parker weights for short scans
+    /// and the Eq. 2 filter in one FilterEngine::apply, then the q8
+    /// encoding against the extent apply folded (BandCodec::Q8).
+    void prepare(Band& band) const;
+    /// Prefetch stage: gather (raw) or decode (q8) a non-empty band into
+    /// upload order, in the recycled `storage`, and release its loaded
+    /// form.
+    void stage(Band& band, SlabBackprojector::Planes storage) const;
+    /// Device copy of a staged band; returns its storage for reuse.
+    SlabBackprojector::Planes commit(Band& band);
+    /// Back-project slab `idx` from the resident texture rows.
+    Volume backproject(index_t idx, const SlabPlan& plan);
+
+    /// load -> prepare -> stage -> commit slab `idx`'s band in order,
+    /// staging into one recycled buffer.
+    void advance(index_t idx, const SlabPlan& plan);
+    /// Rebuild the texture a run resuming at slab `resume` needs: advance
+    /// through slabs [0, resume), one original delta band at a time.  The
+    /// fp32 filter pairs rows within a band, so only the original banding
+    /// reproduces the texture bitwise.  A no-op when no slab is left.
+    void replay(const std::vector<SlabPlan>& plans, index_t resume);
+
+    /// Supervises the loads; run_rank's reduce stage shares it.
+    integrity::Watchdog& watchdog() { return watchdog_; }
+    const sim::Device& device() const { return bp_.device(); }
+
+private:
+    void poll(const char* where) const;
+
+    RankConfig cfg_;
+    ProjectionSource& source_;
+    pipeline::StageClock* clock_;
+    core::CancelToken* cancel_;
+    SlabBackprojector bp_;
+    filter::FilterEngine engine_;
+    std::optional<filter::ParkerWeights> parker_;  ///< short scans only
+    filter::Prologue prologue_;                    ///< Eq. 1 and Parker, as the source needs
+    integrity::Watchdog watchdog_;
+    SlabBackprojector::Planes spare_;  ///< advance()'s staging buffer
+};
 
 /// Identity reducer for single-rank use.
 inline bool identity_reducer(Volume&, const SlabPlan&)

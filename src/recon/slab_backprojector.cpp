@@ -126,16 +126,6 @@ void SlabBackprojector::commit_band(const StagedBand& staged)
     }
 }
 
-void SlabBackprojector::upload_band(const ProjectionStack& band)
-{
-    commit_band(stage_band(band));
-}
-
-void SlabBackprojector::upload_band(const io::EncodedBand& e)
-{
-    commit_band(stage_band(e));
-}
-
 Volume SlabBackprojector::backproject(const SlabPlan& plan)
 {
     Volume slab(Dim3{cfg_.geometry.vol.x, cfg_.geometry.vol.y, plan.slab.length()});

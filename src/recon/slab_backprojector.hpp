@@ -1,15 +1,14 @@
 #pragma once
-// The back-projection engine of one rank's pipeline, extracted so it can
-// be driven from two places with bit-identical arithmetic:
-//
-//   * rank_pipeline's bp stage (the normal Fig. 9 path);
-//   * the degraded-mode reduce (recon::distributed): a survivor replays a
-//     dead peer's view share through a second SlabBackprojector and
-//     contributes the result under the dead rank's reduction key —
-//     bitwise-identical to what the dead rank would have produced.
+// The back-projection engine of one view share: the device half of a
+// recon::BandPath (rank_pipeline.hpp).  A rank's own share and, in the
+// degraded-mode reduce, each dead peer's share taken over by a survivor
+// get one each, so a takeover's partial is bitwise what the dead rank
+// would have produced.
 //
 // Owns the simulated device, the circular texture of H detector rows and
-// the Algorithm-3 upload bookkeeping (differential bands, wrap-splitting).
+// the Algorithm-3 upload bookkeeping (differential bands, wrap-splitting):
+// stage_band gathers a band into upload order on the host, commit_band
+// copies it to the device.
 
 #include <optional>
 #include <vector>
@@ -53,8 +52,8 @@ public:
     /// can run it for band i+1 while band i's slab back-projects.
     /// `planes` holds the band's rows in order, one height*width plane
     /// each; `segments` split them where the circular depth wraps.  The
-    /// buffer is plain storage the pipeline recycles through its
-    /// double-buffer ring.
+    /// buffer is plain storage the pipeline recycles through its staging
+    /// ring.
     struct StagedBand {
         struct Segment {
             index_t depth = 0;    ///< circular texture depth of the first plane
@@ -69,12 +68,11 @@ public:
 
     /// Gather `band` into upload order (Algorithm 3 lines 10-15: circular
     /// depth addressing, wrap-split runs).  Pure host-side work — no
-    /// device traffic, no fault gates — so commit_band(stage_band(b)) is
-    /// bitwise-identical to the historical one-shot upload_band(b).
-    /// `storage` is recycled as the staging buffer (growing it counts as
-    /// a scratch::heap_events() event).  Throws std::invalid_argument,
-    /// before any write, unless the band's views and columns are the
-    /// texture's and its rows fit the depth.
+    /// device traffic, no fault gates.  `storage` is recycled as the
+    /// staging buffer (growing it counts as a scratch::heap_events()
+    /// event).  Throws std::invalid_argument, before any write, unless the
+    /// band's views and columns are the texture's and its rows fit the
+    /// depth.
     StagedBand stage_band(const ProjectionStack& band, Planes storage = {}) const;
 
     /// Decode a q8 band straight into upload order: io::decode_band_into
@@ -89,15 +87,6 @@ public:
     /// at "sim.h2d").  Throws std::invalid_argument unless the segments
     /// cover exactly the staged planes.
     void commit_band(const StagedBand& staged);
-
-    /// Algorithm 3: copy a (differential) row band into circular depth
-    /// positions, splitting runs that would wrap (lines 10-15).
-    /// Equivalent to commit_band(stage_band(band)).
-    void upload_band(const ProjectionStack& band);
-
-    /// q8 transport path: decode + gather + upload.  Same texture state as
-    /// upload_band(decode_band(e)) but billed at wire bytes.
-    void upload_band(const io::EncodedBand& e);
 
     /// Back-project one slab from the resident texture rows and model the
     /// sub-volume device->host move (Table 5's T_D2H).

@@ -1,7 +1,7 @@
 # --metrics needs no tracing: runs xct_recon (-DRECON) twice on the tools
 # fixture stack (-DINPUT), once with --metrics alone and once with
 # --trace --metrics, writing into -DOUT, and requires both CSVs to carry
-# the same pipeline.stage.* rows, covering all five stages.
+# the same pipeline.stage.* rows, covering all six stages.
 cmake_minimum_required(VERSION 3.16)
 foreach(var RECON INPUT OUT)
   if(NOT DEFINED ${var})
@@ -28,7 +28,7 @@ stage_rows(traced traced --trace ${OUT}/traced.json)
 if(NOT alone STREQUAL traced)
   message(FATAL_ERROR "--metrics alone wrote [${alone}], --trace --metrics wrote [${traced}]")
 endif()
-foreach(stage load filter bp mpi store)
+foreach(stage load filter prefetch bp mpi store)
   foreach(unit seconds spans)
     if(NOT "pipeline.stage.${stage}.${unit}" IN_LIST alone)
       message(FATAL_ERROR "--metrics alone: missing pipeline.stage.${stage}.${unit}")

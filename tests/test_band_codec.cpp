@@ -1,8 +1,8 @@
 // q8 band-codec tests (src/io/band_codec, DESIGN.md §3j): the round-trip
 // error bound, bitwise agreement with the QuantizedTexture3 dequantiser,
 // the wire-size win, digest verification at the band.decode fault gate
-// with retry recovery, and the end-to-end pipeline contracts — raw runs
-// are bitwise independent of the prefetch switch, q8 runs stay within the
+// with retry recovery, and the end-to-end pipeline contracts — threaded
+// runs are bitwise their in-order twin, q8 runs stay within the
 // quantisation quality bar while moving ~4x fewer host->device bytes.
 #include <gtest/gtest.h>
 
@@ -457,8 +457,8 @@ TEST(SlabBackprojector, RejectsABandThatDoesNotFitTheTexture)
     for (const ProjectionStack& band :
          {ProjectionStack(6, rows, g.nu), ProjectionStack(8, rows, g.nu - 1),
           ProjectionStack(8, Range{0, depth + 1}, g.nu)}) {
-        EXPECT_THROW(bp.upload_band(band), std::invalid_argument);
-        EXPECT_THROW(bp.upload_band(encode_band(band)), std::invalid_argument);
+        EXPECT_THROW(bp.commit_band(bp.stage_band(band)), std::invalid_argument);
+        EXPECT_THROW(bp.commit_band(bp.stage_band(encode_band(band))), std::invalid_argument);
     }
     // commit_band takes only segments that cover the staged planes exactly.
     SlabBackprojector::StagedBand staged = bp.stage_band(ProjectionStack(8, rows, g.nu));
@@ -502,27 +502,34 @@ recon::SourceFactory phantom_factory(const std::vector<phantom::Ellipsoid>& ph,
     return [&ph, g](RankId) { return std::make_unique<recon::PhantomSource>(ph, g); };
 }
 
-TEST(BandCodecPipeline, RawRunsAreBitwiseIndependentOfPrefetch)
+TEST(BandCodecPipeline, ThreadedRunsAreBitwiseTheInOrderTwin)
 {
+    // The stage threads and the in-order twin run the same band path, so
+    // the execution order never shows in the volume, raw or q8.
     const CbctGeometry g = geo();
     const auto ph = phantom::shepp_logan_3d(g.dx * static_cast<double>(g.vol.x) / 2.4);
+    for (const BandCodec codec : {BandCodec::Raw, BandCodec::Q8}) {
+        SCOPED_TRACE(band_codec_name(codec));
+        recon::DistributedConfig serial = dist_config(g);
+        serial.band_codec = codec;
+        serial.threaded = false;
+        const recon::DistributedResult a = reconstruct_distributed(serial, phantom_factory(ph, g));
 
-    recon::DistributedConfig off = dist_config(g);
-    const recon::DistributedResult a = reconstruct_distributed(off, phantom_factory(ph, g));
+        recon::DistributedConfig threaded = dist_config(g);
+        threaded.band_codec = codec;
+        threaded.queue_depth = 3;
+        const recon::DistributedResult b =
+            reconstruct_distributed(threaded, phantom_factory(ph, g));
 
-    recon::DistributedConfig on = dist_config(g);
-    on.prefetch = true;
-    on.queue_depth = 3;
-    const recon::DistributedResult b = reconstruct_distributed(on, phantom_factory(ph, g));
-
-    ASSERT_EQ(a.volume.count(), b.volume.count());
-    EXPECT_EQ(std::memcmp(a.volume.span().data(), b.volume.span().data(),
-                          static_cast<std::size_t>(a.volume.count()) * sizeof(float)),
-              0);
-    // The staging stage actually ran on the prefetch side.
-    double t_prefetch = 0.0;
-    for (const recon::RankStats& rs : b.ranks) t_prefetch += rs.t_prefetch;
-    EXPECT_GT(t_prefetch, 0.0);
+        ASSERT_EQ(a.volume.count(), b.volume.count());
+        EXPECT_EQ(std::memcmp(a.volume.span().data(), b.volume.span().data(),
+                              static_cast<std::size_t>(a.volume.count()) * sizeof(float)),
+                  0);
+        // The staging ran on the prefetch stage.
+        double t_prefetch = 0.0;
+        for (const recon::RankStats& rs : b.ranks) t_prefetch += rs.t_prefetch;
+        EXPECT_GT(t_prefetch, 0.0);
+    }
 }
 
 TEST(BandCodecPipeline, Q8CutsTransportBytesAndHoldsTheQualityBar)
@@ -538,7 +545,6 @@ TEST(BandCodecPipeline, Q8CutsTransportBytesAndHoldsTheQualityBar)
 
     recon::DistributedConfig q8 = dist_config(g);
     q8.band_codec = io::BandCodec::Q8;
-    q8.prefetch = true;
     const auto h2d_before_q8 = h2d.value();
     const recon::DistributedResult b = reconstruct_distributed(q8, phantom_factory(ph, g));
     const auto q8_bytes = h2d.value() - h2d_before_q8;

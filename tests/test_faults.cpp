@@ -752,6 +752,44 @@ TEST(Resilience, DistributedCheckpointRestartIsBitwiseIdentical)
     EXPECT_GT(restored, 0);
 }
 
+TEST(Resilience, DegradedTakeoverAfterCheckpointResumeIsBitwise)
+{
+    // A survivor that resumes mid-run and takes over a dead peer's share
+    // must rebuild the peer's texture from the original delta bands of the
+    // completed slabs.  The fp32 filter pairs rows within a band, so one
+    // band of the resume slab's whole row window rounds differently.
+    const CbctGeometry g = geo();
+    const auto ph = phantom::shepp_logan_3d(g.dx * 10.0);
+    DistributedConfig cfg;
+    cfg.geometry = g;
+    cfg.layout = GroupLayout{2, 2};
+    const auto factory = [&](RankId) { return std::make_unique<PhantomSource>(ph, g); };
+    const DistributedResult ref = reconstruct_distributed(cfg, factory);
+
+    DistributedConfig ccfg = cfg;
+    ccfg.checkpoint_dir = scratch("ckpt_takeover");
+    {
+        // In order, rank 2 completes 4 of group 1's 6 slabs before its
+        // source dies for good.
+        faults::ScopedPlan install(
+            faults::FaultPlan::parse("source.load:after=4,count=-1,rank=2"));
+        DistributedConfig fcfg = ccfg;
+        fcfg.threaded = false;
+        EXPECT_THROW(reconstruct_distributed(fcfg, factory), std::runtime_error);
+    }
+    // The rerun loses rank 3: rank 2 resumes at slab 4 and computes rank
+    // 3's partials of slabs 4 and 5 as well.
+    faults::ScopedPlan install(faults::FaultPlan::parse("rank.dropout:rank=3"));
+    const std::uint64_t slabs_before = cval("faults.degraded.slabs");
+    DistributedConfig dcfg = ccfg;
+    dcfg.degraded_reduce = true;
+    const DistributedResult r = reconstruct_distributed(dcfg, factory);
+    ASSERT_EQ(r.dead, (std::vector<RankId>{RankId{3}}));
+    EXPECT_EQ(r.ranks[2].slabs_restored, 4);
+    EXPECT_EQ(cval("faults.degraded.slabs") - slabs_before, 2u);
+    EXPECT_TRUE(bitwise_equal(r.volume, ref.volume));
+}
+
 // ---- integrity: corruption detection and recovery (DESIGN.md §3f) -----
 //
 // Every kind=corrupt plan below uses a bounded after=N,count=M window:

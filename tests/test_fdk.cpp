@@ -175,6 +175,7 @@ TEST(Fdk, StatsReportEveryPipelineStage)
     const FdkResult r = reconstruct_fdk(cfg, src);
     EXPECT_GT(r.stats.t_load, 0.0);
     EXPECT_GT(r.stats.t_filter, 0.0);
+    EXPECT_GT(r.stats.t_prefetch, 0.0);
     EXPECT_GT(r.stats.t_bp, 0.0);
     EXPECT_GT(r.stats.t_store, 0.0);
     EXPECT_GT(r.stats.wall, 0.0);
@@ -184,7 +185,8 @@ TEST(Fdk, StatsReportEveryPipelineStage)
     std::set<std::string> stages;
     for (const auto& e : telemetry::flight::snapshot(t0))
         if (std::string_view(e.cat) == names::kCatPipeline) stages.insert(e.name);
-    EXPECT_EQ(stages, (std::set<std::string>{"load", "filter", "bp", "mpi", "store"}));
+    EXPECT_EQ(stages,
+              (std::set<std::string>{"load", "filter", "prefetch", "bp", "mpi", "store"}));
 }
 
 TEST(RankStats, OverlapFactorMeasuresConcurrency)

@@ -90,9 +90,8 @@ int main(int argc, char** argv)
               "replace --groups/--ranks/--batches/--queue-depth with the model-driven "
               "planner's pick (their product caps the rank budget; the CLI choice is "
               "always scored too)")
-        .flag("prefetch", "double-buffer band staging: overlap band i+1's gather/decode "
-                          "with slab i's back-projection")
-        .flag("sequential", "disable the 5-thread pipeline (debugging)");
+        .flag("prefetch", "no-op: band staging always has its own pipeline stage")
+        .flag("sequential", "run the pipeline's stages in order on one thread (the serial twin)");
     args.parse(argc, argv, "FDK cone-beam reconstruction");
 
     if (args.is_set("faults"))
@@ -113,7 +112,6 @@ int main(int argc, char** argv)
     index_t batches = args.get_int("batches");
     index_t queue_depth = args.get_int("queue-depth");
     const io::BandCodec codec = io::band_codec_from_name(args.get("band-codec"));
-    const bool prefetch = args.get_flag("prefetch");
     const std::size_t device_capacity = static_cast<std::size_t>(args.get_int("device-mib"))
                                         << 20;
 
@@ -240,7 +238,6 @@ int main(int argc, char** argv)
     cfg.device_capacity = device_capacity;
     cfg.threaded = !args.get_flag("sequential");
     cfg.band_codec = codec;
-    cfg.prefetch = prefetch;
     cfg.queue_depth = queue_depth;
     if (gf.raw_counts) cfg.beer = gf.beer;
     cfg.retry = retry;
@@ -275,8 +272,9 @@ int main(int argc, char** argv)
         if (cfg.checkpoint_dir) rc.checkpoint = recon::CheckpointConfig{*cfg.checkpoint_dir, -1};
         const auto source = sources(RankId{0});
         const recon::RankStats st = recon::reconstruct_fdk_slices(rc, *source, slices, store);
-        std::printf("stages: load %.3f filter %.3f bp %.3f store %.3f | wall %.3f s\n", st.t_load,
-                    st.t_filter, st.t_bp, st.t_store, st.wall);
+        std::printf("stages: load %.3f filter %.3f prefetch %.3f bp %.3f store %.3f | "
+                    "wall %.3f s\n",
+                    st.t_load, st.t_filter, st.t_prefetch, st.t_bp, st.t_store, st.wall);
         if (args.is_set("report")) {
             const telemetry::report::RankTimings t =
                 to_timings(st, RankId{0}, GroupId{0}, telemetry::flight::snapshot(t0));
@@ -290,11 +288,11 @@ int main(int argc, char** argv)
                         static_cast<long long>(d.value()));
         for (RankId rank{0}; rank.value() < ng * nr; ++rank) {
             const recon::RankStats& st = r.ranks[static_cast<std::size_t>(rank.value())];
-            std::printf("rank %lld (group %lld): load %.3f filter %.3f bp %.3f reduce %.3f "
-                        "store %.3f | wall %.3f s overlap %.2f\n",
+            std::printf("rank %lld (group %lld): load %.3f filter %.3f prefetch %.3f bp %.3f "
+                        "reduce %.3f store %.3f | wall %.3f s overlap %.2f\n",
                         static_cast<long long>(rank.value()),
                         static_cast<long long>(cfg.layout.group_of(rank).value()), st.t_load,
-                        st.t_filter, st.t_bp, st.t_reduce, st.t_store, st.wall,
+                        st.t_filter, st.t_prefetch, st.t_bp, st.t_reduce, st.t_store, st.wall,
                         st.overlap_factor());
         }
         double busy = 0.0, worst_wall = 0.0;
