@@ -21,6 +21,7 @@
 #include "bench_common.hpp"
 #include "core/decompose.hpp"
 #include "core/names.hpp"
+#include "core/parallel.hpp"
 #include "core/scratch.hpp"
 #include "core/simd.hpp"
 #include "fft/fft.hpp"
@@ -305,8 +306,8 @@ void emit_bench_json(const std::string& path)
     }
 
     // Ramp filtering: per-row double-precision reference vs the fp32
-    // lane-batched apply(), OpenMP on both sides so the speedup isolates
-    // fp32 + batching + plan cache + scratch pooling.
+    // lane-batched apply(), the worker pool on both sides so the speedup
+    // isolates fp32 + batching + plan cache + scratch pooling.
     {
         const CbctGeometry g = bench_geo(64);
         const filter::FilterEngine eng(g);
@@ -316,10 +317,10 @@ void emit_bench_json(const std::string& path)
 
         const auto run_reference = [&] {
             for (float& v : stack.span()) v = 1.0f;
-#pragma omp parallel for collapse(2) schedule(static)
-            for (index_t s = 0; s < stack.views(); ++s)
-                for (index_t v = 0; v < stack.rows(); ++v)
-                    eng.apply_row_reference(stack.row(s, v), v);
+            const index_t nv = stack.rows();
+            parallel::parallel_for(stack.views() * nv, 1, [&](index_t sv, std::size_t) {
+                eng.apply_row_reference(stack.row(sv / nv, sv % nv), sv % nv);
+            });
         };
         run_reference();
         const double t_ref = seconds_best_of(3, run_reference);

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "core/check.hpp"
+#include "core/parallel.hpp"
 #include "core/scratch.hpp"
 #include "core/simd.hpp"
 
@@ -63,31 +64,29 @@ void bp_scalar_impl(const Tex& tex, const MatrixPack& pack, Volume& vol, const S
     const index_t views = pack.views();
     const float proj_y0 = static_cast<float>(off.proj_y);
 
-#pragma omp parallel for collapse(2) schedule(static)
-    for (index_t k = 0; k < d.z; ++k) {
-        for (index_t j = 0; j < d.y; ++j) {
-            const float kk = static_cast<float>(k + off.volume_z);  // offset K (Listing 1 line 9)
-            const float jj = static_cast<float>(j);
-            for (index_t i = 0; i < d.x; ++i) {
-                const float ii = static_cast<float>(i);
-                float sum = 0.0f;
-                for (index_t s = 0; s < views; ++s) {
-                    const auto& m = pack.fmat(s);
-                    // Eq. 8 (Listing 1 lines 12-14).
-                    const float z = m[8] * ii + m[9] * jj + m[10] * kk + m[11];
-                    if (z <= 0.0f) continue;
-                    const float x = (m[0] * ii + m[1] * jj + m[2] * kk + m[3]) / z;
-                    const float y = (m[4] * ii + m[5] * jj + m[6] * kk + m[7]) / z;
-                    if (x < 0.0f || x > static_cast<float>(nu - 1) || y < 0.0f ||
-                        y > static_cast<float>(nv - 1))
-                        continue;
-                    const float yrel = y - proj_y0;  // offset Y (Listing 1 line 15)
-                    sum += 1.0f / (z * z) * dev_sub_pixel(tex, x, yrel, s);
-                }
-                vol.at(i, j, k) += sum;  // one volume write per voxel (line 19)
+    parallel::parallel_for(d.z * d.y, 1, [&](index_t kj, std::size_t) {
+        const index_t k = kj / d.y, j = kj % d.y;
+        const float kk = static_cast<float>(k + off.volume_z);  // offset K (Listing 1 line 9)
+        const float jj = static_cast<float>(j);
+        for (index_t i = 0; i < d.x; ++i) {
+            const float ii = static_cast<float>(i);
+            float sum = 0.0f;
+            for (index_t s = 0; s < views; ++s) {
+                const auto& m = pack.fmat(s);
+                // Eq. 8 (Listing 1 lines 12-14).
+                const float z = m[8] * ii + m[9] * jj + m[10] * kk + m[11];
+                if (z <= 0.0f) continue;
+                const float x = (m[0] * ii + m[1] * jj + m[2] * kk + m[3]) / z;
+                const float y = (m[4] * ii + m[5] * jj + m[6] * kk + m[7]) / z;
+                if (x < 0.0f || x > static_cast<float>(nu - 1) || y < 0.0f ||
+                    y > static_cast<float>(nv - 1))
+                    continue;
+                const float yrel = y - proj_y0;  // offset Y (Listing 1 line 15)
+                sum += 1.0f / (z * z) * dev_sub_pixel(tex, x, yrel, s);
             }
+            vol.at(i, j, k) += sum;  // one volume write per voxel (line 19)
         }
-    }
+    });
 }
 
 /// The vectorised column-walk kernel (the production path, DESIGN.md §3e).
@@ -98,7 +97,7 @@ void bp_scalar_impl(const Tex& tex, const MatrixPack& pack, Volume& vol, const S
 /// in i, and each lane evaluates fma(i, step, row_constant) with the row
 /// constants computed in double so the walk starts exact.
 ///
-///   * rows j go to threads; each thread leases an acc[nz][nx]
+///   * rows j go to the worker pool; each pool slot has an acc[nz][nx]
 ///     accumulator and room for a row's y constants of every (view, k);
 ///   * per view and per simd::kLanes voxels of the row: zn, x, the zn > 0 /
 ///     column mask, the clamp and floor of x and the weight 1/zn^2, once
@@ -160,98 +159,101 @@ void bp_vectorised(const sim::Texture3& tex, const MatrixPack& pack, Volume& vol
     const double kk0 = static_cast<double>(off.volume_z);
 
     // Rows vary in cost (masked columns are skipped), so they are handed
-    // out dynamically; each thread leases its buffers once per call.
-#pragma omp parallel
-    {
-        scratch::Buffer<float> lease(static_cast<std::size_t>(d.z * d.x + views * d.z));
-        float* acc = lease.data();      // acc[k * nx + i]
-        float* yrow = acc + d.z * d.x;  // yrow[s * nz + k]
-#pragma omp for schedule(dynamic)
-        for (index_t j = 0; j < d.y; ++j) {
-            const double jj = static_cast<double>(j);
-            std::fill_n(acc, d.z * d.x, 0.0f);
-            // k outermost, view innermost: no product here is loop-invariant,
-            // so fma contraction rounds exactly as in the per-(view, row) loop.
-            for (index_t k = 0; k < d.z; ++k) {
-                const double kk = static_cast<double>(k + off.volume_z);
-                for (index_t s = 0; s < views; ++s) {
-                    const Mat34& m = pack.dmat(s);
-                    yrow[s * d.z + k] = static_cast<float>(m[1].y * jj + m[1].z * kk + m[1].w);
-                }
-            }
+    // out one at a time.  Each pool slot owns an acc[nz][nx] accumulator
+    // and room for a row's y constants of every (view, k), all in one lease
+    // on the calling thread.  The body captures the constants by value: a
+    // vector store may alias any object, and through a by-reference closure
+    // GCC reloads each constant via a second pointer inside the k loop
+    // (~20 % of bp in a kernel micro-benchmark).
+    const std::size_t per_slot = static_cast<std::size_t>(d.z * d.x + views * d.z);
+    scratch::Buffer<float> lease(parallel::width() * per_slot);
+    float* const slots = lease.data();
+    parallel::parallel_for(d.y, 1, [=, &tex, &pack, &vol](index_t j, std::size_t slot) {
+        float* const acc = slots + slot * per_slot;  // acc[k * nx + i]
+        float* const yrow = acc + d.z * d.x;         // yrow[s * nz + k]
+        const double jj = static_cast<double>(j);
+        std::fill_n(acc, d.z * d.x, 0.0f);
+        // k outermost, view innermost: no product here is loop-invariant,
+        // so fma contraction rounds exactly as in the per-(view, row) loop.
+        for (index_t k = 0; k < d.z; ++k) {
+            const double kk = static_cast<double>(k + off.volume_z);
             for (index_t s = 0; s < views; ++s) {
                 const Mat34& m = pack.dmat(s);
-                const auto& f = pack.fmat(s);
-                // Zero z column: the same floats at every k of the slab.
-                const float xn0 = static_cast<float>(m[0].y * jj + m[0].z * kk0 + m[0].w);
-                const float zn0 = static_cast<float>(m[2].y * jj + m[2].z * kk0 + m[2].w);
-                const float dxn = f[0];
-                const float dyn = f[4];
-                const float dzn = f[8];
-                const float* yn0 = yrow + s * d.z;
+                yrow[s * d.z + k] = static_cast<float>(m[1].y * jj + m[1].z * kk + m[1].w);
+            }
+        }
+        for (index_t s = 0; s < views; ++s) {
+            const Mat34& m = pack.dmat(s);
+            const auto& f = pack.fmat(s);
+            // Zero z column: the same floats at every k of the slab.
+            const float xn0 = static_cast<float>(m[0].y * jj + m[0].z * kk0 + m[0].w);
+            const float zn0 = static_cast<float>(m[2].y * jj + m[2].z * kk0 + m[2].w);
+            const float dxn = f[0];
+            const float dyn = f[4];
+            const float dzn = f[8];
+            const float* yn0 = yrow + s * d.z;
 
-                const simd::VecF vxn0 = simd::splat(xn0);
-                const simd::VecF vzn0 = simd::splat(zn0);
-                const simd::VecF vdxn = simd::splat(dxn);
-                const simd::VecF vdyn = simd::splat(dyn);
-                const simd::VecF vdzn = simd::splat(dzn);
-                const simd::VecI vsrow = simd::splat_i(static_cast<std::int32_t>(s * width));
+            const simd::VecF vxn0 = simd::splat(xn0);
+            const simd::VecF vzn0 = simd::splat(zn0);
+            const simd::VecF vdxn = simd::splat(dxn);
+            const simd::VecF vdyn = simd::splat(dyn);
+            const simd::VecF vdzn = simd::splat(dzn);
+            const simd::VecI vsrow = simd::splat_i(static_cast<std::int32_t>(s * width));
 
-                for (index_t i = 0; i < nx_vec; i += W) {
-                    const simd::VecF ii = simd::splat(static_cast<float>(i)) + viota;
-                    const simd::VecF zn = simd::fmadd(ii, vdzn, vzn0);
-                    const simd::Mask zpos = simd::cmp_gt(zn, vzero);
-                    const simd::VecF zn_safe = simd::blend(zpos, zn, vone);
-                    const simd::VecF x = simd::fmadd(ii, vdxn, vxn0) / zn_safe;
-                    const simd::Mask xok = zpos & simd::cmp_ge(x, vzero) & simd::cmp_le(x, vxhi);
-                    if (simd::none(xok)) continue;
-                    const simd::VecF xc = simd::clamp(x, vzero, vxhi);
-                    const simd::VecF fx = simd::floor_(xc);
-                    const simd::VecF du = xc - fx;
-                    const simd::VecF one_du = vone - du;
-                    const simd::Mask last_col = simd::cmp_gt(fx, vpair_hi);
-                    const simd::VecI col = simd::to_int(simd::min_(fx, vpair_hi)) + vsrow;
-                    const simd::VecF wgt = vone / (zn_safe * zn_safe);
-                    float* acc_k = acc + i;
-                    for (index_t k = 0; k < d.z; ++k, acc_k += d.x) {
-                        const simd::VecF y = simd::fmadd(ii, vdyn, simd::splat(yn0[k])) / zn_safe;
-                        const simd::Mask ok = xok & simd::cmp_ge(y, vzero) & simd::cmp_le(y, vyhi);
-                        if (simd::none(ok)) continue;
-                        const simd::VecF yc = simd::clamp(y, vzero, vyhi);
-                        const simd::VecF fy = simd::floor_(yc);
-                        const simd::VecF dv = yc - fy;
-                        const auto [z0, z1] = simd::gather_pair(zrow, simd::to_int(fy));
-                        const auto [r0lo, f01] = simd::gather_pair(texel, z0 + col);
-                        const auto [r1lo, f11] = simd::gather_pair(texel, z1 + col);
-                        const simd::VecF f00 = simd::blend(last_col, f01, r0lo);
-                        const simd::VecF f10 = simd::blend(last_col, f11, r1lo);
-                        const simd::VecF one_dv = vone - dv;
-                        const simd::VecF bil = (f00 * one_du + f01 * du) * one_dv +
-                                               (f10 * one_du + f11 * du) * dv;
-                        const simd::VecF contrib = simd::blend(ok, wgt * bil, vzero);
-                        simd::store(acc_k, simd::load(acc_k) + contrib);
-                    }
-                }
-                // Scalar tail (d.x % kLanes voxels), same affine walk; i is
-                // innermost so fi * dyn is not hoisted away from its add.
-                for (index_t k = 0; k < d.z; ++k) {
-                    for (index_t i = nx_vec; i < d.x; ++i) {
-                        const float fi = static_cast<float>(i);
-                        const float zn = fi * dzn + zn0;
-                        if (zn <= 0.0f) continue;
-                        const float x = (fi * dxn + xn0) / zn;
-                        const float y = (fi * dyn + yn0[k]) / zn;
-                        if (x < 0.0f || x > x_hi || y < 0.0f || y > y_hi) continue;
-                        acc[k * d.x + i] +=
-                            1.0f / (zn * zn) *
-                            dev_sub_pixel(tex, x, y - static_cast<float>(off.proj_y), s);
-                    }
+            for (index_t i = 0; i < nx_vec; i += W) {
+                const simd::VecF ii = simd::splat(static_cast<float>(i)) + viota;
+                const simd::VecF zn = simd::fmadd(ii, vdzn, vzn0);
+                const simd::Mask zpos = simd::cmp_gt(zn, vzero);
+                const simd::VecF zn_safe = simd::blend(zpos, zn, vone);
+                const simd::VecF x = simd::fmadd(ii, vdxn, vxn0) / zn_safe;
+                const simd::Mask xok = zpos & simd::cmp_ge(x, vzero) & simd::cmp_le(x, vxhi);
+                if (simd::none(xok)) continue;
+                const simd::VecF xc = simd::clamp(x, vzero, vxhi);
+                const simd::VecF fx = simd::floor_(xc);
+                const simd::VecF du = xc - fx;
+                const simd::VecF one_du = vone - du;
+                const simd::Mask last_col = simd::cmp_gt(fx, vpair_hi);
+                const simd::VecI col = simd::to_int(simd::min_(fx, vpair_hi)) + vsrow;
+                const simd::VecF wgt = vone / (zn_safe * zn_safe);
+                float* acc_k = acc + i;
+                for (index_t k = 0; k < d.z; ++k, acc_k += d.x) {
+                    const simd::VecF y = simd::fmadd(ii, vdyn, simd::splat(yn0[k])) / zn_safe;
+                    const simd::Mask ok = xok & simd::cmp_ge(y, vzero) & simd::cmp_le(y, vyhi);
+                    if (simd::none(ok)) continue;
+                    const simd::VecF yc = simd::clamp(y, vzero, vyhi);
+                    const simd::VecF fy = simd::floor_(yc);
+                    const simd::VecF dv = yc - fy;
+                    const auto [z0, z1] = simd::gather_pair(zrow, simd::to_int(fy));
+                    const auto [r0lo, f01] = simd::gather_pair(texel, z0 + col);
+                    const auto [r1lo, f11] = simd::gather_pair(texel, z1 + col);
+                    const simd::VecF f00 = simd::blend(last_col, f01, r0lo);
+                    const simd::VecF f10 = simd::blend(last_col, f11, r1lo);
+                    const simd::VecF one_dv = vone - dv;
+                    const simd::VecF bil = (f00 * one_du + f01 * du) * one_dv +
+                                           (f10 * one_du + f11 * du) * dv;
+                    const simd::VecF contrib = simd::blend(ok, wgt * bil, vzero);
+                    simd::store(acc_k, simd::load(acc_k) + contrib);
                 }
             }
-            for (index_t k = 0; k < d.z; ++k)
-                for (index_t i = 0; i < d.x; ++i) vol.at(i, j, k) += acc[k * d.x + i];
+            // Scalar tail (d.x % kLanes voxels), same affine walk; i is
+            // innermost so fi * dyn is not hoisted away from its add.
+            for (index_t k = 0; k < d.z; ++k) {
+                for (index_t i = nx_vec; i < d.x; ++i) {
+                    const float fi = static_cast<float>(i);
+                    const float zn = fi * dzn + zn0;
+                    if (zn <= 0.0f) continue;
+                    const float x = (fi * dxn + xn0) / zn;
+                    const float y = (fi * dyn + yn0[k]) / zn;
+                    if (x < 0.0f || x > x_hi || y < 0.0f || y > y_hi) continue;
+                    acc[k * d.x + i] +=
+                        1.0f / (zn * zn) *
+                        dev_sub_pixel(tex, x, y - static_cast<float>(off.proj_y), s);
+                }
+            }
         }
-    }
+        for (index_t k = 0; k < d.z; ++k)
+            for (index_t i = 0; i < d.x; ++i) vol.at(i, j, k) += acc[k * d.x + i];
+    });
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "core/parallel.hpp"
+
 namespace xct::backproj {
 
 namespace {
@@ -42,8 +44,7 @@ void backproject_reference(const ProjectionStack& p, std::span<const Mat34> mats
         // Single-precision copy of the matrix rows (the data path is float
         // end-to-end, matching the CUDA kernel).
         const Mat34& m = mats[static_cast<std::size_t>(s)];
-#pragma omp parallel for schedule(static)
-        for (index_t k = 0; k < d.z; ++k) {
+        parallel::parallel_for(d.z, 1, [&](index_t k, std::size_t) {
             const float kk = static_cast<float>(k + vol_z_offset);
             for (index_t j = 0; j < d.y; ++j) {
                 const float jj = static_cast<float>(j);
@@ -65,7 +66,7 @@ void backproject_reference(const ProjectionStack& p, std::span<const Mat34> mats
                     vol.at(i, j, k) += 1.0f / (z * z) * sub_pixel(p, s, x, y);
                 }
             }
-        }
+        });
     }
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/parallel.hpp"
+
 namespace xct::backproj {
 
 namespace {
@@ -57,39 +59,37 @@ void backproject_rtk_style(sim::Device& dev, const ProjectionStack& p, std::span
         }
 
         std::span<float> acc = dvol.device_span();
-#pragma omp parallel for collapse(2) schedule(static)
-        for (index_t k = 0; k < d.z; ++k) {
-            for (index_t j = 0; j < d.y; ++j) {
-                const float kk = static_cast<float>(k);
-                const float jj = static_cast<float>(j);
-                for (index_t i = 0; i < d.x; ++i) {
-                    const float ii = static_cast<float>(i);
-                    float sum = 0.0f;
-                    for (index_t b = 0; b < nb; ++b) {
-                        const Mat34& m = mats[static_cast<std::size_t>(s0 + b)];
-                        const float z = static_cast<float>(m[2].x) * ii +
-                                        static_cast<float>(m[2].y) * jj +
-                                        static_cast<float>(m[2].z) * kk + static_cast<float>(m[2].w);
-                        if (z <= 0.0f) continue;
-                        const float x = (static_cast<float>(m[0].x) * ii +
-                                         static_cast<float>(m[0].y) * jj +
-                                         static_cast<float>(m[0].z) * kk +
-                                         static_cast<float>(m[0].w)) /
-                                        z;
-                        const float y = (static_cast<float>(m[1].x) * ii +
-                                         static_cast<float>(m[1].y) * jj +
-                                         static_cast<float>(m[1].z) * kk +
-                                         static_cast<float>(m[1].w)) /
-                                        z;
-                        if (x < 0.0f || x > static_cast<float>(g.nu - 1) || y < 0.0f ||
-                            y > static_cast<float>(g.nv - 1))
-                            continue;
-                        sum += 1.0f / (z * z) * tex_bilinear(tex, x, y, b);
-                    }
-                    acc[static_cast<std::size_t>((k * d.y + j) * d.x + i)] += sum;
+        parallel::parallel_for(d.z * d.y, 1, [&](index_t kj, std::size_t) {
+            const index_t k = kj / d.y, j = kj % d.y;
+            const float kk = static_cast<float>(k);
+            const float jj = static_cast<float>(j);
+            for (index_t i = 0; i < d.x; ++i) {
+                const float ii = static_cast<float>(i);
+                float sum = 0.0f;
+                for (index_t b = 0; b < nb; ++b) {
+                    const Mat34& m = mats[static_cast<std::size_t>(s0 + b)];
+                    const float z = static_cast<float>(m[2].x) * ii +
+                                    static_cast<float>(m[2].y) * jj +
+                                    static_cast<float>(m[2].z) * kk + static_cast<float>(m[2].w);
+                    if (z <= 0.0f) continue;
+                    const float x = (static_cast<float>(m[0].x) * ii +
+                                     static_cast<float>(m[0].y) * jj +
+                                     static_cast<float>(m[0].z) * kk +
+                                     static_cast<float>(m[0].w)) /
+                                    z;
+                    const float y = (static_cast<float>(m[1].x) * ii +
+                                     static_cast<float>(m[1].y) * jj +
+                                     static_cast<float>(m[1].z) * kk +
+                                     static_cast<float>(m[1].w)) /
+                                    z;
+                    if (x < 0.0f || x > static_cast<float>(g.nu - 1) || y < 0.0f ||
+                        y > static_cast<float>(g.nv - 1))
+                        continue;
+                    sum += 1.0f / (z * z) * tex_bilinear(tex, x, y, b);
                 }
+                acc[static_cast<std::size_t>((k * d.y + j) * d.x + i)] += sum;
             }
-        }
+        });
     }
 
     dvol.download(vol.span());

@@ -106,10 +106,14 @@ inline constexpr const char* kMetricFlightDumpsPrefix = "flight.dumps.";  ///< +
 inline constexpr const char* kMetricFlightThreads = "flight.threads";
 // fleet.* (src/telemetry/report): cross-rank aggregation of per-rank
 // stage timings into log-bucketed histograms; report.cpp reads these
-// back out as fleet p50/p95/p99.
+// back out as fleet p50/p95/p99.  The histograms are
+// fleet.stage.{load,filter,prefetch,bp,reduce,store,wall}.seconds: the
+// six pipeline stages (kStage* above, the reduce stage under its report
+// name) and the whole-rank wall clock.
 inline constexpr const char* kMetricFleetStagePrefix = "fleet.stage.";  ///< + stage + ".seconds"
 inline constexpr const char* kMetricFleetRanks = "fleet.ranks";  ///< ranks aggregated
-// Pseudo-stage fed to fleet_observe next to the five pipeline stages.
+inline constexpr const char* kStageReduce = "reduce";  ///< report/fleet name of kStageMpi
+// Pseudo-stage fed to fleet_observe next to the six pipeline stages.
 inline constexpr const char* kStageWall = "wall";  ///< whole-rank wall clock
 // soak.* (src/soak): fleet soak harness accounting.  jobs = jobs driven to
 // a terminal state, degraded/wedged split that total; stall twins mirror

@@ -2,14 +2,16 @@
 
 #include <cmath>
 
+#include "core/parallel.hpp"
+
 namespace xct {
 namespace {
 
-/// Spans shorter than this stay on the calling thread: below it, opening
-/// a parallel region costs more than the loop.  Both Eq. 1 loops are
-/// element-wise, so the OpenMP split gives bitwise the same result at any
-/// thread count.
-constexpr std::size_t kParallelMin = std::size_t{1} << 15;
+/// Elements per pool chunk: a span this short stays on the calling
+/// thread, where handing it out would cost more than the loop.  Both
+/// Eq. 1 loops are element-wise, so any split gives bitwise the same
+/// result at any thread count.
+constexpr index_t kGrain = index_t{1} << 15;
 
 }  // namespace
 
@@ -17,11 +19,10 @@ void beer_law(std::span<float> counts, const BeerLawScalar& cal)
 {
     require(cal.blank > cal.dark, "beer_law: blank must exceed dark");
     const index_t n = static_cast<index_t>(counts.size());
-#pragma omp parallel for schedule(static) if (counts.size() >= kParallelMin)
-    for (index_t i = 0; i < n; ++i) {
+    parallel::parallel_for(n, kGrain, [=](index_t i, std::size_t) {
         float& c = counts[static_cast<std::size_t>(i)];
         c = beer_law_texel(c, cal.dark, cal.blank);
-    }
+    });
 }
 
 void beer_law(std::span<float> counts, std::span<const float> dark, std::span<const float> blank)
@@ -32,12 +33,11 @@ void beer_law(std::span<float> counts, std::span<const float> dark, std::span<co
             "beer_law: counts must be a whole number of projections");
     const std::size_t pix = dark.size();
     const index_t n = static_cast<index_t>(counts.size());
-#pragma omp parallel for schedule(static) if (counts.size() >= kParallelMin)
-    for (index_t i = 0; i < n; ++i) {
+    parallel::parallel_for(n, kGrain, [=](index_t i, std::size_t) {
         const std::size_t at = static_cast<std::size_t>(i);
         const std::size_t p = at % pix;
         counts[at] = beer_law_texel(counts[at], dark[p], blank[p]);
-    }
+    });
 }
 
 void beer_law(ProjectionStack& stack, const BeerLawScalar& cal)

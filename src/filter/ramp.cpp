@@ -6,6 +6,7 @@
 #include <numbers>
 
 #include "core/names.hpp"
+#include "core/parallel.hpp"
 #include "core/preprocess.hpp"
 #include "core/scratch.hpp"
 #include "fft/fft.hpp"
@@ -189,8 +190,8 @@ void FilterEngine::apply_row_pair(std::span<float> a, index_t va, std::span<floa
 void FilterEngine::apply(ProjectionStack& stack, const Prologue& pre, Extent* extent) const
 {
     require(stack.cols() == nu_, "FilterEngine: stack width != Nu");
-    // Checked here, not per row: an exception may not leave the parallel
-    // region below.
+    // Checked here, not per row, so a bad band throws before any row is
+    // touched.
     require(stack.row_begin() >= 0 && stack.row_begin() + stack.rows() <= nv_,
             "FilterEngine: band outside the detector");
     const BeerLawScalar* const beer = pre.beer;
@@ -222,10 +223,19 @@ void FilterEngine::apply(ProjectionStack& stack, const Prologue& pre, Extent* ex
     const float inv_n = static_cast<float>(1.0 / static_cast<double>(n));
     // A batch's rows are consecutive in the stack, so folding each batch
     // and merging the parts in batch order is the serial fold (Extent).
-    const std::size_t batches = static_cast<std::size_t>((tasks + batch - 1) / batch);
-    scratch::Buffer<Extent> parts(extent ? batches : 0);
-#pragma omp parallel for schedule(static)
-    for (index_t first = 0; first < tasks; first += batch) {
+    const index_t batches = (tasks + batch - 1) / batch;
+    scratch::Buffer<Extent> parts(extent ? static_cast<std::size_t>(batches) : 0);
+    // One lease for the call: a spectrum and a convolution block per pool
+    // slot, 64-byte aligned so no vector access straddles two cache lines
+    // (~15 %).
+    const std::size_t per_slot = 2 * block * n;
+    scratch::Buffer<float> lease(parallel::width() * per_slot + block);
+    void* raw = lease.data();
+    std::size_t room = lease.size() * sizeof(float);
+    float* const slots = static_cast<float*>(
+        std::align(64, (lease.size() - block) * sizeof(float), raw, room));
+    parallel::parallel_for(batches, 1, [&](index_t b, std::size_t slot) {
+        const index_t first = b * batch;
         const std::size_t live = static_cast<std::size_t>(std::min(batch, tasks - first));
         const auto each_row = [&](auto&& visit) {
             for (std::size_t l = 0; l < live; ++l) {
@@ -235,12 +245,7 @@ void FilterEngine::apply(ProjectionStack& stack, const Prologue& pre, Extent* ex
                     visit(fft::kBatch + l, stack.row(t / per_view, v + 1), v + 1, t / per_view);
             }
         };
-        // 64-byte aligned: no vector access straddles two cache lines (~15 %).
-        scratch::Buffer<float> lease(2 * block * n + block);
-        void* raw = lease.data();
-        std::size_t room = lease.size() * sizeof(float);
-        float* const base =
-            static_cast<float*>(std::align(64, 2 * block * n * sizeof(float), raw, room));
+        float* const base = slots + slot * per_slot;
         const std::span<float> spec(base, block * n), conv(base + block * n, block * n);
 
         // The prologue and the Eq. 2 weighting, packed straight into
@@ -268,8 +273,8 @@ void FilterEngine::apply(ProjectionStack& stack, const Prologue& pre, Extent* ex
                 if (extent) part.add(row[i]);
             }
         });
-        if (extent) parts[static_cast<std::size_t>(first / batch)] = part;
-    }
+        if (extent) parts[static_cast<std::size_t>(b)] = part;
+    });
     if (extent) {
         *extent = Extent{stack.span()[0], stack.span()[0]};
         for (const Extent& p : parts.span()) extent->merge(p);

@@ -107,7 +107,7 @@ public:
     /// Weight + filter every row of the stack in place.  Row pairs (2p,
     /// 2p + 1) from the band start, and an odd last row on its own, go
     /// through fft::kBatch-lane batched transforms, batches spread over
-    /// OpenMP threads.  The pack takes each texel raw count -> Eq. 1 ->
+    /// the worker pool.  The pack takes each texel raw count -> Eq. 1 ->
     /// Parker weight (as `pre` asks) -> Eq. 2 weight, so the result is
     /// bitwise beer_law, then ParkerWeights::apply, then apply_row_pair on
     /// each pair and apply_row on the odd row, at any thread count.  With

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/names.hpp"
+#include "core/parallel.hpp"
 #include "core/scratch.hpp"
 #include "core/types.hpp"
 #include "faults/fault.hpp"
@@ -11,15 +12,16 @@
 namespace xct::io {
 namespace {
 
-// The codec loops run across OpenMP threads with results bitwise equal to
-// a serial scan at any thread count: quantise and dequantise are
+// The codec loops run on the worker pool with results bitwise equal to a
+// serial scan at any thread count: quantise and dequantise are
 // element-wise, and the [lo, hi] reduction folds fixed kRangeChunk
 // chunks (independent of the thread count) and merges them in order
 // (Extent), so ties between +0 and -0 and a NaN in src[0] resolve exactly
 // as in one left-to-right pass.
 
-/// Bands shorter than this stay on the calling thread.
-constexpr std::size_t kParallelMin = std::size_t{1} << 15;
+/// Elements per pool chunk of the element-wise loops: a band this short
+/// stays on the calling thread.
+constexpr index_t kGrain = index_t{1} << 15;
 constexpr std::size_t kRangeChunk = std::size_t{1} << 16;
 
 }  // namespace
@@ -50,13 +52,12 @@ Extent value_range(std::span<const float> src)
     require(!src.empty(), "value_range: empty band");
     const index_t chunks = static_cast<index_t>((src.size() + kRangeChunk - 1) / kRangeChunk);
     scratch::Buffer<Extent> part(static_cast<std::size_t>(chunks));
-#pragma omp parallel for schedule(static) if (src.size() >= kParallelMin)
-    for (index_t c = 0; c < chunks; ++c) {
+    parallel::parallel_for(chunks, 1, [&](index_t c, std::size_t) {
         const std::size_t end = std::min(src.size(), static_cast<std::size_t>(c + 1) * kRangeChunk);
         Extent r;
         for (std::size_t i = static_cast<std::size_t>(c) * kRangeChunk; i < end; ++i) r.add(src[i]);
         part[static_cast<std::size_t>(c)] = r;
-    }
+    });
     Extent r{src[0], src[0]};
     for (const Extent& p : part.span()) r.merge(p);
     return r;
@@ -84,14 +85,16 @@ EncodedBand encode_band(const ProjectionStack& band, Extent extent)
         // QuantizedTexture3 mapping, so the ablation's error story carries
         // over verbatim: |decode(encode(v)) - v| <= (hi-lo)/510.
         const float scale = 255.0f / (hi - lo);
-        const index_t n = static_cast<index_t>(src.size());
-#pragma omp parallel for schedule(static) if (src.size() >= kParallelMin)
-        for (index_t i = 0; i < n; ++i) {
-            const std::size_t at = static_cast<std::size_t>(i);
-            float t = (src[at] - lo) * scale;
-            t = t < 0.0f ? 0.0f : (t > 255.0f ? 255.0f : t);
-            e.payload[at] = static_cast<std::uint8_t>(t + 0.5f);
-        }
+        const float* const in = src.data();
+        std::uint8_t* const out = e.payload.data();
+        // By value: the byte store may alias anything the body reaches
+        // through a reference (3x on the quantise loop at four threads).
+        parallel::parallel_for(static_cast<index_t>(src.size()), kGrain,
+                               [=](index_t i, std::size_t) {
+                                   float t = (in[i] - lo) * scale;
+                                   t = t < 0.0f ? 0.0f : (t > 255.0f ? 255.0f : t);
+                                   out[i] = static_cast<std::uint8_t>(t + 0.5f);
+                               });
     }
     // hi == lo: constant band, payload stays zero, decode returns lo.
     e.digest =
@@ -123,20 +126,20 @@ void decode_band_into(const EncodedBand& e, std::span<float> dst, RowOrder order
     integrity::verify_of<std::uint8_t>(names::kSiteBandDecode, transit.span(), e.digest);
     // Same expression (and evaluation order) as QuantizedTexture3::fetch,
     // so the two q8 paths dequantise bit-identically.  Destination row k
-    // is source row (s, r); each thread writes, and so first touches, its
-    // own run of destination rows.
+    // is source row (s, r); each participant writes, and so first touches,
+    // its own runs of destination rows, about kGrain texels at a time.
     const float lo = e.lo, range = e.hi - e.lo;
     const bool upload = order == RowOrder::Upload;
     const std::uint8_t* const q = transit.data();
-    const index_t n = views * rows;
-#pragma omp parallel for schedule(static) if (dst.size() >= kParallelMin)
-    for (index_t k = 0; k < n; ++k) {
+    float* const out0 = dst.data();
+    const index_t grain = std::max<index_t>(1, kGrain / cols);
+    parallel::parallel_for(views * rows, grain, [=](index_t k, std::size_t) {
         const index_t s = upload ? k % views : k / rows;
         const index_t r = upload ? k / views : k % rows;
         const std::uint8_t* in = q + (s * rows + r) * cols;
-        float* out = dst.data() + k * cols;
+        float* out = out0 + k * cols;
         for (index_t u = 0; u < cols; ++u) out[u] = lo + static_cast<float>(in[u]) * range / 255.0f;
-    }
+    });
     telemetry::registry().counter(names::kMetricBandDecodes).add(1);
 }
 

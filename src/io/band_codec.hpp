@@ -57,7 +57,7 @@ struct EncodedBand {
     std::size_t raw_bytes() const { return payload.size() * sizeof(float); }
 };
 
-/// The serial fold (Extent) of `src`, over fixed chunks on OpenMP threads.
+/// The serial fold (Extent) of `src`, over fixed chunks on the worker pool.
 Extent value_range(std::span<const float> src);
 
 /// Quantise `band` to q8 against its own [min, max].  Round-to-nearest,
@@ -75,7 +75,7 @@ enum class RowOrder { Stack, Upload };
 /// (throw-class faults fire before the copy, a corrupt-class fault flips
 /// bits in the transit copy) and is digest verified; only then is each
 /// (view, row) row dequantised into `dst` in `order`, rows spread over
-/// OpenMP threads.  The source EncodedBand stays intact, so a retried
+/// the worker pool.  The source EncodedBand stays intact, so a retried
 /// decode recovers bitwise.  decode_band is the same into a fresh stack.
 void decode_band_into(const EncodedBand& e, std::span<float> dst, RowOrder order);
 ProjectionStack decode_band(const EncodedBand& e);

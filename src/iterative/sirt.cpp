@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "backproj/reference.hpp"
+#include "core/parallel.hpp"
 #include "projector/forward.hpp"
 
 namespace xct::iterative {
@@ -16,8 +17,7 @@ void backproject_unweighted(const ProjectionStack& p, const CbctGeometry& g, Vol
     const Dim3 d = vol.size();
     for (index_t s = 0; s < p.views(); ++s) {
         const Mat34& m = mats[static_cast<std::size_t>(s)];
-#pragma omp parallel for schedule(static)
-        for (index_t k = 0; k < d.z; ++k)
+        parallel::parallel_for(d.z, 1, [&](index_t k, std::size_t) {
             for (index_t j = 0; j < d.y; ++j)
                 for (index_t i = 0; i < d.x; ++i) {
                     const Projected pr = project(m, static_cast<double>(i), static_cast<double>(j),
@@ -29,6 +29,7 @@ void backproject_unweighted(const ProjectionStack& p, const CbctGeometry& g, Vol
                     vol.at(i, j, k) += backproj::sub_pixel(p, s, static_cast<float>(pr.x),
                                                            static_cast<float>(pr.y));
                 }
+        });
     }
 }
 

@@ -27,7 +27,7 @@ double ceil_log2(index_t n)
 }
 
 /// Seconds per call of a calibration probe: the median of three timed calls
-/// after one untimed call (OpenMP team start, cold pools, first-touch pages).
+/// after one untimed call (worker pool start, cold pools, first-touch pages).
 template <typename Probe>
 double warm_median_seconds(Probe&& probe)
 {

@@ -4,6 +4,8 @@
 #include <numbers>
 #include <random>
 
+#include "core/parallel.hpp"
+
 namespace xct::phantom {
 
 std::vector<Ellipsoid> shepp_logan_3d(double radius_mm)
@@ -84,7 +86,12 @@ double density_at(const std::vector<Ellipsoid>& es, double x, double y, double z
     return d;
 }
 
-double line_integral(const std::vector<Ellipsoid>& es, const Vec3& src, const Vec3& dst)
+// Out of line on purpose: inlined into forward_project's loop, GCC fuses
+// products across the call (FMA contraction at -march=native) and a
+// grazing ray can land on the other side of a float rounding boundary,
+// which changes the projection data.
+[[gnu::noinline]] double line_integral(const std::vector<Ellipsoid>& es, const Vec3& src,
+                                       const Vec3& dst)
 {
     const Vec3 dir = dst - src;
     const double len = dir.norm();
@@ -119,14 +126,14 @@ Volume voxelize(const std::vector<Ellipsoid>& es, const CbctGeometry& g)
     const double ox = (static_cast<double>(g.vol.x) - 1.0) / 2.0;
     const double oy = (static_cast<double>(g.vol.y) - 1.0) / 2.0;
     const double oz = (static_cast<double>(g.vol.z) - 1.0) / 2.0;
-#pragma omp parallel for schedule(static)
-    for (index_t k = 0; k < g.vol.z; ++k)
+    parallel::parallel_for(g.vol.z, 1, [&](index_t k, std::size_t) {
         for (index_t j = 0; j < g.vol.y; ++j)
             for (index_t i = 0; i < g.vol.x; ++i)
                 v.at(i, j, k) = static_cast<float>(
                     density_at(es, (static_cast<double>(i) - ox) * g.dx,
                                (static_cast<double>(j) - oy) * g.dy,
                                (static_cast<double>(k) - oz) * g.dz));
+    });
     return v;
 }
 
@@ -142,7 +149,10 @@ ProjectionStack forward_project(const std::vector<Ellipsoid>& es, const CbctGeom
     const double cu = (static_cast<double>(g.nu) - 1.0) / 2.0 + g.sigma_u;
     const double cv = (static_cast<double>(g.nv) - 1.0) / 2.0 + g.sigma_v;
 
-    for (index_t s = views.lo; s < views.hi; ++s) {
+    // One pool job over the band's views, not one per view: a view's rows
+    // are too few to pay a wake-up each.
+    parallel::parallel_for(views.length(), 1, [&](index_t at, std::size_t) {
+        const index_t s = views.lo + at;
         const double phi = g.angle_of(s);
         const double cph = std::cos(phi);
         const double sph = std::sin(phi);
@@ -155,10 +165,9 @@ ProjectionStack forward_project(const std::vector<Ellipsoid>& es, const CbctGeom
             return {cph * x + sph * y, -sph * x + cph * y, z};
         };
         const Vec3 src = rot(-g.sigma_cor, -g.dso, 0.0);
-#pragma omp parallel for schedule(static)
         for (index_t v = band.lo; v < band.hi; ++v) {
             const double pz = (static_cast<double>(v) - cv) * g.dv;
-            auto row = stack.row(s - views.lo, v);
+            auto row = stack.row(at, v);
             for (index_t u = 0; u < g.nu; ++u) {
                 const double px = (static_cast<double>(u) - cu) * g.du - g.sigma_cor;
                 const Vec3 dst = rot(px, g.dsd - g.dso, pz);
@@ -166,7 +175,7 @@ ProjectionStack forward_project(const std::vector<Ellipsoid>& es, const CbctGeom
                     static_cast<float>(line_integral(es, src, dst));
             }
         }
-    }
+    });
     return stack;
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/parallel.hpp"
+
 namespace xct::projector {
 
 float sample_trilinear(const Volume& vol, double i, double j, double k)
@@ -53,18 +55,18 @@ ProjectionStack forward_project(const Volume& vol, const CbctGeometry& g, Range 
     const double rz = g.dz * (static_cast<double>(g.vol.z) - 1.0) / 2.0;
     const double rad = std::sqrt(rx * rx + ry * ry + rz * rz);
 
-    for (index_t s = views.lo; s < views.hi; ++s) {
-        const double phi = g.angle_of(s);
+    // One pool job over the band's views, not one per view.
+    parallel::parallel_for(views.length(), 1, [&](index_t at, std::size_t) {
+        const double phi = g.angle_of(views.lo + at);
         const double cph = std::cos(phi);
         const double sph = std::sin(phi);
         const auto rot = [&](double x, double y, double z) -> Vec3 {  // Rz(-phi): world -> object
             return {cph * x + sph * y, -sph * x + cph * y, z};
         };
         const Vec3 src = rot(-g.sigma_cor, -g.dso, 0.0);
-#pragma omp parallel for schedule(static)
         for (index_t v = band.lo; v < band.hi; ++v) {
             const double pz = (static_cast<double>(v) - cv) * g.dv;
-            auto row = stack.row(s - views.lo, v);
+            auto row = stack.row(at, v);
             for (index_t u = 0; u < g.nu; ++u) {
                 const double px = (static_cast<double>(u) - cu) * g.du - g.sigma_cor;
                 const Vec3 dst = rot(px, g.dsd - g.dso, pz);
@@ -90,7 +92,7 @@ ProjectionStack forward_project(const Volume& vol, const CbctGeometry& g, Range 
                 row[static_cast<std::size_t>(u)] = static_cast<float>(acc * step_mm);
             }
         }
-    }
+    });
     return stack;
 }
 

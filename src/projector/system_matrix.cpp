@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "core/parallel.hpp"
+
 namespace xct::projector {
 
 void SparseOp::append_row(std::span<const index_t> cols, std::span<const float> vals)
@@ -19,15 +21,14 @@ std::vector<float> SparseOp::apply(std::span<const float> x) const
     require(static_cast<index_t>(x.size()) == cols_, "SparseOp::apply: size mismatch");
     require(static_cast<index_t>(row_ptr_.size()) == rows_ + 1, "SparseOp::apply: matrix incomplete");
     std::vector<float> y(static_cast<std::size_t>(rows_), 0.0f);
-#pragma omp parallel for schedule(static)
-    for (index_t r = 0; r < rows_; ++r) {
+    parallel::parallel_for(rows_, 64, [&](index_t r, std::size_t) {
         float acc = 0.0f;
         for (index_t e = row_ptr_[static_cast<std::size_t>(r)];
              e < row_ptr_[static_cast<std::size_t>(r) + 1]; ++e)
             acc += val_[static_cast<std::size_t>(e)] *
                    x[static_cast<std::size_t>(col_[static_cast<std::size_t>(e)])];
         y[static_cast<std::size_t>(r)] = acc;
-    }
+    });
     return y;
 }
 

@@ -59,19 +59,22 @@ DistributedResult reconstruct_distributed(const DistributedConfig& cfg,
         // here or the collective deadlocks, which is why dead ranks call
         // it on their early-return path.
         const auto fleet_gather = [&](const RankStats& st) {
-            static constexpr const char* kStages[6] = {"load",   "filter", "bp",
-                                                       "reduce", "store",  "wall"};
+            static constexpr const char* kStages[7] = {
+                names::kStageLoad,   names::kStageFilter, names::kStagePrefetch,
+                names::kStageBp,     names::kStageReduce, names::kStageStore,
+                names::kStageWall};
             const std::vector<float> mine = {
-                static_cast<float>(st.t_load),  static_cast<float>(st.t_filter),
-                static_cast<float>(st.t_bp),    static_cast<float>(st.t_reduce),
-                static_cast<float>(st.t_store), static_cast<float>(st.wall)};
+                static_cast<float>(st.t_load),     static_cast<float>(st.t_filter),
+                static_cast<float>(st.t_prefetch), static_cast<float>(st.t_bp),
+                static_cast<float>(st.t_reduce),   static_cast<float>(st.t_store),
+                static_cast<float>(st.wall)};
             std::vector<float> all(static_cast<std::size_t>(nranks) * mine.size());
             world.gather(mine, all, 0);
             if (rank != RankId{0}) return;
             std::uint64_t contributing = 0;
             for (index_t r = 0; r < nranks; ++r) {
                 const std::size_t base = static_cast<std::size_t>(r) * mine.size();
-                if (all[base + 5] <= 0.0f) continue;  // dead rank: zeros
+                if (all[base + 6] <= 0.0f) continue;  // dead rank: zeros
                 ++contributing;
                 for (std::size_t s = 0; s < mine.size(); ++s)
                     telemetry::fleet_observe(kStages[s], static_cast<double>(all[base + s]));

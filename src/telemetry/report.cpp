@@ -11,20 +11,23 @@ namespace xct::telemetry::report {
 
 namespace {
 
-// The five pipeline stages in report order, with the per-rank measured
-// accessor and the matching Eqs. 13-16 aggregate of a Projection.
+// The six pipeline stages in report order, with the per-rank measured
+// accessor and the matching Eqs. 13-16 aggregate of a Projection.  The
+// model prices no host-side band staging, so the prefetch row predicts 0
+// (efficiency 0).
 struct StageMap {
     const char* stage;
     double RankTimings::* measured;
-    double perfmodel::Projection::* predicted;
+    double perfmodel::Projection::* predicted;  ///< nullptr: unmodelled
 };
 
 constexpr StageMap kStageMap[] = {
-    {"load", &RankTimings::load, &perfmodel::Projection::t_load},
-    {"filter", &RankTimings::filter, &perfmodel::Projection::t_filter},
-    {"bp", &RankTimings::bp, &perfmodel::Projection::t_bp},
-    {"reduce", &RankTimings::reduce, &perfmodel::Projection::t_reduce},
-    {"store", &RankTimings::store, &perfmodel::Projection::t_store},
+    {names::kStageLoad, &RankTimings::load, &perfmodel::Projection::t_load},
+    {names::kStageFilter, &RankTimings::filter, &perfmodel::Projection::t_filter},
+    {names::kStagePrefetch, &RankTimings::prefetch, nullptr},
+    {names::kStageBp, &RankTimings::bp, &perfmodel::Projection::t_bp},
+    {names::kStageReduce, &RankTimings::reduce, &perfmodel::Projection::t_reduce},
+    {names::kStageStore, &RankTimings::store, &perfmodel::Projection::t_store},
 };
 
 /// Ignore stage times below this when flagging stragglers: at micro
@@ -131,7 +134,7 @@ RunReport build(const perfmodel::RunConfig& cfg, const perfmodel::MachineParams&
         StageReport sr;
         sr.stage = s.stage;
         sr.measured_s = median(std::move(values));
-        sr.predicted_s = proj.*(s.predicted);
+        sr.predicted_s = s.predicted ? proj.*(s.predicted) : 0.0;
         sr.efficiency = ratio(sr.predicted_s, sr.measured_s);
         stage_median[sr.stage] = sr.measured_s;
         r.stages.push_back(std::move(sr));

@@ -47,13 +47,14 @@ struct RankTimings {
     GroupId group{};
     double load = 0.0;
     double filter = 0.0;
+    double prefetch = 0.0;  ///< band staging; the model has no term for it
     double bp = 0.0;
     double reduce = 0.0;
     double store = 0.0;
     double wall = 0.0;
     std::vector<SpanTiming> spans;  ///< optional: enables per-batch rows
 
-    double busy() const { return load + filter + bp + reduce + store; }
+    double busy() const { return load + filter + prefetch + bp + reduce + store; }
     double overlap() const { return wall > 0.0 ? busy() / wall : 0.0; }
 };
 
@@ -61,7 +62,7 @@ struct RankTimings {
 struct StageReport {
     std::string stage;
     double measured_s = 0.0;   ///< fleet median of per-rank busy seconds
-    double predicted_s = 0.0;  ///< Eqs. 13-16 aggregate for one rank
+    double predicted_s = 0.0;  ///< Eqs. 13-16 aggregate for one rank (prefetch: 0, unmodelled)
     double efficiency = 0.0;   ///< predicted / measured (0 when unmeasured)
 };
 

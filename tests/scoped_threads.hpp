@@ -1,34 +1,22 @@
 #pragma once
-// Test helper: pin the OpenMP team size for one scope, restoring the
-// previous size on exit.  Without OpenMP every parallel loop already runs
-// on the calling thread, and this is a no-op.
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+// Test helper: cap the width of the parallel::parallel_for jobs the
+// calling thread submits for one scope, restoring the previous cap on
+// exit.  A cap above the process width leaves the width as it is.
+#include <cstddef>
+
+#include "core/parallel.hpp"
 
 namespace xct::testutil {
 
 class ScopedThreads {
 public:
-    explicit ScopedThreads([[maybe_unused]] int n)
-    {
-#ifdef _OPENMP
-        omp_set_num_threads(n);
-#endif
-    }
-    ~ScopedThreads()
-    {
-#ifdef _OPENMP
-        omp_set_num_threads(saved_);
-#endif
-    }
+    explicit ScopedThreads(int n) : saved_(parallel::cap_width(static_cast<std::size_t>(n))) {}
+    ~ScopedThreads() { parallel::cap_width(saved_); }
     ScopedThreads(const ScopedThreads&) = delete;
     ScopedThreads& operator=(const ScopedThreads&) = delete;
 
 private:
-#ifdef _OPENMP
-    int saved_ = omp_get_max_threads();
-#endif
+    std::size_t saved_;
 };
 
 }  // namespace xct::testutil

@@ -40,6 +40,7 @@ RankTimings plain_rank(index_t rank, double scale = 1.0)
     t.rank = RankId{rank};
     t.load = 0.10 * scale;
     t.filter = 0.20 * scale;
+    t.prefetch = 0.15 * scale;
     t.bp = 0.40 * scale;
     t.reduce = 0.05 * scale;
     t.store = 0.05 * scale;
@@ -51,11 +52,12 @@ TEST(Report, BuildJoinsEveryStageAgainstTheModel)
 {
     const RunReport r = build(small_cfg(), perfmodel::MachineParams{},
                               {plain_rank(0), plain_rank(1), plain_rank(2)});
-    ASSERT_EQ(r.stages.size(), 5u);
-    const char* expected[] = {"load", "filter", "bp", "reduce", "store"};
-    for (std::size_t i = 0; i < 5; ++i) {
+    ASSERT_EQ(r.stages.size(), 6u);
+    const char* expected[] = {"load", "filter", "prefetch", "bp", "reduce", "store"};
+    for (std::size_t i = 0; i < 6; ++i) {
         EXPECT_EQ(r.stages[i].stage, expected[i]);
         EXPECT_GT(r.stages[i].measured_s, 0.0);
+        if (r.stages[i].stage == "prefetch") continue;  // PrefetchIsMeasuredButNotModelled
         EXPECT_GT(r.stages[i].predicted_s, 0.0);
         EXPECT_GT(r.stages[i].efficiency, 0.0);
     }
@@ -76,7 +78,26 @@ TEST(Report, StageMedianIsRobustToOneStraggler)
     // not drag the fleet baseline it is judged against.
     const RunReport r = build(small_cfg(), perfmodel::MachineParams{},
                               {plain_rank(0), plain_rank(1), plain_rank(2, 10.0)});
-    EXPECT_DOUBLE_EQ(r.stages[2].measured_s, 0.40);  // bp
+    EXPECT_DOUBLE_EQ(r.stages[3].measured_s, 0.40);  // bp
+}
+
+TEST(Report, PrefetchIsMeasuredButNotModelled)
+{
+    // The band-staging stage counts toward busy time and gets a fleet
+    // median and straggler flags like any stage, but Eqs. 13-16 have no
+    // term for it: it predicts 0 and reports efficiency 0.
+    std::vector<RankTimings> ranks = {plain_rank(0), plain_rank(1), plain_rank(2)};
+    ranks[1].prefetch = 0.25;
+    ranks[2].prefetch = 2.0;
+    const RunReport r = build(small_cfg(), perfmodel::MachineParams{}, ranks, 1.5);
+    const StageReport& pre = r.stages[2];
+    EXPECT_EQ(pre.stage, "prefetch");
+    EXPECT_DOUBLE_EQ(pre.measured_s, 0.25);
+    EXPECT_EQ(pre.predicted_s, 0.0);
+    EXPECT_EQ(pre.efficiency, 0.0);
+    EXPECT_DOUBLE_EQ(r.ranks[0].busy_s, 0.10 + 0.20 + 0.15 + 0.40 + 0.05 + 0.05);
+    ASSERT_EQ(r.ranks[2].flags.size(), 1u);
+    EXPECT_EQ(r.ranks[2].flags[0], "straggler:prefetch");
 }
 
 TEST(Report, StragglerRanksAreFlaggedPerStage)

@@ -723,7 +723,7 @@ TEST(ScratchPool, FilterEngineApplyIsAllocationFreeWhenWarm)
     g.dx = g.dy = g.dz = CbctGeometry::natural_pitch(g.du, g.dsd, g.dso, g.nu, g.vol.x);
     const filter::FilterEngine eng(g);
     ProjectionStack stack(4, g.nv, g.nu, 1.0f);
-    eng.apply(stack);  // warm every OpenMP worker's pool
+    eng.apply(stack);  // warm: this thread's lease for every pool slot
     const std::uint64_t before = scratch::heap_events();
     for (int i = 0; i < 5; ++i) eng.apply(stack);
     EXPECT_EQ(scratch::heap_events() - before, 0u);

@@ -170,6 +170,7 @@ int main(int argc, char** argv)
         t.group = group;
         t.load = st.t_load;
         t.filter = st.t_filter;
+        t.prefetch = st.t_prefetch;
         t.bp = st.t_bp;
         t.reduce = st.t_reduce;
         t.store = st.t_store;
