@@ -8,9 +8,9 @@ namespace xct {
 namespace {
 
 /// Elements per pool chunk: a span this short stays on the calling
-/// thread, where handing it out would cost more than the loop.  Both
-/// Eq. 1 loops are element-wise, so any split gives bitwise the same
-/// result at any thread count.
+/// thread, where handing it out would cost more than the loop.  The Eq. 1
+/// loops and their inverse are element-wise, so any split gives bitwise
+/// the same result at any thread count.
 constexpr index_t kGrain = index_t{1} << 15;
 
 }  // namespace
@@ -48,7 +48,11 @@ void beer_law(ProjectionStack& stack, const BeerLawScalar& cal)
 void inverse_beer_law(std::span<float> line_integrals, const BeerLawScalar& cal)
 {
     require(cal.blank > cal.dark, "inverse_beer_law: blank must exceed dark");
-    for (float& p : line_integrals) p = cal.dark + (cal.blank - cal.dark) * std::exp(-p);
+    const index_t n = static_cast<index_t>(line_integrals.size());
+    parallel::parallel_for(n, kGrain, [=](index_t i, std::size_t) {
+        float& p = line_integrals[static_cast<std::size_t>(i)];
+        p = cal.dark + (cal.blank - cal.dark) * std::exp(-p);
+    });
 }
 
 }  // namespace xct

@@ -47,8 +47,27 @@ std::vector<Ellipsoid> porous_bean(double radius_mm, index_t num_voids, std::uin
 /// Sum of densities of all ellipsoids containing the point (x, y, z) [mm].
 double density_at(const std::vector<Ellipsoid>& e, double x, double y, double z);
 
-/// Exact line integral of the phantom along the segment src -> dst [mm].
+/// Exact line integral of the phantom along the segment src -> dst [mm]:
+/// the per-ray arithmetic forward_project runs, over every ellipsoid.
 double line_integral(const std::vector<Ellipsoid>& e, const Vec3& src, const Vec3& dst);
+
+/// The rays forward_project integrates in view `s` of `g`, in the object
+/// frame [mm].  The object rotates by +phi, so source and detector
+/// counter-rotate by -phi; at phi = 0 the source sits at
+/// (-sigma_cor, -Dso, 0) and pixel (u, v) at
+/// ((u - cu) du - sigma_cor, Dsd - Dso, (v - cv) dv).  The constructor and
+/// pixel() are out of line, so every caller gets the projector's own ray
+/// bits at any -march.  Holds `g` by pointer: it must not outlive it.
+struct ViewRays {
+    ViewRays(const CbctGeometry& g, index_t s);
+    /// Far end of pixel (u, v)'s ray: the pixel centre on the detector.
+    Vec3 pixel(index_t u, index_t v) const;
+
+    const CbctGeometry* g;
+    double cph, sph;  ///< cos and sin of the view angle
+    double cu, cv;    ///< detector centre [pixels], sigma_u / sigma_v included
+    Vec3 src;         ///< the source, the near end of every ray
+};
 
 /// Rasterise the phantom onto the reconstruction grid of `g` (voxel-centre
 /// sampling) — the ground-truth volume for RMSE assessments.
@@ -57,7 +76,11 @@ Volume voxelize(const std::vector<Ellipsoid>& e, const CbctGeometry& g);
 /// Analytically forward-project the phantom through geometry `g` for the
 /// given view range and detector-row band (global coordinates), honouring
 /// the sigma_u / sigma_v / sigma_cor calibration terms.  Returns a stack
-/// whose view index 0 corresponds to global view `views.lo`.
+/// whose view index 0 corresponds to global view `views.lo`.  Pixel (u, v)
+/// of view s is float(line_integral(e, ViewRays(g, s).src,
+/// ViewRays(g, s).pixel(u, v))) bit for bit, though each ray tests only
+/// the ellipsoids whose detector footprint holds its pixel (DESIGN.md §3e,
+/// "Phantom projector").
 ProjectionStack forward_project(const std::vector<Ellipsoid>& e, const CbctGeometry& g, Range views,
                                 Range band);
 

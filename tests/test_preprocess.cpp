@@ -108,15 +108,27 @@ TEST(BeerLaw, IsBitwiseSerialAtAnyThreadCount)
         want_scalar[i] = eq1(counts[i], cal.dark, cal.blank);
         want_pixel[i] = eq1(counts[i], dark[i % pix], blank[i % pix]);
     }
+    // The inverse (raw-count synthesis) on line integrals from 0 to past
+    // the clamp's attenuation.
+    std::vector<float> lines(counts.size()), want_inverse(counts.size());
+    std::uniform_real_distribution<float> att(0.0f, 16.0f);
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        lines[i] = att(rng);
+        want_inverse[i] = cal.dark + (cal.blank - cal.dark) * std::exp(-lines[i]);
+    }
 
-    for (const int threads : {1, 4}) {
+    for (const int threads : {1, 2, 3, 4}) {
         ScopedThreads pin(threads);
-        std::vector<float> scalar = counts, pixel = counts;
+        std::vector<float> scalar = counts, pixel = counts, inverse = lines;
         beer_law(scalar, cal);
         beer_law(pixel, dark, blank);
+        inverse_beer_law(inverse, cal);
         EXPECT_EQ(std::memcmp(scalar.data(), want_scalar.data(), scalar.size() * sizeof(float)), 0)
             << threads << " threads";
         EXPECT_EQ(std::memcmp(pixel.data(), want_pixel.data(), pixel.size() * sizeof(float)), 0)
+            << threads << " threads";
+        EXPECT_EQ(
+            std::memcmp(inverse.data(), want_inverse.data(), inverse.size() * sizeof(float)), 0)
             << threads << " threads";
     }
 }
