@@ -42,6 +42,23 @@ inline double mib(std::uint64_t bytes)
 // archive throughput numbers per PR.  Values are preformatted JSON
 // literals (json_number / json_quote from core/json.hpp).
 
+/// Remove `--out PATH` from argv and return PATH, or "" when absent.  The
+/// benches that write a BENCH document write it only when given one, so a
+/// run from a checkout never rewrites the committed copy.
+inline std::string take_out_path(int& argc, char** argv)
+{
+    std::string out;
+    int kept = 1;
+    for (int a = 1; a < argc; ++a) {
+        if (std::string(argv[a]) == "--out" && a + 1 < argc)
+            out = argv[++a];
+        else
+            argv[kept++] = argv[a];
+    }
+    argc = kept;
+    return out;
+}
+
 /// Write `"section": { key: value, ... }` into the JSON object file at
 /// `path`.  `fresh` truncates the file first (each binary passes true for
 /// its first section so stale runs don't accumulate); otherwise the

@@ -67,9 +67,10 @@ double measured_gups_rtk(const CbctGeometry& g, const ProjectionStack& p)
 
 }  // namespace
 
-int main()
+int main(int argc, char** argv)
 {
     using namespace xct;
+    const std::string out = bench::take_out_path(argc, argv);
     bench::heading("Roofline analysis of the back-projection kernel", "Figure 12");
 
     // Full-scale analytic roofline points (tomo_00030, V100 model).
@@ -111,7 +112,7 @@ int main()
     // Local measured kernel parity: vectorised default vs the retained
     // scalar Listing-1 loop vs RTK-style (the paper's 'competitive with RTK
     // despite the extra offset arithmetic'), plus the measured roofline
-    // point per size archived in BENCH_pr4.json.
+    // point per size, which `--out PATH` adds to the BENCH document there.
     std::printf("\nlocal measured update throughput (GUPS), vectorised vs scalar vs RTK-style:\n");
     std::printf("%-8s %-12s %-12s %-12s %-10s %-10s\n", "output", "simd", "scalar",
                 "rtk-style", "simd/scal", "simd/rtk");
@@ -133,7 +134,7 @@ int main()
         kv.emplace_back("gups_scalar_n" + sn, json_number(scal));
         kv.emplace_back("gups_rtk_n" + sn, json_number(rtk));
     }
-    bench::write_json_section("BENCH_pr4.json", "roofline", kv);
+    if (!out.empty()) bench::write_json_section(out, "roofline", kv);
     bench::note("expected simd/rtk >= 1: the streaming offsets cost almost nothing (Sec. 6.2)");
     bench::note("and the explicit-SIMD inner loop now beats the scalar texture-fetch path.");
     return 0;

@@ -3,16 +3,19 @@
 // plus kernel parity checks (ours vs reference vs RTK-style) at the
 // machine level.
 //
-// Besides the google-benchmark tables, main() emits BENCH_pr4.json — the
-// machine-readable scalar-vs-vectorised numbers (voxel updates/s, views/s,
-// filter rows/s, steady-state scratch-pool heap events) CI archives as the
-// perf trajectory (EXPERIMENTS.md "roofline" note).
+// Besides the google-benchmark tables, `--out PATH` writes the BENCH
+// document (CI passes BENCH_pr4.json) — the machine-readable
+// scalar-vs-vectorised numbers (voxel updates/s, views/s, filter rows/s,
+// steady-state scratch-pool heap events) CI archives as the perf
+// trajectory (EXPERIMENTS.md "roofline" note).  Without --out no file is
+// written, so a filtered run cannot overwrite a committed copy.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <random>
+#include <string>
 
 #include "autotune/planner.hpp"
 #include "backproj/kernel.hpp"
@@ -28,6 +31,7 @@
 #include "integrity/hash.hpp"
 #include "integrity/integrity.hpp"
 #include "io/band_codec.hpp"
+#include "io/datasets.hpp"
 #include "filter/ramp.hpp"
 #include "minimpi/comm.hpp"
 #include "perfmodel/model.hpp"
@@ -92,6 +96,44 @@ void BM_BackprojStreaming(benchmark::State& state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_BackprojStreaming)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
+
+/// The kernel at a realistic slab size: fdk-tomo29's mid slab
+/// (tomo_00029/8 -> 96^3, Nc = 8: a 96 x 96 x 12 slab over 225 views) and
+/// its row band.  Its texture outgrows L2, which the Arg(16)/Arg(32)
+/// cases above never do, so this is where the view sweep's texel reuse
+/// shows.
+void BM_BackprojStreamingSlab(benchmark::State& state)
+{
+    const CbctGeometry g = io::dataset_by_name("tomo_00029").scaled(8.0).with_volume(96).geometry;
+    const auto plans = plan_slabs(g, Range{0, g.vol.z}, 8);
+    const SlabPlan& pl = plans[plans.size() / 2];
+    const ProjectionStack p = random_stack(g);
+    sim::Device dev(1u << 30);
+    sim::Texture3 tex(dev, g.nu, g.num_proj, pl.rows.length());
+    std::vector<float> plane(static_cast<std::size_t>(g.nu * g.num_proj));
+    for (index_t v = pl.rows.lo; v < pl.rows.hi; ++v) {
+        for (index_t s = 0; s < g.num_proj; ++s) {
+            const auto row = p.row(s, v);
+            std::copy(row.begin(), row.end(),
+                      plane.begin() + static_cast<std::ptrdiff_t>(s * g.nu));
+        }
+        tex.copy_planes(plane, v - pl.rows.lo, 1);
+    }
+    const Dim3 slab{g.vol.x, g.vol.y, pl.slab.length()};
+    Volume vol(slab);
+    const backproj::MatrixPack pack(projection_matrices(g));
+    const backproj::StreamOffsets off{pl.slab.lo, pl.rows.lo};
+    for (auto _ : state) {
+        backproj::backproject_streaming(tex, pack, vol, off, g.nu, g.nv);
+        benchmark::DoNotOptimize(vol.span().data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["GUPS"] = benchmark::Counter(
+        static_cast<double>(slab.count()) * static_cast<double>(g.num_proj) * 1e-9 *
+            static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_BackprojStreamingSlab)->Unit(benchmark::kMillisecond);
 
 void BM_BackprojStreamingScalar(benchmark::State& state)
 {
@@ -585,12 +627,15 @@ void emit_bench_json(const std::string& path)
 
 int main(int argc, char** argv)
 {
+    const std::string out = bench::take_out_path(argc, argv);
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    emit_bench_json("BENCH_pr4.json");
-    std::printf("BENCH_pr4.json written (backproj / filter / fft / integrity / flight / "
-                "transport / autotune sections)\n");
+    if (out.empty()) return 0;
+    emit_bench_json(out);
+    std::printf("%s written (backproj / filter / fft / integrity / flight / "
+                "transport / autotune sections)\n",
+                out.c_str());
     return 0;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <tuple>
 
 #include "core/check.hpp"
 #include "core/parallel.hpp"
@@ -89,6 +90,14 @@ void bp_scalar_impl(const Tex& tex, const MatrixPack& pack, Volume& vol, const S
     });
 }
 
+/// Voxel rows j one pool task sweeps together: each view's texels are
+/// fetched once per block of rows instead of once per row.  Slabs too thin
+/// to give every pool participant kBlocksPerSlot blocks of kRowBlock rows
+/// use shorter blocks, so a participant that starts late still finds work
+/// (the block height changes no voxel's arithmetic).
+constexpr index_t kRowBlock = 4;
+constexpr index_t kBlocksPerSlot = 4;
+
 /// The vectorised column-walk kernel (the production path, DESIGN.md §3e).
 ///
 /// Every matrix projection_matrix builds has m[0].z == m[2].z == 0, so
@@ -97,23 +106,30 @@ void bp_scalar_impl(const Tex& tex, const MatrixPack& pack, Volume& vol, const S
 /// in i, and each lane evaluates fma(i, step, row_constant) with the row
 /// constants computed in double so the walk starts exact.
 ///
-///   * rows j go to the worker pool; each pool slot has an acc[nz][nx]
-///     accumulator and room for a row's y constants of every (view, k);
-///   * per view and per simd::kLanes voxels of the row: zn, x, the zn > 0 /
-///     column mask, the clamp and floor of x and the weight 1/zn^2, once
-///     (zn is sanitised to 1 on masked lanes so no inf/NaN leaks through
-///     the blend); a vector whose lanes all fail is skipped for every k;
-///   * per k: y, its mask and the row fraction, then the four bilinear taps
-///     as three adjacent pairs — zrow[t], zrow[t+1] (zrow[] resolves the
-///     circular depth wrap of global detector row t) and texels (u, u+1)
-///     of both texture rows.  A pair starts at min(floor(x), nu-2), so it
+///   * blocks of up to kRowBlock rows j go to the worker pool; each pool
+///     slot has an acc[row][nz][nx] accumulator and room for the block's y
+///     constants of every (row, view, k);
+///   * per view, every row of the block in turn, and per simd::kLanes
+///     voxels of the row: zn, x, the zn > 0 / column mask, the clamp and
+///     floor of x, the weight 1/zn^2 and the texel window, once (zn is
+///     sanitised to 1 on masked lanes so no inf/NaN leaks through the
+///     blend); a vector whose lanes all fail is skipped for every k;
+///   * per k: y, its mask and the row fraction, then the four bilinear
+///     taps.  A tap pair (u, u+1) starts at min(floor(x), nu-2), so it
 ///     stays inside its row; lanes with floor(x) == nu-1 take the high
-///     texel for both taps (the clamp address mode on u).
+///     texel for both taps (the clamp address mode on u).  When every
+///     lane's pair lies in one simd::kWindow-float window of its texture
+///     row and the lanes' rows t span at most t_lo and t_lo+1, the taps are
+///     picked out of that window in rows t_lo, t_lo+1 and t_lo+2
+///     (simd::window_pair); otherwise they are three gathers, zrow[t],
+///     zrow[t+1] (zrow[] resolves the circular depth wrap of global
+///     detector row t) and the texel pairs of both texture rows.
 ///
 /// Per voxel the operations, their association and the view order of the
-/// sum are those of the per-(view, row) loop this replaced, so the output
-/// is bitwise identical to it (test_simd keeps that loop as its oracle).
-/// Indices fit int32 by the texture-size require below.
+/// sum are those of the per-(view, row) loop this replaced, and both tap
+/// paths load the same texels, so the output is bitwise identical to it
+/// (test_simd keeps that loop as its oracle).  Indices fit int32 by the
+/// texture-size require below.
 void bp_vectorised(const sim::Texture3& tex, const MatrixPack& pack, Volume& vol,
                    const StreamOffsets& off, index_t nu, index_t nv)
 {
@@ -137,14 +153,20 @@ void bp_vectorised(const sim::Texture3& tex, const MatrixPack& pack, Volume& vol
     const float y_hi = static_cast<float>(nv - 1);
     constexpr index_t W = simd::kLanes;
     const index_t nx_vec = d.x - d.x % W;
+    // The window path needs a row at least one window wide, and pays only
+    // where window_pair is a register permute.
+    const bool windows = simd::kWindowLoads && width >= simd::kWindow;
+    const float win_span = static_cast<float>(simd::kWindow - 2);  // last pair start
+    const auto win_last = static_cast<std::int32_t>(width - simd::kWindow);
 
     // Circular-row offset table: global detector row t -> flat offset of
     // its texture plane, zrow[t] = ((t - proj_y) mod depth)*height*width.
-    // After clamping y to [0, y_hi], t = floor(y) is in [0, nv-1] and the
-    // bilinear partner row t+1 is in [1, nv] — table size nv + 1.
-    scratch::Buffer<std::int32_t> zrow_lease(static_cast<std::size_t>(nv + 1));
+    // After clamping y to [0, y_hi], t = floor(y) is in [0, nv-1]; the
+    // bilinear partner row t+1 is in [1, nv] and the window path's third
+    // row t_lo+2 in [2, nv+1] — table size nv + 2.
+    scratch::Buffer<std::int32_t> zrow_lease(static_cast<std::size_t>(nv + 2));
     std::int32_t* zrow = zrow_lease.data();
-    for (index_t t = 0; t <= nv; ++t) {
+    for (index_t t = 0; t <= nv + 1; ++t) {
         index_t zz = (t - off.proj_y) % depth;
         if (zz < 0) zz += depth;
         zrow[t] = static_cast<std::int32_t>(zz * height * width);
@@ -158,101 +180,151 @@ void bp_vectorised(const sim::Texture3& tex, const MatrixPack& pack, Volume& vol
     const simd::VecF vpair_hi = simd::splat(static_cast<float>(nu - 2));  // last pair start
     const double kk0 = static_cast<double>(off.volume_z);
 
-    // Rows vary in cost (masked columns are skipped), so they are handed
-    // out one at a time.  Each pool slot owns an acc[nz][nx] accumulator
-    // and room for a row's y constants of every (view, k), all in one lease
-    // on the calling thread.  The body captures the constants by value: a
+    // Blocks vary in cost (masked columns are skipped), so they are handed
+    // out one at a time.  Each pool slot owns acc[block][nz][nx] and the
+    // block's y constants yrow[block][views][nz], all in one lease on the
+    // calling thread.  The body captures the constants by value: a
     // vector store may alias any object, and through a by-reference closure
     // GCC reloads each constant via a second pointer inside the k loop
     // (~20 % of bp in a kernel micro-benchmark).
-    const std::size_t per_slot = static_cast<std::size_t>(d.z * d.x + views * d.z);
+    const index_t min_blocks = kBlocksPerSlot * static_cast<index_t>(parallel::width());
+    const index_t block = std::clamp<index_t>(d.y / min_blocks, 1, kRowBlock);
+    const index_t plane = d.z * d.x;
+    const std::size_t per_slot = static_cast<std::size_t>(block * (plane + views * d.z));
     scratch::Buffer<float> lease(parallel::width() * per_slot);
     float* const slots = lease.data();
-    parallel::parallel_for(d.y, 1, [=, &tex, &pack, &vol](index_t j, std::size_t slot) {
-        float* const acc = slots + slot * per_slot;  // acc[k * nx + i]
-        float* const yrow = acc + d.z * d.x;         // yrow[s * nz + k]
-        const double jj = static_cast<double>(j);
-        std::fill_n(acc, d.z * d.x, 0.0f);
-        // k outermost, view innermost: no product here is loop-invariant,
-        // so fma contraction rounds exactly as in the per-(view, row) loop.
-        for (index_t k = 0; k < d.z; ++k) {
-            const double kk = static_cast<double>(k + off.volume_z);
-            for (index_t s = 0; s < views; ++s) {
-                const Mat34& m = pack.dmat(s);
-                yrow[s * d.z + k] = static_cast<float>(m[1].y * jj + m[1].z * kk + m[1].w);
+    const index_t blocks = (d.y + block - 1) / block;
+    parallel::parallel_for(blocks, 1, [=, &tex, &pack, &vol](index_t b, std::size_t slot) {
+        const index_t j0 = b * block;
+        const index_t rows = std::min(block, d.y - j0);
+        float* const acc = slots + slot * per_slot;  // acc[(r * nz + k) * nx + i]
+        float* const yrow = acc + block * plane;     // yrow[(r * views + s) * nz + k]
+        std::fill_n(acc, rows * plane, 0.0f);
+        // k outer, view innermost: no product here is loop-invariant, so
+        // fma contraction rounds exactly as in the per-(view, row) loop.
+        for (index_t r = 0; r < rows; ++r) {
+            const double jj = static_cast<double>(j0 + r);
+            float* const yr = yrow + r * views * d.z;
+            for (index_t k = 0; k < d.z; ++k) {
+                const double kk = static_cast<double>(k + off.volume_z);
+                for (index_t s = 0; s < views; ++s) {
+                    const Mat34& m = pack.dmat(s);
+                    yr[s * d.z + k] = static_cast<float>(m[1].y * jj + m[1].z * kk + m[1].w);
+                }
             }
         }
         for (index_t s = 0; s < views; ++s) {
             const Mat34& m = pack.dmat(s);
             const auto& f = pack.fmat(s);
-            // Zero z column: the same floats at every k of the slab.
-            const float xn0 = static_cast<float>(m[0].y * jj + m[0].z * kk0 + m[0].w);
-            const float zn0 = static_cast<float>(m[2].y * jj + m[2].z * kk0 + m[2].w);
             const float dxn = f[0];
             const float dyn = f[4];
             const float dzn = f[8];
-            const float* yn0 = yrow + s * d.z;
-
-            const simd::VecF vxn0 = simd::splat(xn0);
-            const simd::VecF vzn0 = simd::splat(zn0);
             const simd::VecF vdxn = simd::splat(dxn);
             const simd::VecF vdyn = simd::splat(dyn);
             const simd::VecF vdzn = simd::splat(dzn);
             const simd::VecI vsrow = simd::splat_i(static_cast<std::int32_t>(s * width));
+            const float* const srow = texel + s * width;
 
-            for (index_t i = 0; i < nx_vec; i += W) {
-                const simd::VecF ii = simd::splat(static_cast<float>(i)) + viota;
-                const simd::VecF zn = simd::fmadd(ii, vdzn, vzn0);
-                const simd::Mask zpos = simd::cmp_gt(zn, vzero);
-                const simd::VecF zn_safe = simd::blend(zpos, zn, vone);
-                const simd::VecF x = simd::fmadd(ii, vdxn, vxn0) / zn_safe;
-                const simd::Mask xok = zpos & simd::cmp_ge(x, vzero) & simd::cmp_le(x, vxhi);
-                if (simd::none(xok)) continue;
-                const simd::VecF xc = simd::clamp(x, vzero, vxhi);
-                const simd::VecF fx = simd::floor_(xc);
-                const simd::VecF du = xc - fx;
-                const simd::VecF one_du = vone - du;
-                const simd::Mask last_col = simd::cmp_gt(fx, vpair_hi);
-                const simd::VecI col = simd::to_int(simd::min_(fx, vpair_hi)) + vsrow;
-                const simd::VecF wgt = vone / (zn_safe * zn_safe);
-                float* acc_k = acc + i;
-                for (index_t k = 0; k < d.z; ++k, acc_k += d.x) {
-                    const simd::VecF y = simd::fmadd(ii, vdyn, simd::splat(yn0[k])) / zn_safe;
-                    const simd::Mask ok = xok & simd::cmp_ge(y, vzero) & simd::cmp_le(y, vyhi);
-                    if (simd::none(ok)) continue;
-                    const simd::VecF yc = simd::clamp(y, vzero, vyhi);
-                    const simd::VecF fy = simd::floor_(yc);
-                    const simd::VecF dv = yc - fy;
-                    const auto [z0, z1] = simd::gather_pair(zrow, simd::to_int(fy));
-                    const auto [r0lo, f01] = simd::gather_pair(texel, z0 + col);
-                    const auto [r1lo, f11] = simd::gather_pair(texel, z1 + col);
-                    const simd::VecF f00 = simd::blend(last_col, f01, r0lo);
-                    const simd::VecF f10 = simd::blend(last_col, f11, r1lo);
-                    const simd::VecF one_dv = vone - dv;
-                    const simd::VecF bil = (f00 * one_du + f01 * du) * one_dv +
-                                           (f10 * one_du + f11 * du) * dv;
-                    const simd::VecF contrib = simd::blend(ok, wgt * bil, vzero);
-                    simd::store(acc_k, simd::load(acc_k) + contrib);
+            for (index_t r = 0; r < rows; ++r) {
+                const double jj = static_cast<double>(j0 + r);
+                // Zero z column: the same floats at every k of the slab.
+                const float xn0 = static_cast<float>(m[0].y * jj + m[0].z * kk0 + m[0].w);
+                const float zn0 = static_cast<float>(m[2].y * jj + m[2].z * kk0 + m[2].w);
+                const float* yn0 = yrow + (r * views + s) * d.z;
+                float* const acc_r = acc + r * plane;
+                const simd::VecF vxn0 = simd::splat(xn0);
+                const simd::VecF vzn0 = simd::splat(zn0);
+
+                for (index_t i = 0; i < nx_vec; i += W) {
+                    const simd::VecF ii = simd::splat(static_cast<float>(i)) + viota;
+                    const simd::VecF zn = simd::fmadd(ii, vdzn, vzn0);
+                    const simd::Mask zpos = simd::cmp_gt(zn, vzero);
+                    const simd::VecF zn_safe = simd::blend(zpos, zn, vone);
+                    const simd::VecF x = simd::fmadd(ii, vdxn, vxn0) / zn_safe;
+                    const simd::Mask xok =
+                        zpos & simd::cmp_ge(x, vzero) & simd::cmp_le(x, vxhi);
+                    if (simd::none(xok)) continue;
+                    const simd::VecF xc = simd::clamp(x, vzero, vxhi);
+                    const simd::VecF fx = simd::floor_(xc);
+                    const simd::VecF du = xc - fx;
+                    const simd::VecF one_du = vone - du;
+                    const simd::Mask last_col = simd::cmp_gt(fx, vpair_hi);
+                    const simd::VecF pair = simd::min_(fx, vpair_hi);
+                    const simd::VecI col = simd::to_int(pair) + vsrow;
+                    const simd::VecF wgt = vone / (zn_safe * zn_safe);
+                    // The window [w0, w0 + kWindow) of every texture row:
+                    // it holds each lane's pair and ends inside the row.
+                    // x is monotonic in i up to rounding, so the end lanes
+                    // bracket the pairs; the compare checks every lane.
+                    const float cmin = std::min(simd::lane<0>(pair), simd::lane<W - 1>(pair));
+                    const bool in_window =
+                        windows && simd::all(simd::cmp_ge(pair, simd::splat(cmin)) &
+                                             simd::cmp_le(pair, simd::splat(cmin + win_span)));
+                    const std::int32_t w0 =
+                        in_window ? std::min(static_cast<std::int32_t>(cmin), win_last) : 0;
+                    const simd::VecI wcol = simd::to_int(pair) + simd::splat_i(-w0);
+                    const float* const wrow = srow + w0;
+                    float* acc_k = acc_r + i;
+                    for (index_t k = 0; k < d.z; ++k, acc_k += d.x) {
+                        const simd::VecF y =
+                            simd::fmadd(ii, vdyn, simd::splat(yn0[k])) / zn_safe;
+                        const simd::Mask ok =
+                            xok & simd::cmp_ge(y, vzero) & simd::cmp_le(y, vyhi);
+                        if (simd::none(ok)) continue;
+                        const simd::VecF yc = simd::clamp(y, vzero, vyhi);
+                        const simd::VecF fy = simd::floor_(yc);
+                        const simd::VecF dv = yc - fy;
+                        // Rows t_lo and t_lo + 1 hold every lane's upper
+                        // tap, with t_lo from the end lanes as for x.
+                        simd::VecF r0lo{}, f01{}, r1lo{}, f11{};
+                        const float tlo = std::min(simd::lane<0>(fy), simd::lane<W - 1>(fy));
+                        const simd::VecF vtlo = simd::splat(tlo);
+                        if (in_window && simd::all(simd::cmp_ge(fy, vtlo) &
+                                                   simd::cmp_le(fy, vtlo + vone))) {
+                            const auto t = static_cast<std::int32_t>(tlo);
+                            const auto [a0, a1] = simd::window_pair(wrow + zrow[t], wcol);
+                            const auto [b0, b1] = simd::window_pair(wrow + zrow[t + 1], wcol);
+                            const auto [c0, c1] = simd::window_pair(wrow + zrow[t + 2], wcol);
+                            const simd::Mask second = simd::cmp_gt(fy, vtlo);
+                            r0lo = simd::blend(second, b0, a0);
+                            f01 = simd::blend(second, b1, a1);
+                            r1lo = simd::blend(second, c0, b0);
+                            f11 = simd::blend(second, c1, b1);
+                        } else {
+                            const auto [z0, z1] = simd::gather_pair(zrow, simd::to_int(fy));
+                            std::tie(r0lo, f01) = simd::gather_pair(texel, z0 + col);
+                            std::tie(r1lo, f11) = simd::gather_pair(texel, z1 + col);
+                        }
+                        const simd::VecF f00 = simd::blend(last_col, f01, r0lo);
+                        const simd::VecF f10 = simd::blend(last_col, f11, r1lo);
+                        const simd::VecF one_dv = vone - dv;
+                        const simd::VecF bil = (f00 * one_du + f01 * du) * one_dv +
+                                               (f10 * one_du + f11 * du) * dv;
+                        const simd::VecF contrib = simd::blend(ok, wgt * bil, vzero);
+                        simd::store(acc_k, simd::load(acc_k) + contrib);
+                    }
                 }
-            }
-            // Scalar tail (d.x % kLanes voxels), same affine walk; i is
-            // innermost so fi * dyn is not hoisted away from its add.
-            for (index_t k = 0; k < d.z; ++k) {
-                for (index_t i = nx_vec; i < d.x; ++i) {
-                    const float fi = static_cast<float>(i);
-                    const float zn = fi * dzn + zn0;
-                    if (zn <= 0.0f) continue;
-                    const float x = (fi * dxn + xn0) / zn;
-                    const float y = (fi * dyn + yn0[k]) / zn;
-                    if (x < 0.0f || x > x_hi || y < 0.0f || y > y_hi) continue;
-                    acc[k * d.x + i] +=
-                        1.0f / (zn * zn) *
-                        dev_sub_pixel(tex, x, y - static_cast<float>(off.proj_y), s);
+                // Scalar tail (d.x % kLanes voxels), same affine walk; i is
+                // innermost so fi * dyn is not hoisted away from its add.
+                for (index_t k = 0; k < d.z; ++k) {
+                    for (index_t i = nx_vec; i < d.x; ++i) {
+                        const float fi = static_cast<float>(i);
+                        const float zn = fi * dzn + zn0;
+                        if (zn <= 0.0f) continue;
+                        const float x = (fi * dxn + xn0) / zn;
+                        const float y = (fi * dyn + yn0[k]) / zn;
+                        if (x < 0.0f || x > x_hi || y < 0.0f || y > y_hi) continue;
+                        acc_r[k * d.x + i] +=
+                            1.0f / (zn * zn) *
+                            dev_sub_pixel(tex, x, y - static_cast<float>(off.proj_y), s);
+                    }
                 }
             }
         }
-        for (index_t k = 0; k < d.z; ++k)
-            for (index_t i = 0; i < d.x; ++i) vol.at(i, j, k) += acc[k * d.x + i];
+        for (index_t r = 0; r < rows; ++r)
+            for (index_t k = 0; k < d.z; ++k)
+                for (index_t i = 0; i < d.x; ++i)
+                    vol.at(i, j0 + r, k) += acc[(r * d.z + k) * d.x + i];
     });
 }
 

@@ -22,12 +22,27 @@
 // AVX2/NEON when XCT_SIMD is ON, scalar lanes otherwise).  Because the
 // detector is parallel to the rotation axis (MatrixPack::z_invariant),
 // each view computes a voxel column's detector column, depth, masks and
-// FDK weight once and walks the slab's z changing only the detector row;
-// the bilinear taps come as adjacent pairs (simd::gather_pair) off a
-// circular-row offset table; rows go to threads with pooled [z][x]
-// accumulators.  The original Listing-1 loop is retained as
-// backproject_streaming_scalar and the agreement bound is documented below
-// (kSimdVsScalarRelBound, asserted in test_simd/test_backproj).
+// FDK weight once and walks the slab's z changing only the detector row.
+//   * Blocks: each pool task owns up to 4 voxel rows j (fewer on slabs
+//     too thin for four blocks per pool participant) and sweeps every
+//     view over all of them before the next view, so a view's texels
+//     come from L3 once per block, not once per row.  Per pool slot the
+//     scratch is acc[rows][nz][nx] plus the block's y row constants
+//     yrow[rows][views][nz], in one lease the caller takes per call; the
+//     circular-row offset table zrow (nv + 2 entries) is shared.
+//   * Taps: where simd::window_pair is loads (AVX-512F), a vector whose
+//     lanes' tap pairs all lie in one 32-float window of a texture row and
+//     whose detector rows are t_lo or t_lo + 1 picks its taps out of the
+//     windows of rows t_lo..t_lo+2.  It falls back to the gathers
+//     (simd::gather_pair off zrow) when the texture row is narrower than
+//     the window, the lanes spread over more columns or rows, or the
+//     target has no window loads.
+// Both tap paths load the same texels and each voxel sums views in the
+// same order, so the output is bitwise the per-(view, row) kernel's
+// (test_simd's ColumnWalk oracle).  The original Listing-1 loop is
+// retained as backproject_streaming_scalar and the agreement bound is
+// documented below (kSimdVsScalarRelBound, asserted in
+// test_simd/test_backproj).
 
 #include <array>
 #include <span>

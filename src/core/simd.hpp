@@ -4,13 +4,15 @@
 // Exposes a fixed-width lane abstraction (VecF / VecI / Mask) with exactly
 // the operations the streaming back-projection inner loop needs: splat,
 // affine index arithmetic (FMA), floor, clamp, lane-wise compares feeding
-// blend masks, int conversion and gathers of adjacent pairs from flat
-// arrays (both taps of a bilinear interpolation in one fetch per lane).
+// blend masks, lane reads, int conversion, and the two ways to fetch
+// adjacent pairs (both taps of a bilinear interpolation per lane): gathers
+// from flat arrays, and picks out of a kWindow-float window.
 // Three backends, chosen at compile time:
 //
 //   * AVX2 (8 lanes)  — x86-64, selected when the compiler sets __AVX2__
 //     (e.g. -march=native on any post-2013 core); when the target also
-//     has AVX-512F, gather_pair uses one 8 x 64-bit gather;
+//     has AVX-512F, gather_pair uses one 8 x 64-bit gather and
+//     window_pair two 16-float loads and one two-source permute;
 //   * NEON (4 lanes)  — aarch64 (__ARM_NEON);
 //   * scalar fallback — plain arrays of kLanes elements, used when the
 //     XCT_SIMD CMake option is OFF or no vector ISA is available.  The
@@ -27,7 +29,12 @@
 //   * blend(m, a, b) selects a where m is true, b elsewhere;
 //   * gather_pair reads base[idx[lane]] and base[idx[lane] + 1] for every
 //     lane — callers mask/clamp indices BEFORE gathering, out-of-range
-//     lanes are not tolerated.
+//     lanes are not tolerated;
+//   * window_pair(w, idx) returns what gather_pair(w, idx) returns, for
+//     every idx[lane] in [0, kWindow - 2], and may read all of
+//     w[0, kWindow); kWindowLoads says whether it is loads and a register
+//     permute (true) or the gather itself (false), so a caller can keep
+//     the window test off targets where it cannot pay.
 
 #include <concepts>
 #include <cstdint>
@@ -110,6 +117,15 @@ inline Mask operator&(Mask a, Mask b) { return {_mm256_and_ps(a.m, b.m)}; }
 inline bool none(Mask m) { return _mm256_movemask_ps(m.m) == 0; }
 inline VecF blend(Mask m, VecF a, VecF b) { return {_mm256_blendv_ps(b.v, a.v, m.m)}; }
 
+inline bool all(Mask m) { return _mm256_movemask_ps(m.m) == 0xFF; }
+template <int L>
+    requires(L >= 0 && L < kLanes)
+inline float lane(VecF a)
+{
+    const __m128 half = L < 4 ? _mm256_castps256_ps128(a.v) : _mm256_extractf128_ps(a.v, 1);
+    return _mm_cvtss_f32(_mm_permute_ps(half, L % 4));
+}
+
 /// Truncating float->int32 conversion (callers floor first).
 inline VecI to_int(VecF a) { return {_mm256_cvttps_epi32(a.v)}; }
 inline VecI splat_i(std::int32_t x) { return {_mm256_set1_epi32(x)}; }
@@ -152,6 +168,23 @@ inline auto gather_pair(const T* base, VecI idx)
         return std::pair{VecI{lo}, VecI{hi}};
 }
 
+#if defined(__AVX512F__)
+inline constexpr bool kWindowLoads = true;
+/// {w[idx], w[idx + 1]} per lane: the window's two 16-float loads feed one
+/// two-source permute whose low eight lanes pick w[idx] and high eight
+/// w[idx + 1].  Masked all-lanes forms again, for GCC 12's warning.
+inline std::pair<VecF, VecF> window_pair(const float* w, VecI idx)
+{
+    const __m512i low = _mm512_maskz_inserti64x4(0xFF, _mm512_setzero_si512(), idx.v, 0);
+    const __m512i pick =
+        _mm512_maskz_inserti64x4(0xFF, low, _mm256_add_epi32(idx.v, _mm256_set1_epi32(1)), 1);
+    const __m512d both = _mm512_castps_pd(
+        _mm512_permutex2var_ps(_mm512_loadu_ps(w), pick, _mm512_loadu_ps(w + 16)));
+    return {VecF{_mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xF, both, 0))},
+            VecF{_mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xF, both, 1))}};
+}
+#endif
+
 #elif defined(XCT_SIMD_BACKEND_NEON)
 
 inline constexpr int kLanes = 4;
@@ -193,6 +226,10 @@ inline Mask cmp_le(VecF a, VecF b) { return {vcleq_f32(a.v, b.v)}; }
 inline Mask operator&(Mask a, Mask b) { return {vandq_u32(a.m, b.m)}; }
 inline bool none(Mask m) { return vmaxvq_u32(m.m) == 0; }
 inline VecF blend(Mask m, VecF a, VecF b) { return {vbslq_f32(m.m, a.v, b.v)}; }
+inline bool all(Mask m) { return vminvq_u32(m.m) != 0; }
+template <int L>
+    requires(L >= 0 && L < kLanes)
+inline float lane(VecF a) { return vgetq_lane_f32(a.v, L); }
 
 inline VecI to_int(VecF a) { return {vcvtq_s32_f32(a.v)}; }
 inline VecI splat_i(std::int32_t x) { return {vdupq_n_s32(x)}; }
@@ -325,6 +362,15 @@ inline VecF blend(Mask m, VecF a, VecF b)
     for (int l = 0; l < kLanes; ++l) r.v[l] = m.m[l] ? a.v[l] : b.v[l];
     return r;
 }
+inline bool all(Mask m)
+{
+    for (int l = 0; l < kLanes; ++l)
+        if (!m.m[l]) return false;
+    return true;
+}
+template <int L>
+    requires(L >= 0 && L < kLanes)
+inline float lane(VecF a) { return a.v[L]; }
 
 inline VecI to_int(VecF a)
 {
@@ -377,6 +423,15 @@ inline auto gather_pair(const T* base, VecI idx)
         return std::pair{load_i(lo), load_i(hi)};
 }
 #endif
+
+#if !defined(XCT_SIMD_BACKEND_AVX2) || !defined(__AVX512F__)
+inline constexpr bool kWindowLoads = false;
+/// {w[idx], w[idx + 1]} per lane, as the gather.
+inline std::pair<VecF, VecF> window_pair(const float* w, VecI idx) { return gather_pair(w, idx); }
+#endif
+
+/// Floats window_pair may read from its base pointer.
+inline constexpr int kWindow = 32;
 
 /// Clamp every lane to [lo, hi].
 inline VecF clamp(VecF a, VecF lo, VecF hi) { return min_(max_(a, lo), hi); }

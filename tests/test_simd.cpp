@@ -27,6 +27,7 @@
 #include "core/simd.hpp"
 #include "fft/fft.hpp"
 #include "filter/ramp.hpp"
+#include "scoped_threads.hpp"
 
 namespace xct {
 namespace {
@@ -171,6 +172,57 @@ TEST(SimdWrapper, GatherMatchesScalarIndexing)
             ASSERT_EQ(gihi[l], itable[at + 1]) << "trial " << trial << " lane " << l;
         }
     }
+}
+
+TEST(SimdWrapper, WindowPairMatchesGatherPair)
+{
+    // window_pair picks {w[idx], w[idx + 1]} out of a kWindow-float window
+    // and must return gather_pair's bits for every index in [0, kWindow-2],
+    // from windows at several offsets into a longer table that holds -0,
+    // a denormal and a NaN.
+    const int n = 3 * simd::kWindow + 5;
+    std::vector<float> table(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) table[static_cast<std::size_t>(i)] = 0.75f * i - 31.5f;
+    table[7] = -0.0f;
+    table[8] = std::numeric_limits<float>::denorm_min();
+    table[9] = std::numeric_limits<float>::quiet_NaN();
+    std::mt19937 rng(62);
+    std::uniform_int_distribution<int> pick(0, simd::kWindow - 2);
+    std::uniform_int_distribution<int> start(0, n - simd::kWindow);
+    for (int trial = 0; trial < 64; ++trial) {
+        std::array<std::int32_t, simd::kLanes> idx{};
+        for (auto& v : idx) v = pick(rng);
+        idx[static_cast<std::size_t>(trial) % idx.size()] = simd::kWindow - 2;
+        if (trial == 0) idx = {};
+        const float* w = table.data() + (trial < 3 ? trial * 3 : start(rng));
+        const simd::VecI vidx = simd::load_i(idx.data());
+        const auto [lo, hi] = simd::window_pair(w, vidx);
+        const auto [glo, ghi] = simd::gather_pair(w, vidx);
+        std::array<float, simd::kLanes> a{}, b{}, c{}, d{};
+        simd::store(a.data(), lo);
+        simd::store(b.data(), hi);
+        simd::store(c.data(), glo);
+        simd::store(d.data(), ghi);
+        for (std::size_t l = 0; l < idx.size(); ++l) {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(a[l]), std::bit_cast<std::uint32_t>(c[l]))
+                << "trial " << trial << " lane " << l;
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(b[l]), std::bit_cast<std::uint32_t>(d[l]))
+                << "trial " << trial << " lane " << l;
+        }
+    }
+}
+
+TEST(SimdWrapper, LaneAndAll)
+{
+    std::array<float, simd::kLanes> a{};
+    for (int i = 0; i < simd::kLanes; ++i) a[static_cast<std::size_t>(i)] = 1.5f * i - 4.0f;
+    const simd::VecF v = simd::load(a.data());
+    EXPECT_EQ(simd::lane<0>(v), a.front());
+    EXPECT_EQ(simd::lane<1>(v), a[1]);
+    EXPECT_EQ(simd::lane<simd::kLanes - 1>(v), a.back());
+    EXPECT_TRUE(simd::all(simd::cmp_ge(v, simd::splat(a.front()))));
+    EXPECT_FALSE(simd::all(simd::cmp_gt(v, simd::splat(a.front()))));
+    EXPECT_FALSE(simd::all(simd::cmp_le(v, simd::splat(a[simd::kLanes - 2]))));
 }
 
 // ---- SIMD vs scalar back-projection (randomized property test) ------------
@@ -549,6 +601,240 @@ TEST(ColumnWalk, BitwiseWhenVoxelsLandOnTheLastDetectorColumn)
     backproj::backproject_streaming(one, first, only, backproj::StreamOffsets{0, 0}, nu, nv);
     // y = 0.3 at j = k = 0: 0.7 * row 0 + 0.3 * row 1 of column nu - 1.
     EXPECT_FLOAT_EQ(only.at(nu - 1, 0, 0), 0.7f * (nu - 1) + 0.3f * (100 + nu - 1));
+}
+
+/// expect_column_walk_matches with the pool capped at one participant and
+/// at four: blocks of rows may run on any slot, and the output must not
+/// depend on it.  Returns the slab's largest magnitude.
+float expect_column_walk_matches_at_widths(const sim::Texture3& tex,
+                                           const backproj::MatrixPack& pack, Dim3 slab,
+                                           const backproj::StreamOffsets& off, index_t nu,
+                                           index_t nv, const std::string& what)
+{
+    float peak = 0.0f;
+    for (const int width : {1, 4}) {
+        const testutil::ScopedThreads cap(width);
+        peak = expect_column_walk_matches(tex, pack, slab, off, nu, nv,
+                                          what + " width " + std::to_string(width));
+    }
+    return peak;
+}
+
+/// A texture of `depth` planes of random texels, for views whose rows need
+/// not come from a projection stack.
+sim::Texture3 random_texture(sim::Device& dev, index_t nu, index_t views, index_t depth,
+                             std::mt19937& rng)
+{
+    sim::Texture3 tex(dev, nu, views, depth);
+    std::vector<float> plane(static_cast<std::size_t>(nu * views));
+    std::uniform_real_distribution<float> u(0.0f, 1.0f);
+    for (index_t z = 0; z < depth; ++z) {
+        for (float& v : plane) v = u(rng);
+        tex.copy_planes(plane, z, 1);
+    }
+    return tex;
+}
+
+TEST(ColumnWalk, BitwiseOnRowBlockEdges)
+{
+    // Rows go to the pool in blocks of up to four, shorter when the slab
+    // is too thin for four blocks per participant.  At width 4, d.y = 66
+    // runs blocks of 4 and ends on a partial one, d.y = 37 blocks of 2;
+    // at width 1, d.y = 66, 13 and 11 run blocks of 4, 3 and 2 with a
+    // partial last block, and d.y = 3 and 1 fall back to one-row blocks.
+    std::mt19937 rng(4041);
+    for (const index_t dy : {index_t{66}, index_t{37}, index_t{13}, index_t{11}, index_t{3},
+                             index_t{1}}) {
+        const CbctGeometry g = random_geometry(rng);
+        const ProjectionStack p = random_stack(g, rng);
+        const auto mats = projection_matrices(g);
+        const backproj::MatrixPack pack{std::span<const Mat34>(mats)};
+        sim::Device dev(256u << 20);
+        const sim::Texture3 tex = make_texture(dev, p, Range{0, g.nv});
+        const Dim3 slab{g.vol.x, dy, g.vol.z / 2};
+        EXPECT_GT(expect_column_walk_matches_at_widths(
+                      tex, pack, slab, backproj::StreamOffsets{g.vol.z / 4, 0}, g.nu, g.nv,
+                      "d.y " + std::to_string(dy)),
+                  0.0f);
+    }
+}
+
+TEST(ColumnWalk, BitwiseOnOneSliceOneViewAndALaneTail)
+{
+    // nz = 1, a single view, and nx = 13 (a vector and a 5-voxel tail).
+    std::mt19937 rng(4042);
+    CbctGeometry g = random_geometry(rng);
+    g.num_proj = 1;
+    g.vol = {13, 13, 13};
+    g.dx = g.dy = g.dz = CbctGeometry::natural_pitch(g.du, g.dsd, g.dso, g.nu, 13);
+    const ProjectionStack p = random_stack(g, rng);
+    const auto mats = projection_matrices(g);
+    const backproj::MatrixPack pack{std::span<const Mat34>(mats)};
+    sim::Device dev(64u << 20);
+    const sim::Texture3 tex = make_texture(dev, p, Range{0, g.nv});
+    EXPECT_GT(expect_column_walk_matches_at_widths(tex, pack, Dim3{13, 13, 1},
+                                                   backproj::StreamOffsets{6, 0}, g.nu, g.nv,
+                                                   "one slice, one view"),
+              0.0f);
+}
+
+TEST(ColumnWalk, BitwiseWhenTheTexturePlaneIsNarrowerThanTheWindow)
+{
+    // nu < kWindow: no window fits in a texture row, so every vector
+    // gathers.
+    std::mt19937 rng(4043);
+    CbctGeometry g = random_geometry(rng);
+    g.nu = simd::kWindow - 12;
+    g.dx = g.dy = g.dz = CbctGeometry::natural_pitch(g.du, g.dsd, g.dso, g.nu, g.vol.x);
+    const ProjectionStack p = random_stack(g, rng);
+    const auto mats = projection_matrices(g);
+    const backproj::MatrixPack pack{std::span<const Mat34>(mats)};
+    sim::Device dev(64u << 20);
+    const sim::Texture3 tex = make_texture(dev, p, Range{0, g.nv});
+    EXPECT_GT(expect_column_walk_matches_at_widths(tex, pack, g.vol, backproj::StreamOffsets{0, 0},
+                                                   g.nu, g.nv, "narrow plane"),
+              0.0f);
+}
+
+TEST(ColumnWalk, BitwiseWhenLaneColumnsSpreadWiderThanTheWindow)
+{
+    // 48^3 over 233 detector columns: about 4.9 columns per voxel at the
+    // rotation axis, so a vector's eight lanes span more than one window
+    // there and on the source side, and gather; on the far side, where
+    // the magnification is smaller, they fit.
+    CbctGeometry g;
+    g.dso = 100.0;
+    g.dsd = 250.0;
+    g.num_proj = 8;
+    g.nu = 233;
+    g.nv = 40;
+    g.du = g.dv = 0.4;
+    g.vol = {48, 48, 48};
+    g.dx = g.dy = g.dz = CbctGeometry::natural_pitch(g.du, g.dsd, g.dso, g.nu, 48);
+    std::mt19937 rng(4044);
+    const ProjectionStack p = random_stack(g, rng);
+    const auto mats = projection_matrices(g);
+    const backproj::MatrixPack pack{std::span<const Mat34>(mats)};
+    sim::Device dev(64u << 20);
+    const sim::Texture3 tex = make_texture(dev, p, Range{0, g.nv});
+    EXPECT_GT(expect_column_walk_matches_at_widths(tex, pack, Dim3{48, 48, 6},
+                                                   backproj::StreamOffsets{21, 0}, g.nu, g.nv,
+                                                   "233 columns"),
+              0.0f);
+}
+
+TEST(ColumnWalk, BitwiseWhenWindowRowsWrapTheCircularDepth)
+{
+    // A full-height texture anchored mid-detector: global row proj_y maps
+    // to plane 0, so a window at rows proj_y-2..proj_y or proj_y-1..proj_y+1
+    // reads the last planes and then plane 0.
+    std::mt19937 rng(4045);
+    for (int trial = 0; trial < 3; ++trial) {
+        const CbctGeometry g = random_geometry(rng);
+        const auto mats = projection_matrices(g);
+        const backproj::MatrixPack pack{std::span<const Mat34>(mats)};
+        sim::Device dev(256u << 20);
+        const sim::Texture3 tex = random_texture(dev, g.nu, g.num_proj, g.nv, rng);
+        for (const index_t proj_y : {index_t{1}, g.nv / 2, g.nv - 1}) {
+            EXPECT_GT(expect_column_walk_matches_at_widths(
+                          tex, pack, g.vol, backproj::StreamOffsets{0, proj_y}, g.nu, g.nv,
+                          "trial " + std::to_string(trial) + " proj_y " + std::to_string(proj_y)),
+                      0.0f);
+        }
+    }
+}
+
+/// Hand-built views (detector parallel to the axis, m[0].z == m[2].z == 0)
+/// over a random texture of nv planes.
+float hand_built_matches(const std::vector<Mat34>& mats, index_t nu, index_t nv, Dim3 slab,
+                         const std::string& what)
+{
+    const backproj::MatrixPack pack{std::span<const Mat34>(mats)};
+    EXPECT_TRUE(pack.z_invariant()) << what;
+    std::mt19937 rng(4046);
+    sim::Device dev(16u << 20);
+    const sim::Texture3 tex = random_texture(dev, nu, pack.views(), nv, rng);
+    return expect_column_walk_matches_at_widths(tex, pack, slab, backproj::StreamOffsets{0, 0}, nu,
+                                                nv, what);
+}
+
+TEST(ColumnWalk, BitwiseWhenOneVectorSpansThreeDetectorRows)
+{
+    // zn = 1 everywhere.  View 0 moves y by 0.5 a voxel, so each vector's
+    // eight lanes span four detector rows and gather.  View 1 moves it by
+    // 0.125, so a vector spans one or two rows and takes the window.  View
+    // 2 reaches x = nu - 1 (i = 14, the clamped last pair) and beyond
+    // (i = 15, masked) inside a window that ends at the row's end.
+    const index_t nu = 48;
+    const index_t nv = 16;
+    std::vector<Mat34> mats(3);
+    mats[0][0] = Vec4{0.5, 0.25, 0.0, 4.0};
+    mats[0][1] = Vec4{0.5, 0.25, 0.75, 0.3};
+    mats[0][2] = Vec4{0.0, 0.0, 0.0, 1.0};
+    mats[1][0] = Vec4{1.0, 0.5, 0.0, 2.0};
+    mats[1][1] = Vec4{0.125, 0.5, 1.0, 0.7};
+    mats[1][2] = Vec4{0.0, 0.0, 0.0, 1.0};
+    mats[2][0] = Vec4{1.0, 0.0, 0.0, 33.0};
+    mats[2][1] = Vec4{0.0, 0.25, 0.5, 1.0};
+    mats[2][2] = Vec4{0.0, 0.0, 0.0, 1.0};
+    EXPECT_GT(hand_built_matches(mats, nu, nv, Dim3{16, 5, 6}, "row spans"), 0.0f);
+}
+
+TEST(ColumnWalk, BitwiseWhenLanesHaveNoPositiveDepth)
+{
+    // zn = 1.5 - 0.25 i: lanes i = 6 (zn = 0) and i = 7 (zn < 0) of the
+    // first vector are masked and divide by the sanitised 1, the second
+    // vector has no live lane, and the tail (nx = 19) skips every voxel.
+    // Live lanes see y = 0.5 + 0.25 k / zn and the masked ones clamp to
+    // row 0, so the vector takes the window at k = 0 and 1 and gathers
+    // from k = 2 on; x stays within one window either way.
+    const index_t nu = 40;
+    const index_t nv = 16;
+    std::vector<Mat34> mats(2);
+    mats[0][0] = Vec4{-0.5, 0.0, 0.0, 3.2};
+    mats[0][1] = Vec4{-0.125, 0.0, 0.25, 0.75};
+    mats[0][2] = Vec4{-0.25, 0.0, 0.0, 1.5};
+    // The same with a j term, so rows of a block differ.
+    mats[1][0] = Vec4{-0.5, 0.125, 0.0, 3.2};
+    mats[1][1] = Vec4{-0.125, 0.25, 0.25, 0.75};
+    mats[1][2] = Vec4{-0.25, 0.0, 0.0, 1.5};
+    EXPECT_GT(hand_built_matches(mats, nu, nv, Dim3{19, 6, 6}, "zn <= 0"), 0.0f);
+}
+
+TEST(ColumnWalk, BitwiseWhenRoundingDipsALaneBelowTheEndLanes)
+{
+    // zn = 0.002 i + 1 and numerators K zn: x or y is the integer K in exact
+    // arithmetic, but in fp32 with FMA some middle lanes round just below
+    // it (K = 3: lane 3; K = 9: lane 4) while both end lanes stay on K.
+    // The window start and t_lo come from the end lanes, so only the
+    // every-lane compare keeps those dips off the window path.  View 0
+    // dips in x only, view 1 in y only.  A dipped lane weights its low
+    // tap by about one ulp, so texels grow steeply with the column to
+    // make a wrong low tap show in the sum.
+    const index_t nu = 40;
+    const index_t nv = 16;
+    const double dz = 0.002;
+    std::vector<Mat34> mats(2);
+    mats[0][0] = Vec4{3 * dz, 0.0, 0.0, 3.0};
+    mats[0][1] = Vec4{4 * dz, 0.0, 0.0, 4.0};
+    mats[0][2] = Vec4{dz, 0.0, 0.0, 1.0};
+    mats[1][0] = Vec4{4 * dz, 0.0, 0.0, 4.0};
+    mats[1][1] = Vec4{9 * dz, 0.0, 0.0, 9.0};
+    mats[1][2] = Vec4{dz, 0.0, 0.0, 1.0};
+    const backproj::MatrixPack pack{std::span<const Mat34>(mats)};
+    sim::Device dev(16u << 20);
+    sim::Texture3 tex(dev, nu, pack.views(), nv);
+    std::vector<float> plane(static_cast<std::size_t>(nu * pack.views()));
+    for (index_t z = 0; z < nv; ++z) {
+        for (std::size_t t = 0; t < plane.size(); ++t)
+            plane[t] = std::ldexp(1.0f, static_cast<int>(t) % static_cast<int>(nu)) +
+                       static_cast<float>(z);
+        tex.copy_planes(plane, z, 1);
+    }
+    EXPECT_GT(expect_column_walk_matches_at_widths(tex, pack, Dim3{16, 4, 3},
+                                                   backproj::StreamOffsets{0, 0}, nu, nv,
+                                                   "rounding dips"),
+              0.0f);
 }
 
 // ---- fp32 FFT vs double reference (randomized sizes) ----------------------
