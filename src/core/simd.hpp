@@ -6,26 +6,33 @@
 // affine index arithmetic (FMA), floor, clamp, lane-wise compares feeding
 // blend masks, lane reads, int conversion, and the two ways to fetch
 // adjacent pairs (both taps of a bilinear interpolation per lane): gathers
-// from flat arrays, and picks out of a kWindow-float window.
+// from flat arrays, and picks out of a kWindow-float window.  A second,
+// double-precision lane type (VecD / MaskD, kLanesD lanes) carries what
+// the analytic phantom projector needs: splat_d, load/store, + - * / and
+// negation, fmadd, sqrt_, cmp_gt, mask &, blend and none.
 // Three backends, chosen at compile time:
 //
-//   * AVX2 (8 lanes)  — x86-64, selected when the compiler sets __AVX2__
-//     (e.g. -march=native on any post-2013 core); when the target also
-//     has AVX-512F, gather_pair uses one 8 x 64-bit gather and
+//   * AVX2 (8 float, 4 double lanes) — x86-64, selected when the compiler
+//     sets __AVX2__ (e.g. -march=native on any post-2013 core); when the
+//     target also has AVX-512F, gather_pair uses one 8 x 64-bit gather and
 //     window_pair two 16-float loads and one two-source permute;
-//   * NEON (4 lanes)  — aarch64 (__ARM_NEON);
-//   * scalar fallback — plain arrays of kLanes elements, used when the
-//     XCT_SIMD CMake option is OFF or no vector ISA is available.  The
+//   * NEON (4 float, 2 double lanes) — aarch64 (__ARM_NEON);
+//   * scalar fallback (8 float, 4 double lanes) — plain arrays, used when
+//     the XCT_SIMD CMake option is OFF or no vector ISA is available.  The
 //     loops are trivially auto-vectorisable, and — more importantly — the
 //     fallback keeps the *same* rounding behaviour contract, so tests and
 //     sanitizer legs exercise the identical control flow.
 //
 // Semantics contract (what the backends must agree on):
-//   * all lane operations are IEEE single precision, one rounding per op
-//     (fmadd fuses exactly when the target has FMA, here and in its scalar
-//     overload, so code written with it rounds alike at any width; the
-//     back-projection kernel is still ULP-bounded, not bitwise, against
-//     the scalar Listing-1 loop — see test_simd);
+//   * all lane operations are IEEE single (VecF) or double (VecD)
+//     precision, one rounding per op, so a lane computes what the same
+//     scalar op computes, bit for bit (fmadd fuses exactly when the target
+//     has FMA, here and in its scalar overload, so code written with it
+//     rounds alike at any width; the back-projection kernel is still
+//     ULP-bounded, not bitwise, against the scalar Listing-1 loop — see
+//     test_simd).  A caller that must not fuse anything else compiles
+//     with -ffp-contract=off: GCC would contract an intrinsic multiply
+//     into a following add like any other;
 //   * blend(m, a, b) selects a where m is true, b elsewhere;
 //   * gather_pair reads base[idx[lane]] and base[idx[lane] + 1] for every
 //     lane — callers mask/clamp indices BEFORE gathering, out-of-range
@@ -185,6 +192,39 @@ inline std::pair<VecF, VecF> window_pair(const float* w, VecI idx)
 }
 #endif
 
+inline constexpr int kLanesD = 4;
+
+struct VecD {
+    __m256d v;
+};
+struct MaskD {
+    __m256d m;
+};
+
+inline VecD splat_d(double x) { return {_mm256_set1_pd(x)}; }
+inline VecD load(const double* p) { return {_mm256_loadu_pd(p)}; }
+inline void store(double* p, VecD a) { _mm256_storeu_pd(p, a.v); }
+
+inline VecD operator+(VecD a, VecD b) { return {_mm256_add_pd(a.v, b.v)}; }
+inline VecD operator-(VecD a, VecD b) { return {_mm256_sub_pd(a.v, b.v)}; }
+inline VecD operator-(VecD a) { return {_mm256_xor_pd(a.v, _mm256_set1_pd(-0.0))}; }
+inline VecD operator*(VecD a, VecD b) { return {_mm256_mul_pd(a.v, b.v)}; }
+inline VecD operator/(VecD a, VecD b) { return {_mm256_div_pd(a.v, b.v)}; }
+inline VecD fmadd(VecD a, VecD b, VecD c)
+{
+#if defined(__FMA__)
+    return {_mm256_fmadd_pd(a.v, b.v, c.v)};
+#else
+    return {_mm256_add_pd(_mm256_mul_pd(a.v, b.v), c.v)};
+#endif
+}
+inline VecD sqrt_(VecD a) { return {_mm256_sqrt_pd(a.v)}; }
+
+inline MaskD cmp_gt(VecD a, VecD b) { return {_mm256_cmp_pd(a.v, b.v, _CMP_GT_OQ)}; }
+inline MaskD operator&(MaskD a, MaskD b) { return {_mm256_and_pd(a.m, b.m)}; }
+inline bool none(MaskD m) { return _mm256_movemask_pd(m.m) == 0; }
+inline VecD blend(MaskD m, VecD a, VecD b) { return {_mm256_blendv_pd(b.v, a.v, m.m)}; }
+
 #elif defined(XCT_SIMD_BACKEND_NEON)
 
 inline constexpr int kLanes = 4;
@@ -236,6 +276,32 @@ inline VecI splat_i(std::int32_t x) { return {vdupq_n_s32(x)}; }
 inline VecI operator+(VecI a, VecI b) { return {vaddq_s32(a.v, b.v)}; }
 inline VecI load_i(const std::int32_t* p) { return {vld1q_s32(p)}; }
 inline void store_i(std::int32_t* p, VecI a) { vst1q_s32(p, a.v); }
+
+inline constexpr int kLanesD = 2;
+
+struct VecD {
+    float64x2_t v;
+};
+struct MaskD {
+    uint64x2_t m;
+};
+
+inline VecD splat_d(double x) { return {vdupq_n_f64(x)}; }
+inline VecD load(const double* p) { return {vld1q_f64(p)}; }
+inline void store(double* p, VecD a) { vst1q_f64(p, a.v); }
+
+inline VecD operator+(VecD a, VecD b) { return {vaddq_f64(a.v, b.v)}; }
+inline VecD operator-(VecD a, VecD b) { return {vsubq_f64(a.v, b.v)}; }
+inline VecD operator-(VecD a) { return {vnegq_f64(a.v)}; }
+inline VecD operator*(VecD a, VecD b) { return {vmulq_f64(a.v, b.v)}; }
+inline VecD operator/(VecD a, VecD b) { return {vdivq_f64(a.v, b.v)}; }
+inline VecD fmadd(VecD a, VecD b, VecD c) { return {vfmaq_f64(c.v, a.v, b.v)}; }
+inline VecD sqrt_(VecD a) { return {vsqrtq_f64(a.v)}; }
+
+inline MaskD cmp_gt(VecD a, VecD b) { return {vcgtq_f64(a.v, b.v)}; }
+inline MaskD operator&(MaskD a, MaskD b) { return {vandq_u64(a.m, b.m)}; }
+inline bool none(MaskD m) { return vmaxvq_u32(vreinterpretq_u32_u64(m.m)) == 0; }
+inline VecD blend(MaskD m, VecD a, VecD b) { return {vbslq_f64(m.m, a.v, b.v)}; }
 
 #else  // scalar fallback
 
@@ -399,6 +465,100 @@ inline VecI load_i(const std::int32_t* p)
 inline void store_i(std::int32_t* p, VecI a)
 {
     for (int l = 0; l < kLanes; ++l) p[l] = a.v[l];
+}
+
+inline constexpr int kLanesD = 4;
+
+struct VecD {
+    double v[kLanesD];
+};
+struct MaskD {
+    bool m[kLanesD];
+};
+
+inline VecD splat_d(double x)
+{
+    VecD r;
+    for (int l = 0; l < kLanesD; ++l) r.v[l] = x;
+    return r;
+}
+inline VecD load(const double* p)
+{
+    VecD r;
+    for (int l = 0; l < kLanesD; ++l) r.v[l] = p[l];
+    return r;
+}
+inline void store(double* p, VecD a)
+{
+    for (int l = 0; l < kLanesD; ++l) p[l] = a.v[l];
+}
+
+inline VecD operator+(VecD a, VecD b)
+{
+    VecD r;
+    for (int l = 0; l < kLanesD; ++l) r.v[l] = a.v[l] + b.v[l];
+    return r;
+}
+inline VecD operator-(VecD a, VecD b)
+{
+    VecD r;
+    for (int l = 0; l < kLanesD; ++l) r.v[l] = a.v[l] - b.v[l];
+    return r;
+}
+inline VecD operator-(VecD a)
+{
+    VecD r;
+    for (int l = 0; l < kLanesD; ++l) r.v[l] = -a.v[l];
+    return r;
+}
+inline VecD operator*(VecD a, VecD b)
+{
+    VecD r;
+    for (int l = 0; l < kLanesD; ++l) r.v[l] = a.v[l] * b.v[l];
+    return r;
+}
+inline VecD operator/(VecD a, VecD b)
+{
+    VecD r;
+    for (int l = 0; l < kLanesD; ++l) r.v[l] = a.v[l] / b.v[l];
+    return r;
+}
+inline VecD fmadd(VecD a, VecD b, VecD c)
+{
+    VecD r;
+    for (int l = 0; l < kLanesD; ++l) r.v[l] = fmadd(a.v[l], b.v[l], c.v[l]);
+    return r;
+}
+inline VecD sqrt_(VecD a)
+{
+    VecD r;
+    for (int l = 0; l < kLanesD; ++l) r.v[l] = std::sqrt(a.v[l]);
+    return r;
+}
+
+inline MaskD cmp_gt(VecD a, VecD b)
+{
+    MaskD r;
+    for (int l = 0; l < kLanesD; ++l) r.m[l] = a.v[l] > b.v[l];
+    return r;
+}
+inline MaskD operator&(MaskD a, MaskD b)
+{
+    MaskD r;
+    for (int l = 0; l < kLanesD; ++l) r.m[l] = a.m[l] && b.m[l];
+    return r;
+}
+inline bool none(MaskD m)
+{
+    for (int l = 0; l < kLanesD; ++l)
+        if (m.m[l]) return false;
+    return true;
+}
+inline VecD blend(MaskD m, VecD a, VecD b)
+{
+    VecD r;
+    for (int l = 0; l < kLanesD; ++l) r.v[l] = m.m[l] ? a.v[l] : b.v[l];
+    return r;
 }
 
 #endif

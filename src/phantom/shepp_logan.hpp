@@ -55,9 +55,10 @@ double line_integral(const std::vector<Ellipsoid>& e, const Vec3& src, const Vec
 /// frame [mm].  The object rotates by +phi, so source and detector
 /// counter-rotate by -phi; at phi = 0 the source sits at
 /// (-sigma_cor, -Dso, 0) and pixel (u, v) at
-/// ((u - cu) du - sigma_cor, Dsd - Dso, (v - cv) dv).  The constructor and
-/// pixel() are out of line, so every caller gets the projector's own ray
-/// bits at any -march.  Holds `g` by pointer: it must not outlive it.
+/// ((u - cu) du - sigma_cor, Dsd - Dso, (v - cv) dv).  Their arithmetic
+/// follows the projector's fusion rule (DESIGN.md §3e), so a caller gets
+/// the projector's own ray bits at any -march.  Holds `g` by pointer: it
+/// must not outlive it.
 struct ViewRays {
     ViewRays(const CbctGeometry& g, index_t s);
     /// Far end of pixel (u, v)'s ray: the pixel centre on the detector.
@@ -78,9 +79,9 @@ Volume voxelize(const std::vector<Ellipsoid>& e, const CbctGeometry& g);
 /// the sigma_u / sigma_v / sigma_cor calibration terms.  Returns a stack
 /// whose view index 0 corresponds to global view `views.lo`.  Pixel (u, v)
 /// of view s is float(line_integral(e, ViewRays(g, s).src,
-/// ViewRays(g, s).pixel(u, v))) bit for bit, though each ray tests only
-/// the ellipsoids whose detector footprint holds its pixel (DESIGN.md §3e,
-/// "Phantom projector").
+/// ViewRays(g, s).pixel(u, v))) bit for bit, though rays run simd::kLanesD
+/// to a vector and each vector tests only the ellipsoids whose detector
+/// footprint holds one of its pixels (DESIGN.md §3e, "Phantom projector").
 ProjectionStack forward_project(const std::vector<Ellipsoid>& e, const CbctGeometry& g, Range views,
                                 Range band);
 

@@ -7,7 +7,10 @@
 #include <cstdint>
 #include <numbers>
 #include <random>
+#include <set>
+#include <utility>
 
+#include "core/simd.hpp"
 #include "phantom/shepp_logan.hpp"
 #include "scoped_threads.hpp"
 
@@ -86,6 +89,15 @@ TEST(LineIntegral, SegmentClipping)
     EXPECT_NEAR(line_integral(e, {-10.0, 0.0, 0.0}, {0.0, 0.0, 0.0}), 4.0, 1e-12);
     // Segment fully inside.
     EXPECT_NEAR(line_integral(e, {-1.0, 0.0, 0.0}, {1.0, 0.0, 0.0}), 2.0, 1e-12);
+}
+
+TEST(LineIntegral, EllipsoidsBeyondEitherEndAddNothing)
+{
+    // The segment's line crosses both spheres, the segment neither: the
+    // clamped chord is empty, not negative.
+    const std::vector<Ellipsoid> e{{1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0},
+                                   {2.0, 1.0, 1.0, 1.0, -20.0, 0.0, 0.0, 0.0}};
+    EXPECT_EQ(line_integral(e, {-10.0, 0.0, 0.0}, {-5.0, 0.0, 0.0}), 0.0);
 }
 
 TEST(LineIntegral, RotatedEllipsoidMatchesAxisAligned)
@@ -300,6 +312,123 @@ TEST(ForwardProject, CullIsExactWithOffsetsShortScanAndSubRanges)
     const auto e = random_phantom(11, 16, 6.0);
     expect_cull_exact(e, g, Range{0, g.num_proj}, Range{0, g.nv});
     expect_cull_exact(e, g, Range{3, 8}, Range{7, 31});
+}
+
+// The projector integrates simd::kLanesD pixels per vector; line_integral
+// is the one-lane form of the same code.  The cases below put shadow edges,
+// detector edges and the quadratic's branch points on every lane.
+
+TEST(ForwardProject, LanesMatchLineIntegralOnShadowsOfEveryWidth)
+{
+    // Flat round pores, each shadowing one row of view 0 with a run of L
+    // lit pixels that starts at lane s of a vector, for every L in
+    // 1..2 kLanesD + 1 and every s; the other views move them about.
+    constexpr index_t W = simd::kLanesD;
+    const CbctGeometry g = geo();
+    const double px_mm = g.du / g.magnification();  // one pixel at the axis
+    const double cu = (static_cast<double>(g.nu) - 1.0) / 2.0;
+    const double cv = (static_cast<double>(g.nv) - 1.0) / 2.0;
+    std::vector<Ellipsoid> e;
+    index_t k = 0;
+    for (index_t v = 2; v < g.nv - 2; v += 2)
+        for (index_t j = 0; j < 3; ++j, ++k) {
+            const index_t len = 1 + k % (2 * W + 1);
+            const index_t start = 16 * j + 4 + (k / (2 * W + 1)) % W;
+            const double mid = static_cast<double>(start) + static_cast<double>(len - 1) / 2.0;
+            const double r = (static_cast<double>(len - 1) / 2.0 + 0.25) * px_mm;
+            e.push_back({0.5, r, r, 0.3 * px_mm, (mid - cu) * px_mm, 0.0,
+                         (static_cast<double>(v) - cv) * g.dv / g.magnification(), 0.0});
+        }
+    expect_cull_exact(e, g, Range{0, g.num_proj}, Range{0, g.nv});
+
+    // The runs view 0 shows: every (width, starting lane) the case names.
+    std::set<std::pair<index_t, index_t>> seen;
+    const ProjectionStack p = forward_project(e, g, Range{0, 1}, Range{0, g.nv});
+    for (index_t v = 0; v < g.nv; ++v)
+        for (index_t u = 0; u < g.nu;) {
+            index_t end = u;
+            while (end < g.nu && p.at(0, v, end) != 0.0f) ++end;
+            if (end > u) seen.insert({end - u, u % W});
+            u = end + 1;
+        }
+    for (index_t len = 1; len <= 2 * W + 1; ++len)
+        for (index_t s = 0; s < W; ++s)
+            EXPECT_TRUE(seen.count({len, s})) << len << " lit pixels from lane " << s;
+}
+
+TEST(ForwardProject, LanesMatchLineIntegralOnDetectorsNarrowerThanAVector)
+{
+    // From the geometry's smallest detector, 2 columns, to one past a vector.
+    for (index_t nu = 2; nu <= simd::kLanesD + 1; ++nu) {
+        SCOPED_TRACE(nu);
+        CbctGeometry g = geo();
+        g.nu = nu;
+        g.sigma_u = 0.3;
+        // A sphere over the last rows, wider than the detector: the lanes
+        // past its last column see it, and must not spill into the next
+        // view's first row, which no ellipsoid covers.
+        std::vector<Ellipsoid> e = shepp_logan_3d(0.2);
+        e.push_back({0.5, 1.0, 1.0, 1.0, 0.0, 0.0, 4.5, 0.0});
+        expect_cull_exact(e, g, Range{0, g.num_proj}, Range{0, g.nv});
+    }
+}
+
+TEST(ForwardProject, LanesMatchLineIntegralOnGrazingRays)
+{
+    // View 0's central ray is the y axis, from (0, -64, 0) to (0, 64, 0),
+    // in exact arithmetic: the unit spheres at (+-1, 0, 0) and the two
+    // ellipsoids above and below it touch it with a discriminant of exactly
+    // 0, and the rays of other pixels and views graze them.
+    CbctGeometry g = geo();
+    g.dso = 64.0;
+    g.dsd = 128.0;
+    g.nu = 33;
+    g.nv = 33;
+    const std::vector<Ellipsoid> e{{0.5, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0},
+                                   {0.25, 1.0, 1.0, 1.0, -1.0, 0.0, 0.0, 0.0},
+                                   {0.75, 1.0, 1.0, 0.5, 0.0, 0.0, 0.5, 0.0},
+                                   {1.0, 2.0, 0.5, 1.0, 0.0, 0.0, -1.0, 0.0}};
+    const ViewRays rays(g, 0);
+    ASSERT_EQ(rays.pixel(16, 16).x, 0.0);
+    ASSERT_EQ(rays.pixel(16, 16).z, 0.0);
+    EXPECT_EQ(line_integral({e[0]}, rays.src, rays.pixel(16, 16)), 0.0);
+    expect_cull_exact(e, g, Range{0, g.num_proj}, Range{0, g.nv});
+}
+
+TEST(ForwardProject, LanesMatchLineIntegralWhenRaysStartOrEndInsideAnEllipsoid)
+{
+    // Ellipsoids round view 0's source (t0 clamps to 0) and round pieces of
+    // its detector (t1 clamps to 1), one of them holding both ends of some
+    // rays, over a phantom in between.
+    const CbctGeometry g = geo();
+    const ViewRays rays(g, 0);
+    const Vec3 src = rays.src;
+    const Vec3 mid = rays.pixel(g.nu / 2, g.nv / 2);
+    const Vec3 corner = rays.pixel(3, g.nv - 5);
+    std::vector<Ellipsoid> e = shepp_logan_3d(4.0);
+    e.push_back({0.2, 3.0, 5.0, 2.0, src.x, src.y, src.z, 0.4});
+    e.push_back({0.3, 4.0, 6.0, 3.0, mid.x, mid.y, mid.z, -0.2});
+    e.push_back({0.6, 2.0, 1.0, 1.5, corner.x, corner.y, corner.z, 1.1});
+    e.push_back({0.05, 30.0, 1.2 * g.dsd, 4.0, 0.0, 0.0, 0.0, 0.0});
+    expect_cull_exact(e, g, Range{0, g.num_proj}, Range{0, g.nv});
+}
+
+TEST(ForwardProject, LanesMatchLineIntegralOnZeroDensityAndNeedles)
+{
+    // Zero-density ellipsoids (both signs of zero) over and under a lit
+    // phantom, and needles a tenth of a pixel wide along each axis.
+    const CbctGeometry g = geo();
+    std::vector<Ellipsoid> e{{0.0, 5.0, 4.0, 3.0, 0.0, 0.0, 0.0, 0.3},
+                             {-0.0, 2.0, 2.0, 2.0, 1.0, 1.0, 0.0, 0.0}};
+    for (const Ellipsoid& s : shepp_logan_3d(4.0)) e.push_back(s);
+    e.push_back({0.0, 1.0, 1.0, 1.0, -1.0, 0.5, 0.5, 0.0});
+    const double thin = 0.1 * g.du / g.magnification();
+    for (const double at : {-1.5, 0.0, 0.7}) {
+        e.push_back({0.9, 4.0, thin, thin, at, 0.3 * at, 0.2, 0.1});
+        e.push_back({0.7, thin, 4.0, thin, 0.5 * at, at, -0.4, 0.0});
+        e.push_back({0.8, thin, thin, 4.0, at, -at, 0.0, 0.7});
+    }
+    expect_cull_exact(e, g, Range{0, g.num_proj}, Range{0, g.nv});
 }
 
 TEST(ForwardProject, MagnificationEnlargesShadow)

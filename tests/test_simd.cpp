@@ -225,6 +225,79 @@ TEST(SimdWrapper, LaneAndAll)
     EXPECT_FALSE(simd::all(simd::cmp_le(v, simd::splat(a[simd::kLanes - 2]))));
 }
 
+TEST(SimdWrapper, DoubleLanesMatchScalarOpsBitForBit)
+{
+    // Every double-lane operation against the same operation on each lane's
+    // doubles, bit for bit.  Operands mix -0, denormals, infinities and a
+    // NaN with ordinary values, drawn at run time so that no result folds at
+    // compile time.  sqrt_ meets negatives only under a mask, as the
+    // projector uses it: the masked lanes must not leak their NaN.
+    constexpr int W = simd::kLanesD;
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<double> pool{0.0,
+                                   -0.0,
+                                   1.0,
+                                   -2.5,
+                                   0.1,
+                                   7.0 / 3.0,
+                                   1e300,
+                                   -1e-300,
+                                   std::numeric_limits<double>::denorm_min(),
+                                   -4.9e-320,
+                                   std::numeric_limits<double>::quiet_NaN(),
+                                   inf,
+                                   -inf,
+                                   4.0};
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    std::mt19937 rng(64);
+    std::uniform_int_distribution<std::size_t> pick(0, pool.size() - 1);
+    for (int trial = 0; trial < 512; ++trial) {
+        std::array<double, W> a{}, b{}, c{};
+        for (std::size_t l = 0; l < a.size(); ++l) {
+            a[l] = pool[pick(rng)];
+            b[l] = pool[pick(rng)];
+            c[l] = pool[pick(rng)];
+        }
+        const simd::VecD va = simd::load(a.data()), vb = simd::load(b.data());
+        const simd::VecD vc = simd::load(c.data()), zero = simd::splat_d(0.0);
+        const auto expect = [&](simd::VecD got, auto op, const char* name) {
+            std::array<double, W> out{};
+            simd::store(out.data(), got);
+            for (std::size_t l = 0; l < out.size(); ++l)
+                ASSERT_EQ(bits(out[l]), bits(op(a[l], b[l], c[l])))
+                    << name << " lane " << l << ": " << a[l] << ", " << b[l] << ", " << c[l];
+        };
+        expect(simd::splat_d(a[0]), [&](double, double, double) { return a[0]; }, "splat_d");
+        expect(va + vb, [](double x, double y, double) { return x + y; }, "+");
+        expect(va - vb, [](double x, double y, double) { return x - y; }, "-");
+        expect(-va, [](double x, double, double) { return -x; }, "negate");
+        expect(va * vb, [](double x, double y, double) { return x * y; }, "*");
+        expect(va / vb, [](double x, double y, double) { return x / y; }, "/");
+        expect(simd::fmadd(va, vb, vc),
+               [](double x, double y, double z) { return simd::fmadd(x, y, z); }, "fmadd");
+        expect(
+            simd::blend(simd::cmp_gt(va, zero), simd::sqrt_(va), vc),
+            [](double x, double, double z) { return x > 0.0 ? std::sqrt(x) : z; }, "masked sqrt_");
+        expect(
+            simd::blend(simd::cmp_gt(va, vb), va, vb),
+            [](double x, double y, double) { return x > y ? x : y; }, "blend(cmp_gt)");
+        expect(
+            simd::blend(simd::cmp_gt(va, vb) & simd::cmp_gt(vc, va), vc, vb),
+            [](double x, double y, double z) { return x > y && z > x ? z : y; }, "mask &");
+        bool any = false;
+        for (std::size_t l = 0; l < a.size(); ++l) any = any || a[l] > b[l];
+        ASSERT_EQ(simd::none(simd::cmp_gt(va, vb)), !any) << "trial " << trial;
+    }
+    // sqrt_ unmasked, on every non-negative operand (and the NaN).
+    std::array<double, W> in{}, out{};
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+        for (std::size_t l = 0; l < in.size(); ++l) in[l] = std::fabs(pool[(i + l) % pool.size()]);
+        simd::store(out.data(), simd::sqrt_(simd::load(in.data())));
+        for (std::size_t l = 0; l < in.size(); ++l)
+            ASSERT_EQ(bits(out[l]), bits(std::sqrt(in[l]))) << "sqrt_ of " << in[l];
+    }
+}
+
 // ---- SIMD vs scalar back-projection (randomized property test) ------------
 
 CbctGeometry random_geometry(std::mt19937& rng)
