@@ -98,31 +98,47 @@ void BM_BackprojStreaming(benchmark::State& state)
 }
 BENCHMARK(BM_BackprojStreaming)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 
-/// The kernel at a realistic slab size: fdk-tomo29's mid slab
-/// (tomo_00029/8 -> 96^3, Nc = 8: a 96 x 96 x 12 slab over 225 views) and
-/// its row band.  Its texture outgrows L2, which the Arg(16)/Arg(32)
-/// cases above never do, so this is where the view sweep's texel reuse
-/// shows.
-void BM_BackprojStreamingSlab(benchmark::State& state)
+/// A benchmark workload's slab (bench/e2e/workloads.cpp): its input, its
+/// recon's batch count Nc and decomposition.  The kernel runs on the
+/// middle slab of rank 0's share, over that rank's views.
+struct SlabCase {
+    const char* dataset;
+    double scale;
+    index_t volume;
+    index_t batches;
+    GroupLayout layout;
+};
+
+/// The kernel at the workloads' slab sizes: fdk-tomo29's (96 x 96 x 12
+/// over 225 views, a texture that outgrows L2, lanes mostly in texel
+/// windows), a dist-bumblebee-2x2 rank's, the serve-mix jobs' 48^3 and
+/// 64^3, and fdk-bean-q8's coffee_bean/16 -> 48^3, whose vectors mostly
+/// gather.  The Arg(16)/Arg(32) cases above never leave L2.
+void BM_BackprojStreamingSlab(benchmark::State& state, SlabCase c)
 {
-    const CbctGeometry g = io::dataset_by_name("tomo_00029").scaled(8.0).with_volume(96).geometry;
-    const auto plans = plan_slabs(g, Range{0, g.vol.z}, 8);
+    const CbctGeometry g =
+        io::dataset_by_name(c.dataset).scaled(c.scale).with_volume(c.volume).geometry;
+    const Range slices = c.layout.slices_of_group(GroupId{0}, g.vol.z);
+    const Range views = c.layout.views_of_rank(RankId{0}, g.num_proj);
+    const auto plans = plan_slabs(g, slices, (slices.length() + c.batches - 1) / c.batches);
     const SlabPlan& pl = plans[plans.size() / 2];
     const ProjectionStack p = random_stack(g);
     sim::Device dev(1u << 30);
-    sim::Texture3 tex(dev, g.nu, g.num_proj, pl.rows.length());
-    std::vector<float> plane(static_cast<std::size_t>(g.nu * g.num_proj));
+    sim::Texture3 tex(dev, g.nu, views.length(), pl.rows.length());
+    std::vector<float> plane(static_cast<std::size_t>(g.nu * views.length()));
     for (index_t v = pl.rows.lo; v < pl.rows.hi; ++v) {
-        for (index_t s = 0; s < g.num_proj; ++s) {
+        for (index_t s = views.lo; s < views.hi; ++s) {
             const auto row = p.row(s, v);
             std::copy(row.begin(), row.end(),
-                      plane.begin() + static_cast<std::ptrdiff_t>(s * g.nu));
+                      plane.begin() + static_cast<std::ptrdiff_t>((s - views.lo) * g.nu));
         }
         tex.copy_planes(plane, v - pl.rows.lo, 1);
     }
     const Dim3 slab{g.vol.x, g.vol.y, pl.slab.length()};
     Volume vol(slab);
-    const backproj::MatrixPack pack(projection_matrices(g));
+    const auto mats = projection_matrices(g);
+    const backproj::MatrixPack pack(std::span<const Mat34>(mats).subspan(
+        static_cast<std::size_t>(views.lo), static_cast<std::size_t>(views.length())));
     const backproj::StreamOffsets off{pl.slab.lo, pl.rows.lo};
     for (auto _ : state) {
         backproj::backproject_streaming(tex, pack, vol, off, g.nu, g.nv);
@@ -130,11 +146,25 @@ void BM_BackprojStreamingSlab(benchmark::State& state)
         benchmark::ClobberMemory();
     }
     state.counters["GUPS"] = benchmark::Counter(
-        static_cast<double>(slab.count()) * static_cast<double>(g.num_proj) * 1e-9 *
+        static_cast<double>(slab.count()) * static_cast<double>(views.length()) * 1e-9 *
             static_cast<double>(state.iterations()),
         benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_BackprojStreamingSlab)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BackprojStreamingSlab, fdk_tomo29,
+                  SlabCase{"tomo_00029", 8.0, 96, 8, GroupLayout{1, 1}})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BackprojStreamingSlab, dist_bumblebee_2x2,
+                  SlabCase{"bumblebee", 16.0, 96, 8, GroupLayout{2, 2}})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BackprojStreamingSlab, serve_48,
+                  SlabCase{"tomo_00030", 8.0, 48, 4, GroupLayout{1, 1}})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BackprojStreamingSlab, serve_64,
+                  SlabCase{"tomo_00030", 8.0, 64, 8, GroupLayout{1, 1}})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BackprojStreamingSlab, fdk_bean_q8,
+                  SlabCase{"coffee_bean", 16.0, 48, 16, GroupLayout{1, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BackprojStreamingScalar(benchmark::State& state)
 {

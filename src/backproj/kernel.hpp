@@ -18,29 +18,35 @@
 //   offset_proj_y.
 //
 // Performance layer (DESIGN.md §3e): the default backproject_streaming is
-// a column walk with an explicit-SIMD loop over i (core/simd.hpp;
-// AVX2/NEON when XCT_SIMD is ON, scalar lanes otherwise).  Because the
-// detector is parallel to the rotation axis (MatrixPack::z_invariant),
+// a column walk with an explicit-SIMD loop over i (core/simd.hpp; 16
+// lanes on AVX-512, 8 on AVX2 and the scalar lanes, 4 on NEON).  Because
+// the detector is parallel to the rotation axis (MatrixPack::z_invariant),
 // each view computes a voxel column's detector column, depth, masks and
 // FDK weight once and walks the slab's z changing only the detector row.
 //   * Blocks: each pool task owns up to 4 voxel rows j (fewer on slabs
 //     too thin for four blocks per pool participant) and sweeps every
 //     view over all of them before the next view, so a view's texels
 //     come from L3 once per block, not once per row.  Per pool slot the
-//     scratch is acc[rows][nz][nx] plus the block's y row constants
+//     scratch is acc[rows][nz][nx_pad] plus the block's y row constants
 //     yrow[rows][views][nz], in one lease the caller takes per call; the
 //     circular-row offset table zrow (nv + 2 entries) is shared.
-//   * Taps: where simd::window_pair is loads (AVX-512F), a vector whose
-//     lanes' tap pairs all lie in one 32-float window of a texture row and
-//     whose detector rows are t_lo or t_lo + 1 picks its taps out of the
-//     windows of rows t_lo..t_lo+2.  It falls back to the gathers
-//     (simd::gather_pair off zrow) when the texture row is narrower than
-//     the window, the lanes spread over more columns or rows, or the
-//     target has no window loads.
-// Both tap paths load the same texels and each voxel sums views in the
-// same order, so the output is bitwise the per-(view, row) kernel's
-// (test_simd's ColumnWalk oracle).  The original Listing-1 loop is
-// retained as backproject_streaming_scalar and the agreement bound is
+//   * Padded rows: nx_pad rounds nx up to whole vectors, so every voxel
+//     takes the lane arithmetic and the last vector's spare lanes land in
+//     the padding; no scalar tail.
+//   * Taps: where simd::window_pair is loads (AVX-512F), a vector picks
+//     its taps out of one 32-float window per group of eight lanes, in
+//     rows t_lo..t_lo+2 of that group, when in every group the lanes'
+//     tap pairs lie in the window and their detector rows are t_lo or
+//     t_lo + 1.  It falls back to the gathers (simd::gather_pair off zrow)
+//     when the texture row is narrower than the window, some group's
+//     lanes spread over more columns or rows, or the target has no window
+//     loads.
+// Products fuse only where the kernel writes fmadd (kernel.cpp compiles
+// with -ffp-contract=off), both tap paths load the same texels, lanes
+// compute alone, and each voxel sums views in the same order, so the
+// output is bitwise the per-(view, row) kernel's at any lane count and
+// slab width (test_simd's ColumnWalk oracle).  The original Listing-1 loop
+// is retained as backproject_streaming_scalar and the agreement bound is
 // documented below (kSimdVsScalarRelBound, asserted in
 // test_simd/test_backproj).
 

@@ -14,6 +14,10 @@
 
 namespace xct::fft {
 
+/// The batched transforms' lanes: eight floats wide at most, so a batch of
+/// kBatch is a whole number of vectors on every backend.
+namespace lanes = simd::batch;
+
 index_t next_pow2(index_t n)
 {
     require(n >= 1, "next_pow2: n must be >= 1");
@@ -125,36 +129,36 @@ void run_butterflies(std::span<std::complex<T>> data, const Plan& plan,
     }
 }
 
-/// simd::kLanes lanes of one batch sample: the vectors at `block` (real
+/// lanes::kLanes lanes of one batch sample: the vectors at `block` (real
 /// parts) and `block + kBatch` (imaginary parts).
 struct Lanes {
-    simd::VecF re, im;
+    lanes::VecF re, im;
 };
 
-Lanes load_lanes(const float* block) { return {simd::load(block), simd::load(block + kBatch)}; }
+Lanes load_lanes(const float* block) { return {lanes::load(block), lanes::load(block + kBatch)}; }
 
 void store_lanes(float* block, Lanes x)
 {
-    simd::store(block, x.re);
-    simd::store(block + kBatch, x.im);
+    lanes::store(block, x.re);
+    lanes::store(block + kBatch, x.im);
 }
 
 /// A twiddle broadcast to every lane, with its negated imaginary part:
 /// x * -wi is exactly -(x * wi).
 struct Twiddle {
-    simd::VecF re, im, neg_im;
+    lanes::VecF re, im, neg_im;
 };
 
 /// run_butterflies' butterfly on every lane at once.
 void butterfly(Lanes& a, Lanes& b, const Twiddle& w)
 {
-    const simd::VecF vr = simd::fmadd(b.re, w.re, b.im * w.neg_im);
-    const simd::VecF vi = simd::fmadd(b.im, w.re, b.re * w.im);
+    const lanes::VecF vr = lanes::fmadd(b.re, w.re, b.im * w.neg_im);
+    const lanes::VecF vi = lanes::fmadd(b.im, w.re, b.re * w.im);
     b = {a.re - vr, a.im - vi};
     a = {a.re + vr, a.im + vi};
 }
 
-static_assert(kBatch % simd::kLanes == 0, "a batch is a whole number of vectors");
+static_assert(kBatch % lanes::kLanes == 0, "a batch is a whole number of vectors");
 
 }  // namespace
 
@@ -273,7 +277,7 @@ void transform_batch_f(std::span<float> data, const Plan& plan, bool inverse, st
     const auto twiddle = [&](std::size_t stage, std::size_t j) {
         const std::complex<float> w = plan.stage_twiddle_f[plan.stage_offset[stage] + j];
         const float wi = s * w.imag();
-        return Twiddle{simd::splat(w.real()), simd::splat(wi), simd::splat(-wi)};
+        return Twiddle{lanes::splat(w.real()), lanes::splat(wi), lanes::splat(-wi)};
     };
     const auto block = [&](std::size_t i) { return data.data() + 2 * kBatch * i; };
 
@@ -283,7 +287,7 @@ void transform_batch_f(std::span<float> data, const Plan& plan, bool inverse, st
     if (odd != 0) {
         const Twiddle w = twiddle(0, 0);
         for (std::size_t i = 0; i < n; i += 2)
-            for (std::size_t v = 0; v < kBatch; v += simd::kLanes) {
+            for (std::size_t v = 0; v < kBatch; v += lanes::kLanes) {
                 Lanes a = load_lanes(block(i) + v), b = load_lanes(block(i + 1) + v);
                 butterfly(a, b, w);
                 store_lanes(block(i) + v, a);
@@ -297,7 +301,7 @@ void transform_batch_f(std::span<float> data, const Plan& plan, bool inverse, st
             const Twiddle w2 = twiddle(stage + 1, j);
             const Twiddle w3 = twiddle(stage + 1, j + q);
             for (std::size_t i = j; i < n; i += 2 * len)
-                for (std::size_t v = 0; v < kBatch; v += simd::kLanes) {
+                for (std::size_t v = 0; v < kBatch; v += lanes::kLanes) {
                     Lanes x[4];
                     for (std::size_t k = 0; k < 4; ++k) x[k] = load_lanes(block(i + k * q) + v);
                     butterfly(x[0], x[1], w1);
@@ -317,12 +321,12 @@ void multiply_spectra_batch(std::span<const float> in, std::span<const std::comp
     require(kernel.size() == n && in.size() == 2 * kBatch * n && out.size() == in.size(),
             "fft::multiply_spectra_batch: size mismatch");
     for (std::size_t i = 0; i < n; ++i) {
-        const simd::VecF br = simd::splat(kernel[i].real()), bi = simd::splat(kernel[i].imag());
-        const simd::VecF neg_bi = simd::splat(-kernel[i].imag());
-        for (std::size_t v = 0; v < kBatch; v += simd::kLanes) {
+        const lanes::VecF br = lanes::splat(kernel[i].real()), bi = lanes::splat(kernel[i].imag());
+        const lanes::VecF neg_bi = lanes::splat(-kernel[i].imag());
+        for (std::size_t v = 0; v < kBatch; v += lanes::kLanes) {
             const Lanes a = load_lanes(in.data() + 2 * kBatch * i + v);
             store_lanes(out.data() + 2 * kBatch * plan.bitrev[i] + v,
-                        {simd::fmadd(a.re, br, a.im * neg_bi), simd::fmadd(a.re, bi, a.im * br)});
+                        {lanes::fmadd(a.re, br, a.im * neg_bi), lanes::fmadd(a.re, bi, a.im * br)});
         }
     }
 }

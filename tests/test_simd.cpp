@@ -45,7 +45,8 @@ TEST(SimdWrapper, BackendIsReported)
 {
     EXPECT_GT(simd::kLanes, 0);
     const std::string name = simd::backend_name();
-    EXPECT_TRUE(name == "avx2" || name == "neon" || name == "scalar") << name;
+    EXPECT_TRUE(name == "avx512" || name == "avx2" || name == "neon" || name == "scalar") << name;
+    EXPECT_EQ(simd::kGroups * simd::kGroup, simd::kLanes);
 }
 
 TEST(SimdWrapper, LoadStoreRoundTrip)
@@ -176,10 +177,11 @@ TEST(SimdWrapper, GatherMatchesScalarIndexing)
 
 TEST(SimdWrapper, WindowPairMatchesGatherPair)
 {
-    // window_pair picks {w[idx], w[idx + 1]} out of a kWindow-float window
-    // and must return gather_pair's bits for every index in [0, kWindow-2],
-    // from windows at several offsets into a longer table that holds -0,
-    // a denormal and a NaN.
+    // window_pair picks {w[g][idx], w[g][idx + 1]} for the lanes of window
+    // group g out of that group's kWindow-float window, and must return
+    // gather_pair(w[g], idx)'s bits there for every index in
+    // [0, kWindow-2].  The groups' windows sit at different offsets into a
+    // longer table that holds -0, a denormal and a NaN.
     const int n = 3 * simd::kWindow + 5;
     std::vector<float> table(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) table[static_cast<std::size_t>(i)] = 0.75f * i - 31.5f;
@@ -194,20 +196,25 @@ TEST(SimdWrapper, WindowPairMatchesGatherPair)
         for (auto& v : idx) v = pick(rng);
         idx[static_cast<std::size_t>(trial) % idx.size()] = simd::kWindow - 2;
         if (trial == 0) idx = {};
-        const float* w = table.data() + (trial < 3 ? trial * 3 : start(rng));
+        std::array<const float*, simd::kGroups> w{};
+        for (std::size_t g = 0; g < w.size(); ++g)
+            w[g] = table.data() + (trial < 3 ? trial * 3 + 11 * static_cast<int>(g) : start(rng));
         const simd::VecI vidx = simd::load_i(idx.data());
         const auto [lo, hi] = simd::window_pair(w, vidx);
-        const auto [glo, ghi] = simd::gather_pair(w, vidx);
-        std::array<float, simd::kLanes> a{}, b{}, c{}, d{};
+        std::array<float, simd::kLanes> a{}, b{};
         simd::store(a.data(), lo);
         simd::store(b.data(), hi);
-        simd::store(c.data(), glo);
-        simd::store(d.data(), ghi);
-        for (std::size_t l = 0; l < idx.size(); ++l) {
-            ASSERT_EQ(std::bit_cast<std::uint32_t>(a[l]), std::bit_cast<std::uint32_t>(c[l]))
-                << "trial " << trial << " lane " << l;
-            ASSERT_EQ(std::bit_cast<std::uint32_t>(b[l]), std::bit_cast<std::uint32_t>(d[l]))
-                << "trial " << trial << " lane " << l;
+        for (std::size_t g = 0; g < w.size(); ++g) {
+            const auto [glo, ghi] = simd::gather_pair(w[g], vidx);
+            std::array<float, simd::kLanes> c{}, d{};
+            simd::store(c.data(), glo);
+            simd::store(d.data(), ghi);
+            for (std::size_t l = g * simd::kGroup; l < (g + 1) * simd::kGroup; ++l) {
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(a[l]), std::bit_cast<std::uint32_t>(c[l]))
+                    << "trial " << trial << " lane " << l;
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(b[l]), std::bit_cast<std::uint32_t>(d[l]))
+                    << "trial " << trial << " lane " << l;
+            }
         }
     }
 }
@@ -217,12 +224,133 @@ TEST(SimdWrapper, LaneAndAll)
     std::array<float, simd::kLanes> a{};
     for (int i = 0; i < simd::kLanes; ++i) a[static_cast<std::size_t>(i)] = 1.5f * i - 4.0f;
     const simd::VecF v = simd::load(a.data());
-    EXPECT_EQ(simd::lane<0>(v), a.front());
     EXPECT_EQ(simd::lane<1>(v), a[1]);
-    EXPECT_EQ(simd::lane<simd::kLanes - 1>(v), a.back());
     EXPECT_TRUE(simd::all(simd::cmp_ge(v, simd::splat(a.front()))));
     EXPECT_FALSE(simd::all(simd::cmp_gt(v, simd::splat(a.front()))));
     EXPECT_FALSE(simd::all(simd::cmp_le(v, simd::splat(a[simd::kLanes - 2]))));
+    // lane<L>, none and all on lanes 0, 7, 8 and 15 (those the backend
+    // has): the end lanes of both window groups at 16 lanes, where a lane
+    // read crosses a 128- and a 256-bit half.  Masks with lane L alone set
+    // and alone clear come from compares against NaN, which fail.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const auto check = [&]<int L>(std::integral_constant<int, L>) {
+        if constexpr (L < simd::kLanes) {
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(simd::lane<L>(v)),
+                      std::bit_cast<std::uint32_t>(a[L]))
+                << L;
+            std::array<float, simd::kLanes> only{}, all_but = a;
+            only.fill(nan);
+            only[L] = a[L];
+            all_but[L] = nan;
+            const simd::Mask set = simd::cmp_ge(simd::load(only.data()), simd::splat(-inf));
+            const simd::Mask clear = simd::cmp_ge(simd::load(all_but.data()), simd::splat(-inf));
+            EXPECT_FALSE(simd::none(set)) << L;
+            EXPECT_FALSE(simd::all(set)) << L;
+            EXPECT_FALSE(simd::none(clear)) << L;
+            EXPECT_FALSE(simd::all(clear)) << L;
+            EXPECT_TRUE(simd::none(set & clear)) << L;
+        }
+    };
+    check(std::integral_constant<int, 0>{});
+    check(std::integral_constant<int, 7>{});
+    check(std::integral_constant<int, 8>{});
+    check(std::integral_constant<int, 15>{});
+    check(std::integral_constant<int, simd::kLanes - 1>{});
+}
+
+TEST(SimdWrapper, FloatLanesMatchScalarOpsBitForBit)
+{
+    // Every float-lane operation against the same operation on each lane's
+    // floats, bit for bit, at the backend's width (16 lanes on AVX-512).
+    // Operands mix -0, denormals, infinities and a NaN with ordinary
+    // values, drawn at run time so that no result folds at compile time.
+    // min_ and max_ return their second operand when the compare fails
+    // (either is NaN, or both are zero), as x86's do.
+    constexpr int W = simd::kLanes;
+    const float inf = std::numeric_limits<float>::infinity();
+    const std::vector<float> pool{0.0f,
+                                  -0.0f,
+                                  1.0f,
+                                  -2.5f,
+                                  0.1f,
+                                  7.0f / 3.0f,
+                                  3.5f,
+                                  -1e30f,
+                                  1e-39f,
+                                  std::numeric_limits<float>::denorm_min(),
+                                  -4.2e-40f,
+                                  std::numeric_limits<float>::quiet_NaN(),
+                                  inf,
+                                  -inf,
+                                  1e7f};
+    const auto bits = [](float x) { return std::bit_cast<std::uint32_t>(x); };
+    std::mt19937 rng(63);
+    std::uniform_int_distribution<std::size_t> pick(0, pool.size() - 1);
+    for (int trial = 0; trial < 512; ++trial) {
+        std::array<float, W> a{}, b{}, c{};
+        for (std::size_t l = 0; l < a.size(); ++l) {
+            a[l] = pool[pick(rng)];
+            b[l] = pool[pick(rng)];
+            c[l] = pool[pick(rng)];
+        }
+        const simd::VecF va = simd::load(a.data()), vb = simd::load(b.data());
+        const simd::VecF vc = simd::load(c.data());
+        const auto expect = [&](simd::VecF got, auto op, const char* name) {
+            std::array<float, W> out{};
+            simd::store(out.data(), got);
+            for (std::size_t l = 0; l < out.size(); ++l)
+                ASSERT_EQ(bits(out[l]), bits(op(a[l], b[l], c[l])))
+                    << name << " lane " << l << ": " << a[l] << ", " << b[l] << ", " << c[l];
+        };
+        const auto min = [](float x, float y) { return x < y ? x : y; };
+        const auto max = [](float x, float y) { return x > y ? x : y; };
+        expect(simd::splat(a[0]), [&](float, float, float) { return a[0]; }, "splat");
+        expect(va + vb, [](float x, float y, float) { return x + y; }, "+");
+        expect(va - vb, [](float x, float y, float) { return x - y; }, "-");
+        expect(va * vb, [](float x, float y, float) { return x * y; }, "*");
+        expect(va / vb, [](float x, float y, float) { return x / y; }, "/");
+        expect(simd::fmadd(va, vb, vc),
+               [](float x, float y, float z) { return simd::fmadd(x, y, z); }, "fmadd");
+        expect(simd::floor_(va), [](float x, float, float) { return std::floor(x); }, "floor_");
+#if !defined(XCT_SIMD_BACKEND_NEON)  // vminq/vmaxq: IEEE NaN and signed-zero rules
+        expect(simd::min_(va, vb), [&](float x, float y, float) { return min(x, y); }, "min_");
+        expect(simd::max_(va, vb), [&](float x, float y, float) { return max(x, y); }, "max_");
+        expect(
+            simd::clamp(va, vb, vc),
+            [&](float x, float y, float z) { return min(max(x, y), z); }, "clamp");
+#endif
+        expect(
+            simd::blend(simd::cmp_gt(va, vb), va, vc),
+            [](float x, float y, float z) { return x > y ? x : z; }, "blend(cmp_gt)");
+        expect(
+            simd::blend(simd::cmp_ge(va, vb), vc, vb),
+            [](float x, float y, float z) { return x >= y ? z : y; }, "blend(cmp_ge)");
+        expect(
+            simd::blend(simd::cmp_le(va, vb) & simd::cmp_gt(vc, va), vc, va),
+            [](float x, float y, float z) { return x <= y && z > x ? z : x; }, "mask &");
+        bool any = false, every = true;
+        for (std::size_t l = 0; l < a.size(); ++l) {
+            any = any || a[l] > b[l];
+            every = every && a[l] >= c[l];
+        }
+        ASSERT_EQ(simd::none(simd::cmp_gt(va, vb)), !any) << "trial " << trial;
+        ASSERT_EQ(simd::all(simd::cmp_ge(va, vc)), every) << "trial " << trial;
+    }
+    // iota, and to_int on finite operands in int32 range (the kernel
+    // floors first; fractions truncate toward zero).
+    std::array<float, W> out{};
+    simd::store(out.data(), simd::iota());
+    for (int l = 0; l < W; ++l) ASSERT_EQ(out[static_cast<std::size_t>(l)], static_cast<float>(l));
+    const std::vector<float> finite{0.0f, -0.0f, 1e-39f, 0.999f, -1.5f, 33.75f, -1e9f, 2.1e9f};
+    std::array<float, W> in{};
+    std::array<std::int32_t, W> got{};
+    for (std::size_t i = 0; i < finite.size(); ++i) {
+        for (std::size_t l = 0; l < in.size(); ++l) in[l] = finite[(i + l) % finite.size()];
+        simd::store_i(got.data(), simd::to_int(simd::load(in.data())));
+        for (std::size_t l = 0; l < in.size(); ++l)
+            ASSERT_EQ(got[l], static_cast<std::int32_t>(in[l])) << "to_int of " << in[l];
+    }
 }
 
 TEST(SimdWrapper, DoubleLanesMatchScalarOpsBitForBit)
@@ -400,22 +528,6 @@ TEST(SimdBackproj, MatchesScalarOnBandRestrictedSlabs)
 
 // ---- column walk vs the per-(view, row) kernel it replaced (bitwise) -------
 
-/// Listing 1 devSubPixel over checked fetches (the per-row kernel's tail).
-float per_row_sub_pixel(const sim::Texture3& tex, float x, float yrel, index_t s)
-{
-    const float fx = std::floor(x);
-    const float fy = std::floor(yrel);
-    const float du = x - fx;
-    const float dv = yrel - fy;
-    const index_t iu = static_cast<index_t>(fx);
-    const index_t iv = static_cast<index_t>(fy);
-    const float v0 = tex.fetch(iu, s, iv);
-    const float v1 = tex.fetch(iu + 1, s, iv);
-    const float v2 = tex.fetch(iu, s, iv + 1);
-    const float v3 = tex.fetch(iu + 1, s, iv + 1);
-    return (v0 * (1.0f - du) + v1 * du) * (1.0f - dv) + (v2 * (1.0f - du) + v3 * du) * dv;
-}
-
 /// The per-row kernel's one-element gathers, as lane loops: a gather is
 /// an exact load, so how it is done cannot change the oracle's output.
 simd::VecF gather(const float* base, simd::VecI idx)
@@ -435,9 +547,12 @@ simd::VecI gather_i(const std::int32_t* base, simd::VecI idx)
 }
 
 /// The oracle: the production kernel as it was before the column walk,
-/// kept verbatim apart from running serially and the gathers above.  It re-derives x, zn and the
-/// weight at every (k, j) and fetches each bilinear tap with its own
-/// gather, so it stays correct for any matrix.
+/// kept verbatim apart from running serially, the gathers above, rows
+/// padded to whole vectors in place of its scalar tail, and its products
+/// written as the fmadd the kernel writes (this file, like the kernel,
+/// compiles with -ffp-contract=off).  It re-derives x, zn and the weight at
+/// every (k, j) and fetches each bilinear tap with its own gather, so it
+/// stays correct for any matrix.
 void per_row_kernel(const sim::Texture3& tex, const backproj::MatrixPack& pack, Volume& vol,
                     const backproj::StreamOffsets& off, index_t nu, index_t nv)
 {
@@ -450,6 +565,7 @@ void per_row_kernel(const sim::Texture3& tex, const backproj::MatrixPack& pack, 
     const float x_hi = static_cast<float>(nu - 1);
     const float y_hi = static_cast<float>(nv - 1);
     constexpr index_t W = simd::kLanes;
+    const index_t nx_pad = (d.x + W - 1) / W * W;
 
     std::vector<std::int32_t> zrow(static_cast<std::size_t>(nv + 1));
     for (index_t t = 0; t <= nv; ++t) {
@@ -469,13 +585,16 @@ void per_row_kernel(const sim::Texture3& tex, const backproj::MatrixPack& pack, 
         for (index_t j = 0; j < d.y; ++j) {
             const double kk = static_cast<double>(k + off.volume_z);
             const double jj = static_cast<double>(j);
-            std::vector<float> acc(static_cast<std::size_t>(d.x), 0.0f);
+            std::vector<float> acc(static_cast<std::size_t>(nx_pad), 0.0f);
             for (index_t s = 0; s < views; ++s) {
                 const Mat34& m = pack.dmat(s);
                 const auto& f = pack.fmat(s);
-                const float xn0 = static_cast<float>(m[0].y * jj + m[0].z * kk + m[0].w);
-                const float yn0 = static_cast<float>(m[1].y * jj + m[1].z * kk + m[1].w);
-                const float zn0 = static_cast<float>(m[2].y * jj + m[2].z * kk + m[2].w);
+                const auto row = [&](const Vec4& r) {
+                    return static_cast<float>(simd::fmadd(r.y, jj, r.z * kk) + r.w);
+                };
+                const float xn0 = row(m[0]);
+                const float yn0 = row(m[1]);
+                const float zn0 = row(m[2]);
                 const float dxn = f[0];
                 const float dyn = f[4];
                 const float dzn = f[8];
@@ -488,8 +607,7 @@ void per_row_kernel(const sim::Texture3& tex, const backproj::MatrixPack& pack, 
                 const simd::VecF vdzn = simd::splat(dzn);
                 const simd::VecI vsrow = simd::splat_i(static_cast<std::int32_t>(s * width));
 
-                index_t i = 0;
-                for (; i + W <= d.x; i += W) {
+                for (index_t i = 0; i < d.x; i += W) {
                     const simd::VecF ii = simd::splat(static_cast<float>(i)) + viota;
                     const simd::VecF zn = simd::fmadd(ii, vdzn, vzn0);
                     const simd::Mask zpos = simd::cmp_gt(zn, vzero);
@@ -517,22 +635,12 @@ void per_row_kernel(const sim::Texture3& tex, const backproj::MatrixPack& pack, 
                     const simd::VecF f11 = gather(texel, z1 + iu1);
                     const simd::VecF one_du = vone - du;
                     const simd::VecF one_dv = vone - dv;
-                    const simd::VecF bil = (f00 * one_du + f01 * du) * one_dv +
-                                           (f10 * one_du + f11 * du) * dv;
+                    const simd::VecF row0 = simd::fmadd(f01, du, f00 * one_du);
+                    const simd::VecF row1 = simd::fmadd(f11, du, f10 * one_du);
+                    const simd::VecF bil = simd::fmadd(row1, dv, row0 * one_dv);
                     const simd::VecF wgt = vone / (zn_safe * zn_safe);
                     const simd::VecF contrib = simd::blend(ok, wgt * bil, vzero);
                     simd::store(acc.data() + i, simd::load(acc.data() + i) + contrib);
-                }
-                for (; i < d.x; ++i) {
-                    const float fi = static_cast<float>(i);
-                    const float zn = fi * dzn + zn0;
-                    if (zn <= 0.0f) continue;
-                    const float x = (fi * dxn + xn0) / zn;
-                    const float y = (fi * dyn + yn0) / zn;
-                    if (x < 0.0f || x > x_hi || y < 0.0f || y > y_hi) continue;
-                    acc[static_cast<std::size_t>(i)] +=
-                        1.0f / (zn * zn) *
-                        per_row_sub_pixel(tex, x, y - static_cast<float>(off.proj_y), s);
                 }
             }
             for (index_t i = 0; i < d.x; ++i)
@@ -587,7 +695,8 @@ TEST(ColumnWalk, BitwiseOnWrappedBandsAndSlabDepths)
     // Algorithm 3's streaming pattern: one texture of H rows anchored at
     // the first band, later bands written at (v - origin) % H, so every
     // slab after the first has proj_y != band.lo and its rows wrap.  Slab
-    // depths 1 and 12 bracket the z walk; nx = 8m + 5 runs the scalar tail.
+    // depths 1 and 12 bracket the z walk; nx = 8m + 5 ends on a padded
+    // vector.
     std::mt19937 rng(515);
     for (int trial = 0; trial < 4; ++trial) {
         CbctGeometry g = random_geometry(rng);
@@ -734,7 +843,8 @@ TEST(ColumnWalk, BitwiseOnRowBlockEdges)
 
 TEST(ColumnWalk, BitwiseOnOneSliceOneViewAndALaneTail)
 {
-    // nz = 1, a single view, and nx = 13 (a vector and a 5-voxel tail).
+    // nz = 1, a single view, and nx = 13 (a vector and a padded one at
+    // eight lanes, one padded vector at 16).
     std::mt19937 rng(4042);
     CbctGeometry g = random_geometry(rng);
     g.num_proj = 1;
@@ -833,9 +943,9 @@ float hand_built_matches(const std::vector<Mat34>& mats, index_t nu, index_t nv,
 
 TEST(ColumnWalk, BitwiseWhenOneVectorSpansThreeDetectorRows)
 {
-    // zn = 1 everywhere.  View 0 moves y by 0.5 a voxel, so each vector's
-    // eight lanes span four detector rows and gather.  View 1 moves it by
-    // 0.125, so a vector spans one or two rows and takes the window.  View
+    // zn = 1 everywhere.  View 0 moves y by 0.5 a voxel, so each window
+    // group's eight lanes span four detector rows and gather.  View 1 moves
+    // it by 0.125, so a group spans one or two rows and takes the window.  View
     // 2 reaches x = nu - 1 (i = 14, the clamped last pair) and beyond
     // (i = 15, masked) inside a window that ends at the row's end.
     const index_t nu = 48;
@@ -855,9 +965,9 @@ TEST(ColumnWalk, BitwiseWhenOneVectorSpansThreeDetectorRows)
 
 TEST(ColumnWalk, BitwiseWhenLanesHaveNoPositiveDepth)
 {
-    // zn = 1.5 - 0.25 i: lanes i = 6 (zn = 0) and i = 7 (zn < 0) of the
-    // first vector are masked and divide by the sanitised 1, the second
-    // vector has no live lane, and the tail (nx = 19) skips every voxel.
+    // zn = 1.5 - 0.25 i: lanes i = 6 (zn = 0) and from i = 7 on (zn < 0)
+    // are masked and divide by the sanitised 1, so the vectors after the
+    // first have no live lane, the padded last one (nx = 19) included.
     // Live lanes see y = 0.5 + 0.25 k / zn and the masked ones clamp to
     // row 0, so the vector takes the window at k = 0 and 1 and gathers
     // from k = 2 on; x stays within one window either way.
@@ -908,6 +1018,107 @@ TEST(ColumnWalk, BitwiseWhenRoundingDipsALaneBelowTheEndLanes)
                                                    backproj::StreamOffsets{0, 0}, nu, nv,
                                                    "rounding dips"),
               0.0f);
+}
+
+TEST(ColumnWalk, BitwiseWhenOneWindowGroupFitsAndTheOtherDoesNot)
+{
+    // At 16 lanes each group of eight lanes needs its own window.  View 0
+    // has zn = 1 - 0.04 i and x = 2 i / zn: lanes 0-7 span x 0..19.4 and
+    // fit one window, lanes 8-15 span 23.5..75 and do not, so the vector
+    // gathers.  View 1 mirrors it (zn = 0.4 + 0.04 i, x = 6 i / zn: lanes
+    // 0-7 span 0..61.8, lanes 8-15 66.7..90).  In both, y = 3 + (0.5 k +
+    // 0.25 j) / zn keeps each group within two detector rows.
+    const index_t nu = 96;
+    const index_t nv = 16;
+    std::vector<Mat34> mats(2);
+    mats[0][0] = Vec4{2.0, 0.0, 0.0, 0.0};
+    mats[0][1] = Vec4{-0.12, 0.25, 0.5, 3.0};
+    mats[0][2] = Vec4{-0.04, 0.0, 0.0, 1.0};
+    mats[1][0] = Vec4{6.0, 0.0, 0.0, 0.0};
+    mats[1][1] = Vec4{0.12, 0.25, 0.5, 1.2};
+    mats[1][2] = Vec4{0.04, 0.0, 0.0, 0.4};
+    EXPECT_GT(hand_built_matches(mats, nu, nv, Dim3{16, 4, 6}, "one group in its window"), 0.0f);
+}
+
+TEST(ColumnWalk, BitwiseWhenTheWindowGroupsStartOnDifferentRows)
+{
+    // zn = 1, x = i + 2 + 0.5 j and y = 0.25 i + 0.5 k + 1: at 16 lanes
+    // both groups fit a window, and at even k lanes 0-7 lie in rows
+    // t_lo = 1 + k / 2 and t_lo + 1 while lanes 8-15 lie two rows lower, so
+    // each group picks its taps out of its own three rows (at odd k the
+    // groups span three rows each and gather).
+    const index_t nu = 40;
+    const index_t nv = 16;
+    std::vector<Mat34> mats(1);
+    mats[0][0] = Vec4{1.0, 0.5, 0.0, 2.0};
+    mats[0][1] = Vec4{0.25, 0.0, 0.5, 1.0};
+    mats[0][2] = Vec4{0.0, 0.0, 0.0, 1.0};
+    EXPECT_GT(hand_built_matches(mats, nu, nv, Dim3{16, 4, 6}, "groups on different rows"), 0.0f);
+}
+
+TEST(ColumnWalk, BitwiseOnWidthsOfEightModSixteen)
+{
+    // nx = 24 and 40: at 16 lanes the last vector is half padding, at eight
+    // lanes there is no padding at all.
+    std::mt19937 rng(4048);
+    for (const index_t nx : {index_t{24}, index_t{40}}) {
+        CbctGeometry g = random_geometry(rng);
+        g.vol.x = nx;
+        const ProjectionStack p = random_stack(g, rng);
+        const auto mats = projection_matrices(g);
+        const backproj::MatrixPack pack{std::span<const Mat34>(mats)};
+        sim::Device dev(256u << 20);
+        const sim::Texture3 tex = make_texture(dev, p, Range{0, g.nv});
+        EXPECT_GT(expect_column_walk_matches_at_widths(tex, pack, g.vol,
+                                                       backproj::StreamOffsets{0, 0}, g.nu, g.nv,
+                                                       "nx " + std::to_string(nx)),
+                  0.0f);
+    }
+}
+
+TEST(ColumnWalk, EveryVoxelIsItsValueInAWiderSlab)
+{
+    // Rows are padded to whole vectors, so a voxel's bits do not depend on
+    // the slab's width: for every width w in 1 .. 2 kLanes + 1, each voxel
+    // of the width-w slab must equal the same voxel of every slab up to
+    // kLanes wider, at pool widths 1 and 4.  (A scalar tail that fuses its
+    // accumulate, as one compiled for FMA did, misses here by an ulp on
+    // about 40 % of its voxels.)
+    constexpr index_t W = simd::kLanes;
+    const index_t widest = 3 * W + 1;
+    std::mt19937 rng(4049);
+    CbctGeometry g = random_geometry(rng);
+    g.nu = 64;
+    g.vol = {widest, widest, widest};
+    g.dx = g.dy = g.dz = 0.5 * CbctGeometry::natural_pitch(g.du, g.dsd, g.dso, g.nu, widest);
+    const ProjectionStack p = random_stack(g, rng);
+    const auto mats = projection_matrices(g);
+    const backproj::MatrixPack pack{std::span<const Mat34>(mats)};
+    sim::Device dev(256u << 20);
+    const sim::Texture3 tex = make_texture(dev, p, Range{0, g.nv});
+    const backproj::StreamOffsets off{widest / 2 - 2, 0};
+    for (const int width : {1, 4}) {
+        const testutil::ScopedThreads cap(width);
+        std::vector<Volume> slabs;
+        for (index_t w = 1; w <= widest; ++w) {
+            slabs.emplace_back(Dim3{w, 5, 4});
+            backproj::backproject_streaming(tex, pack, slabs.back(), off, g.nu, g.nv);
+        }
+        for (index_t w = 1; w <= 2 * W + 1; ++w) {
+            const Volume& narrow = slabs[static_cast<std::size_t>(w - 1)];
+            EXPECT_GT(max_abs(narrow.span()), 0.0f) << "width " << w;
+            for (index_t wide = w + 1; wide <= w + W; ++wide) {
+                const Volume& other = slabs[static_cast<std::size_t>(wide - 1)];
+                for (index_t k = 0; k < 4; ++k)
+                    for (index_t j = 0; j < 5; ++j)
+                        for (index_t i = 0; i < w; ++i)
+                            ASSERT_EQ(std::bit_cast<std::uint32_t>(narrow.at(i, j, k)),
+                                      std::bit_cast<std::uint32_t>(other.at(i, j, k)))
+                                << "pool width " << width << ": voxel (" << i << ", " << j
+                                << ", " << k << ") of width " << w << " vs " << wide;
+            }
+        }
+    }
 }
 
 // ---- fp32 FFT vs double reference (randomized sizes) ----------------------
