@@ -98,6 +98,12 @@ inline constexpr const char* kMetricSimPrefix = "sim.";          ///< + dir + ".
 inline constexpr const char* kMetricSimH2dBytes = "sim.h2d.bytes";
 inline constexpr const char* kMetricSimH2dTransfers = "sim.h2d.transfers";
 inline constexpr const char* kMetricSimD2hBytes = "sim.d2h.bytes";
+// process.* (telemetry::record_process_memory, xct_recon --metrics): the
+// run's own memory.  minor_faults = pages first touched (getrusage
+// ru_minflt; a 4 KiB or a 2 MiB page each), peak_rss_mib = resident
+// high-water mark in MiB (VmHWM of /proc/self/status).
+inline constexpr const char* kMetricProcessMinorFaults = "process.minor_faults";
+inline constexpr const char* kMetricProcessPeakRssMib = "process.peak_rss_mib";
 // flight.* (src/telemetry/flight): always-on post-mortem ring recorder.
 // dumps = post-mortem traces written (by reason: watchdog, integrity,
 // signal, manual), threads = rings ever registered (live + retired).

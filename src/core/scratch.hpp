@@ -1,5 +1,7 @@
 #pragma once
-// Per-thread scratch-buffer pools for hot-path temporaries (DESIGN.md §3e).
+// Host memory for the hot paths (DESIGN.md §3e): per-thread scratch-buffer
+// pools for temporaries, and scratch::Pages, the one allocator of the bulk
+// float storage (volumes, stacks, textures, device buffers, staging).
 //
 // The filtering and back-projection hot paths need short-lived working
 // buffers (a padded FFT row, a voxel-row accumulator, a reduce staging
@@ -20,7 +22,9 @@
 //   * heap_events() counts every acquisition that had to grow or allocate
 //     backing storage (process-wide, relaxed) — a warm loop's delta is 0.
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -108,19 +112,91 @@ private:
     std::vector<T> store_;
 };
 
-/// std::allocator whose value-less construct() leaves a trivial T as is
-/// (construction from a value is allocator_traits' default), so
-/// std::vector<T, DefaultInit<T>> grows without zero-filling and each new
-/// page is first touched by the consumer's own write.
+/// One transparent huge page.  Storage of at least this many bytes is a
+/// mapping of its own (see Pages); smaller storage is heap memory.
+inline constexpr std::size_t kPageBytes = std::size_t{2} << 20;
+
+namespace detail {
+
+// AddressSanitizer cannot see into a mapping: an instrumented translation
+// unit takes every size from std::allocator, keeping redzones and
+// use-after-free checks on every buffer.
+#if defined(__SANITIZE_ADDRESS__)
+inline constexpr bool kMapLarge = false;
+#else
+inline constexpr bool kMapLarge = true;
+#endif
+
+/// A fresh anonymous mapping of `bytes` rounded up to whole kPageBytes,
+/// kPageBytes-aligned and advised MADV_HUGEPAGE (pages.cpp).  The kernel
+/// zeroes each page on first touch.  Throws std::bad_alloc.
+void* map_pages(std::size_t bytes);
+/// Return a map_pages(bytes) mapping to the kernel.
+void unmap_pages(void* p, std::size_t bytes) noexcept;
+
+}  // namespace detail
+
+/// The allocator of the bulk float storage.  Storage of at least
+/// kPageBytes is a fresh 2 MiB-aligned mapping advised MADV_HUGEPAGE and
+/// goes straight back to the kernel when freed: a first touch faults in
+/// a kernel-zeroed 2 MiB page where heap memory faults 4 KiB at a time.
+/// Smaller storage comes from std::allocator.  Value-less construct()
+/// leaves a trivial T as is on both paths (construction from a value is
+/// allocator_traits' default), so std::vector<T, Pages<T>>(n) writes
+/// nothing; filled() below is the zero-aware way to give it a value.
 template <typename T>
-struct DefaultInit : std::allocator<T> {
+struct Pages {
     static_assert(std::is_trivially_default_constructible_v<T>);
+    using value_type = T;
+
+    Pages() noexcept = default;
     template <typename U>
-    struct rebind {
-        using other = DefaultInit<U>;
-    };
+    Pages(const Pages<U>&) noexcept
+    {
+    }
+
+    /// True when storage for `n` elements is a fresh mapping, so it reads
+    /// zero until written.
+    static constexpr bool maps(std::size_t n) noexcept
+    {
+        return detail::kMapLarge && n * sizeof(T) >= kPageBytes;
+    }
+
+    T* allocate(std::size_t n)
+    {
+        if (maps(n)) return static_cast<T*>(detail::map_pages(n * sizeof(T)));
+        return std::allocator<T>{}.allocate(n);
+    }
+    void deallocate(T* p, std::size_t n) noexcept
+    {
+        if (maps(n))
+            detail::unmap_pages(p, n * sizeof(T));
+        else
+            std::allocator<T>{}.deallocate(p, n);
+    }
+
     template <typename U>
-    void construct(U*) noexcept {}
+    void construct(U*) noexcept
+    {
+    }
+
+    template <typename U>
+    bool operator==(const Pages<U>&) const noexcept
+    {
+        return true;
+    }
 };
+
+/// `n` copies of `value` in Pages storage.  The fill is skipped only
+/// where the kernel already wrote it: a fresh mapping and +0.0f (not
+/// -0.0f).  Every other case writes, as std::vector's fill constructor
+/// would.
+inline std::vector<float, Pages<float>> filled(std::size_t n, float value)
+{
+    std::vector<float, Pages<float>> v(n);
+    if (!Pages<float>::maps(n) || std::bit_cast<std::uint32_t>(value) != 0)
+        std::fill(v.begin(), v.end(), value);
+    return v;
+}
 
 }  // namespace xct::scratch

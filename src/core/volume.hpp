@@ -10,11 +10,14 @@
 //
 // Both are plain owning containers (RAII, no naked new/delete) with checked
 // accessors (assert in Debug, unconditional abort under -DXCT_BOUNDS_CHECK=ON
-// — see core/check.hpp) and span-based raw access for kernels.
+// — see core/check.hpp) and span-based raw access for kernels.  Their
+// storage is scratch::Pages: a large +0.0f-filled one is a fresh
+// kernel-zeroed mapping, never written by the constructor.
 
 #include <vector>
 
 #include "core/check.hpp"
+#include "core/scratch.hpp"
 #include "core/types.hpp"
 
 namespace xct {
@@ -25,7 +28,7 @@ public:
     Volume() = default;
 
     explicit Volume(Dim3 size, float fill = 0.0f)
-        : size_(size), data_(static_cast<std::size_t>(size.count()), fill)
+        : size_(size), data_(scratch::filled(static_cast<std::size_t>(size.count()), fill))
     {
         require(size.x > 0 && size.y > 0 && size.z > 0, "Volume: extents must be positive");
     }
@@ -68,7 +71,7 @@ public:
 
 private:
     Dim3 size_{};
-    std::vector<float> data_;
+    std::vector<float, scratch::Pages<float>> data_;
 };
 
 /// Owning stack of (partial) projections.
@@ -91,7 +94,7 @@ public:
     /// Band-restricted stack: holds detector rows `band` of every view.
     ProjectionStack(index_t views, Range band, index_t cols, float fill = 0.0f)
         : views_(views), band_(band), cols_(cols),
-          data_(static_cast<std::size_t>(views * band.length() * cols), fill)
+          data_(scratch::filled(static_cast<std::size_t>(views * band.length() * cols), fill))
     {
         require(views > 0 && !band.empty() && cols > 0,
                 "ProjectionStack: extents must be positive");
@@ -158,7 +161,7 @@ private:
     index_t views_ = 0;
     Range band_{};
     index_t cols_ = 0;
-    std::vector<float> data_;
+    std::vector<float, scratch::Pages<float>> data_;
 };
 
 }  // namespace xct

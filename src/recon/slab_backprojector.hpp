@@ -44,8 +44,8 @@ public:
     /// Convenience: derive h/origin/max_slab from a full slab schedule.
     SlabBackprojector(const Config& cfg, const std::vector<SlabPlan>& plans);
 
-    /// Staging storage, never zero-filled (scratch::DefaultInit).
-    using Planes = std::vector<float, scratch::DefaultInit<float>>;
+    /// Staging storage, never zero-filled (scratch::Pages).
+    using Planes = std::vector<float, scratch::Pages<float>>;
 
     /// A band gathered into upload-ready plane order: the host-side half
     /// of Algorithm 3, split from the device copy so the prefetch stage

@@ -73,7 +73,7 @@ DeviceBuffer::DeviceBuffer(Device& dev, index_t count) : dev_(&dev)
 {
     require(count > 0, "DeviceBuffer: count must be positive");
     dev_->allocate(static_cast<std::size_t>(count) * sizeof(float));
-    data_.resize(static_cast<std::size_t>(count), 0.0f);
+    data_ = scratch::filled(static_cast<std::size_t>(count), 0.0f);
 }
 
 DeviceBuffer::~DeviceBuffer()
@@ -94,10 +94,9 @@ void DeviceBuffer::upload(std::span<const float> src, index_t offset)
     // from the same (intact) source, so the expectation is stable.
     const integrity::digest_t src_digest =
         integrity::enabled() ? integrity::checksum_of<float>(src) : 0;
+    const auto dst = std::span<float>(data_).subspan(static_cast<std::size_t>(offset), src.size());
     dev_->transfer(names::kSiteSimH2d, [&] {
-        std::copy(src.begin(), src.end(), data_.begin() + offset);
-        const auto dst = std::span<float>(data_).subspan(static_cast<std::size_t>(offset),
-                                                         src.size());
+        std::copy(src.begin(), src.end(), dst.begin());
         faults::corrupt(names::kSiteSimH2d, std::as_writable_bytes(dst));
         integrity::verify_of<float>(names::kSiteSimH2d, dst, src_digest);
     });
@@ -130,7 +129,7 @@ Texture3::Texture3(Device& dev, index_t width, index_t height, index_t depth)
 {
     require(width > 0 && height > 0 && depth > 0, "Texture3: extents must be positive");
     dev_->allocate(static_cast<std::size_t>(width * height * depth) * sizeof(float));
-    data_.resize(static_cast<std::size_t>(width * height * depth), 0.0f);
+    data_ = scratch::filled(static_cast<std::size_t>(width * height * depth), 0.0f);
 }
 
 Texture3::~Texture3()
@@ -159,10 +158,10 @@ void Texture3::copy_planes_wire(std::span<const float> src, index_t depth_begin,
             "Texture3::copy_planes: source size mismatch");
     const integrity::digest_t src_digest =
         integrity::enabled() ? integrity::checksum_of<float>(src) : 0;
+    const auto dst =
+        std::span<float>(data_).subspan(static_cast<std::size_t>(depth_begin * plane), src.size());
     dev_->transfer(names::kSiteSimH2d, [&] {
-        std::copy(src.begin(), src.end(), data_.begin() + depth_begin * plane);
-        const auto dst = std::span<float>(data_).subspan(
-            static_cast<std::size_t>(depth_begin * plane), src.size());
+        std::copy(src.begin(), src.end(), dst.begin());
         faults::corrupt(names::kSiteSimH2d, std::as_writable_bytes(dst));
         integrity::verify_of<float>(names::kSiteSimH2d, dst, src_digest);
     });

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "core/check.hpp"
+#include "core/scratch.hpp"
 #include "core/types.hpp"
 #include "faults/retry.hpp"
 #include "integrity/integrity.hpp"
@@ -146,7 +147,7 @@ public:
 
 private:
     Device* dev_;
-    std::vector<float> data_;
+    std::vector<float, scratch::Pages<float>> data_;
 };
 
 /// 3D texture over float data with CUDA-like semantics:
@@ -208,7 +209,7 @@ public:
 private:
     Device* dev_;
     index_t width_, height_, depth_;
-    std::vector<float> data_;
+    std::vector<float, scratch::Pages<float>> data_;
 };
 
 /// 8-bit quantised 3D texture modelling CUDA's *hardware* texture path:

@@ -1,7 +1,11 @@
 #include "telemetry/metrics.hpp"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 
 #include "core/names.hpp"
 
@@ -191,6 +195,25 @@ Registry& registry()
 {
     static Registry r;
     return r;
+}
+
+void record_process_memory()
+{
+    rusage ru{};
+    if (::getrusage(RUSAGE_SELF, &ru) == 0) {
+        // Add the difference, so the counter stays monotonic and a second
+        // call does not count the faults twice.
+        Counter& faults = registry().counter(names::kMetricProcessMinorFaults);
+        const auto now = static_cast<std::uint64_t>(ru.ru_minflt);
+        if (now > faults.value()) faults.add(now - faults.value());
+    }
+    std::ifstream status("/proc/self/status");
+    for (std::string line; std::getline(status, line);)
+        if (line.rfind("VmHWM:", 0) == 0) {
+            const double kib = std::strtod(line.c_str() + 6, nullptr);
+            registry().gauge(names::kMetricProcessPeakRssMib).set(kib / 1024.0);
+            break;
+        }
 }
 
 }  // namespace xct::telemetry

@@ -161,4 +161,11 @@ private:
 /// The process-wide registry every subsystem feeds.
 Registry& registry();
 
+/// Record this process's own memory use into registry(): its minor page
+/// faults so far (`process.minor_faults`, getrusage's ru_minflt) and its
+/// resident high-water mark (`process.peak_rss_mib`, VmHWM of
+/// /proc/self/status — ru_maxrss would carry the spawner's peak across
+/// exec).  Idempotent; call it just before a snapshot is written.
+void record_process_memory();
+
 }  // namespace xct::telemetry

@@ -1,7 +1,9 @@
 # --metrics needs no tracing: runs xct_recon (-DRECON) twice on the tools
 # fixture stack (-DINPUT), once with --metrics alone and once with
 # --trace --metrics, writing into -DOUT, and requires both CSVs to carry
-# the same pipeline.stage.* rows, covering all six stages.
+# the same pipeline.stage.* rows, covering all six stages, and the run's
+# own memory rows (process.minor_faults, process.peak_rss_mib) with
+# positive values.
 cmake_minimum_required(VERSION 3.16)
 foreach(var RECON INPUT OUT)
   if(NOT DEFINED ${var})
@@ -34,5 +36,14 @@ foreach(stage load filter prefetch bp mpi store)
       message(FATAL_ERROR "--metrics alone: missing pipeline.stage.${stage}.${unit}")
     endif()
   endforeach()
+endforeach()
+foreach(row process.minor_faults process.peak_rss_mib)
+  file(STRINGS ${OUT}/alone.csv line REGEX "^${row},")
+  if(NOT line MATCHES "^[^,]+,[a-z]+,([0-9.]+)$")
+    message(FATAL_ERROR "--metrics alone: missing ${row}")
+  endif()
+  if(NOT CMAKE_MATCH_1 GREATER 0)
+    message(FATAL_ERROR "--metrics alone: ${row} is ${CMAKE_MATCH_1}, not positive")
+  endif()
 endforeach()
 message(STATUS "--metrics alone and --trace --metrics write the same stage rows")

@@ -61,8 +61,9 @@ TEST(ReduceSum, SumsToRoot)
         std::vector<float> send(8, static_cast<float>(c.rank() + 1));
         std::vector<float> recv(c.rank() == 2 ? 8 : 0);
         c.reduce_sum(send, recv, /*root=*/2);
-        if (c.rank() == 2)
+        if (c.rank() == 2) {
             for (float v : recv) EXPECT_FLOAT_EQ(v, 10.0f);  // 1+2+3+4
+        }
     });
 }
 
@@ -74,9 +75,10 @@ TEST(ReduceSum, DistinctElementsSurvive)
             send[static_cast<std::size_t>(i)] = static_cast<float>(c.rank() * 10 + i);
         std::vector<float> recv(c.rank() == 0 ? 4 : 0);
         c.reduce_sum(send, recv, 0);
-        if (c.rank() == 0)
+        if (c.rank() == 0) {
             for (int i = 0; i < 4; ++i)
                 EXPECT_FLOAT_EQ(recv[static_cast<std::size_t>(i)], static_cast<float>(30 + 3 * i));
+        }
     });
 }
 
@@ -87,8 +89,9 @@ TEST(ReduceSum, ManySequentialReductionsStayConsistent)
             std::vector<float> send(3, static_cast<float>(round));
             std::vector<float> recv(c.rank() == 0 ? 3 : 0);
             c.reduce_sum(send, recv, 0);
-            if (c.rank() == 0)
+            if (c.rank() == 0) {
                 for (float v : recv) ASSERT_FLOAT_EQ(v, 4.0f * static_cast<float>(round));
+            }
         }
     });
 }
@@ -170,10 +173,11 @@ TEST(ReduceHierarchical, MatchesFlatSum)
         std::vector<float> hier(c.rank() == 0 ? 5 : 0);
         c.reduce_sum(send, flat, 0);
         c.reduce_sum_hierarchical(send, hier, 0, /*ranks_per_node=*/4);
-        if (c.rank() == 0)
+        if (c.rank() == 0) {
             for (int i = 0; i < 5; ++i)
                 EXPECT_NEAR(hier[static_cast<std::size_t>(i)], flat[static_cast<std::size_t>(i)],
                             1e-4f);
+        }
     });
 }
 
@@ -183,7 +187,9 @@ TEST(ReduceHierarchical, WorksWithRaggedLastNode)
         std::vector<float> send(1, 1.0f);
         std::vector<float> recv(c.rank() == 0 ? 1 : 0);
         c.reduce_sum_hierarchical(send, recv, 0, 2);
-        if (c.rank() == 0) EXPECT_FLOAT_EQ(recv[0], 5.0f);
+        if (c.rank() == 0) {
+            EXPECT_FLOAT_EQ(recv[0], 5.0f);
+        }
     });
 }
 
@@ -316,7 +322,9 @@ TEST_P(ScalingRanks, ReduceCorrectAtAnySize)
         std::vector<float> send(2, 1.0f);
         std::vector<float> recv(c.rank() == 0 ? 2 : 0);
         c.reduce_sum(send, recv, 0);
-        if (c.rank() == 0) EXPECT_FLOAT_EQ(recv[0], static_cast<float>(n));
+        if (c.rank() == 0) {
+            EXPECT_FLOAT_EQ(recv[0], static_cast<float>(n));
+        }
     });
 }
 

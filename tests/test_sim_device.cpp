@@ -3,6 +3,9 @@
 // streaming kernel depends on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 
 #include "sim/device.hpp"
@@ -175,6 +178,32 @@ TEST(Device, ResetStatsClearsCounters)
     dev.reset_stats();
     EXPECT_EQ(dev.h2d_stats().bytes, 0u);
     EXPECT_EQ(dev.h2d_stats().transfers, 0u);
+}
+
+TEST(Texture3, TexelsNeverUploadedReadZeroInALargeTexture)
+{
+    // 256 x 64 x 40 floats = 2.5 MiB: mapped storage that the kernel,
+    // not the constructor, zeroes.  The back-projection kernel's
+    // zero-weight partner row reads texels no band wrote, so they must be
+    // finite: +0.0f.
+    Device dev(64u << 20);
+    Texture3 tex(dev, 256, 64, 40);
+    EXPECT_EQ(dev.used(), std::size_t{256 * 64 * 40} * sizeof(float));
+    std::vector<float> planes(std::size_t{3} * 256 * 64);
+    std::iota(planes.begin(), planes.end(), 1.0f);
+    tex.copy_planes(planes, 17, 3);
+    const auto texels = tex.device_span();
+    const std::size_t plane = 256 * 64;
+    for (std::size_t i = 0; i < texels.size(); ++i) {
+        const bool uploaded = i >= 17 * plane && i < 20 * plane;
+        const float want = uploaded ? planes[i - 17 * plane] : 0.0f;
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(texels[i]), std::bit_cast<std::uint32_t>(want))
+            << i;
+    }
+    DeviceBuffer buf(dev, 1 << 20);  // 4 MiB
+    const auto words = buf.device_span();
+    EXPECT_TRUE(std::all_of(words.begin(), words.end(),
+                            [](float v) { return std::bit_cast<std::uint32_t>(v) == 0; }));
 }
 
 // --- 8-bit textures (the QuantizedTexture3 precision ablation) ----------

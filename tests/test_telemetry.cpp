@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "core/json.hpp"
+#include "core/names.hpp"
 #include "pipeline/timeline.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
@@ -214,6 +215,21 @@ TEST(FleetObserve, FillsLogBucketedStageHistograms)
     ASSERT_NE(it, snap.histograms.end());
     EXPECT_EQ(it->count, 2u);
     EXPECT_EQ(it->bounds, exp_bounds(1e-3, 2.0, 24));
+}
+
+TEST(ProcessMemory, RecordsFaultsAndPeakRssOnce)
+{
+    record_process_memory();
+    const std::uint64_t faults = registry().counter(names::kMetricProcessMinorFaults).value();
+    const double rss = registry().gauge(names::kMetricProcessPeakRssMib).value();
+    EXPECT_GT(faults, 0u);
+    EXPECT_GT(rss, 0.0);
+    // A second call adds only the faults taken since, never the total again.
+    record_process_memory();
+    const std::uint64_t again = registry().counter(names::kMetricProcessMinorFaults).value();
+    EXPECT_GE(again, faults);
+    EXPECT_LT(again, 2 * faults);
+    EXPECT_GE(registry().gauge(names::kMetricProcessPeakRssMib).value(), rss);
 }
 
 TEST(Tracer, EnableClearsAndCapturesSpans)

@@ -3,9 +3,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "core/scratch.hpp"
 #include "core/types.hpp"
 #include "core/volume.hpp"
 
@@ -131,6 +133,103 @@ TEST(ProjectionStack, ViewSpanCoversBand)
 {
     ProjectionStack p(3, Range{4, 7}, 2);
     EXPECT_EQ(p.view(1).size(), 6u);
+}
+
+// ---- scratch::Pages: the bulk storage allocator ------------------------
+
+constexpr std::size_t kPageFloats = scratch::kPageBytes / sizeof(float);
+
+bool all_bits(std::span<const float> v, float want)
+{
+    const auto bits = std::bit_cast<std::uint32_t>(want);
+    return std::all_of(v.begin(), v.end(),
+                       [bits](float x) { return std::bit_cast<std::uint32_t>(x) == bits; });
+}
+
+TEST(Pages, MapsFromOnePageUp)
+{
+    EXPECT_FALSE(scratch::Pages<float>::maps(kPageFloats - 1));
+    EXPECT_EQ(scratch::Pages<float>::maps(kPageFloats), scratch::detail::kMapLarge);
+    EXPECT_EQ(scratch::Pages<double>::maps(kPageFloats / 2), scratch::detail::kMapLarge);
+    EXPECT_FALSE(scratch::Pages<double>::maps(kPageFloats / 2 - 1));
+}
+
+TEST(Pages, MappedStorageIsPageAlignedAndReadsZero)
+{
+    if (!scratch::detail::kMapLarge) GTEST_SKIP() << "AddressSanitizer: every size is heap";
+    scratch::Pages<float> a;
+    for (const std::size_t n : {kPageFloats, 3 * kPageFloats + 1}) {
+        float* p = a.allocate(n);
+        EXPECT_EQ(std::bit_cast<std::uintptr_t>(p) % scratch::kPageBytes, 0u) << n;
+        EXPECT_TRUE(all_bits(std::span<const float>(p, n), 0.0f)) << n;
+        a.deallocate(p, n);
+    }
+}
+
+TEST(Pages, DirtiedFreedAndReallocatedStorageReadsZero)
+{
+    if (!scratch::detail::kMapLarge) GTEST_SKIP() << "AddressSanitizer: every size is heap";
+    scratch::Pages<float> a;
+    const std::size_t n = 2 * kPageFloats;
+    float* p = a.allocate(n);
+    std::fill(p, p + n, 3.0f);
+    a.deallocate(p, n);
+    p = a.allocate(n);
+    EXPECT_TRUE(all_bits(std::span<const float>(p, n), 0.0f));
+    a.deallocate(p, n);
+}
+
+TEST(Pages, EverySizeIsWritableEndToEnd)
+{
+    // Both sides of kPageBytes and just above a multiple of it: the tail
+    // past the last whole page is mapped, and every size frees cleanly.
+    scratch::Pages<float> a;
+    for (const std::size_t n : {std::size_t{1}, kPageFloats - 1, kPageFloats, kPageFloats + 1,
+                                2 * kPageFloats + 1}) {
+        float* p = a.allocate(n);
+        for (std::size_t i = 0; i < n; ++i) p[i] = static_cast<float>(i % 1000);
+        EXPECT_EQ(p[0], 0.0f);
+        EXPECT_EQ(p[n - 1], static_cast<float>((n - 1) % 1000)) << n;
+        a.deallocate(p, n);
+    }
+}
+
+TEST(Pages, AnImpossibleSizeThrowsInsteadOfWrapping)
+{
+    scratch::Pages<float> a;
+    EXPECT_THROW((void)a.allocate(std::numeric_limits<std::size_t>::max() / sizeof(float)),
+                 std::bad_alloc);
+}
+
+TEST(Volume, FillsReadBackBitwiseAtAndAboveAPage)
+{
+    const float fills[] = {1.5f, -0.0f, 0.0f, std::numeric_limits<float>::quiet_NaN()};
+    // 511, 512 and 513 columns of 256 x 4: just below, at and above 2 MiB.
+    for (const index_t nx : {511, 512, 513}) {
+        const Dim3 d{nx, 256, 4};
+        EXPECT_TRUE(all_bits(Volume(d).span(), 0.0f)) << nx;
+        for (const float f : fills) {
+            const Volume v(d, f);
+            EXPECT_TRUE(all_bits(v.span(), f)) << nx << " fill " << f;
+            const Volume copy = v;
+            EXPECT_TRUE(all_bits(copy.span(), f)) << nx << " copy, fill " << f;
+        }
+    }
+}
+
+TEST(ProjectionStack, FillsReadBackBitwiseAtAndAboveAPage)
+{
+    const float fills[] = {-2.0f, -0.0f, 0.0f};
+    for (const index_t cols : {511, 512, 513}) {
+        EXPECT_TRUE(all_bits(ProjectionStack(64, 16, cols).span(), 0.0f)) << cols;
+        EXPECT_TRUE(all_bits(ProjectionStack(16, Range{3, 67}, cols).span(), 0.0f)) << cols;
+        for (const float f : fills) {
+            EXPECT_TRUE(all_bits(ProjectionStack(64, 16, cols, f).span(), f))
+                << cols << " fill " << f;
+            EXPECT_TRUE(all_bits(ProjectionStack(16, Range{3, 67}, cols, f).span(), f))
+                << cols << " band, fill " << f;
+        }
+    }
 }
 
 TEST(Require, ThrowsWithMessage)

@@ -11,7 +11,8 @@
 // Observability: `--trace out.json` records every subsystem's spans
 // (pipeline stages, device transfers, minimpi collectives, PFS I/O) into
 // one Chrome trace-event file — open it at ui.perfetto.dev — and
-// `--metrics out.csv` dumps the telemetry metrics registry.
+// `--metrics out.csv` dumps the telemetry metrics registry, with the
+// run's own minor faults and peak RSS (`process.*`).
 // `--report out.json` emits the perfmodel-anchored run report (per-stage
 // and per-batch measured vs Eq. 13-17 predictions, per-rank efficiency,
 // straggler flags, fleet percentiles).  --trace and the report's
@@ -138,6 +139,7 @@ int main(int argc, char** argv)
                         args.get("trace").c_str(), n);
         }
         if (args.is_set("metrics")) {
+            telemetry::record_process_memory();
             telemetry::write_metrics_csv(args.get("metrics"),
                                          telemetry::registry().snapshot());
             std::printf("wrote %s\n", args.get("metrics").c_str());
