@@ -26,6 +26,7 @@
 #include "core/decompose.hpp"
 #include "core/names.hpp"
 #include "core/parallel.hpp"
+#include "core/preprocess.hpp"
 #include "core/scratch.hpp"
 #include "core/simd.hpp"
 #include "fft/fft.hpp"
@@ -246,6 +247,65 @@ void BM_FilterEngine(benchmark::State& state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_FilterEngine)->Unit(benchmark::kMillisecond);
+
+/// One of fdk-bean-q8's bands: every view of coffee_bean/16 over a
+/// sixteenth of its rows (the recon's --batches 16), as raw counts.
+ProjectionStack bean_band()
+{
+    const CbctGeometry g = io::dataset_by_name("coffee_bean").scaled(16.0).with_volume(48).geometry;
+    ProjectionStack band(g.num_proj, Range{0, (g.nv + 15) / 16}, g.nu);
+    std::mt19937 rng(7);
+    std::uniform_real_distribution<float> u(100.0f, 60000.0f);
+    for (float& v : band.span()) v = u(rng);
+    return band;
+}
+
+/// Eq. 1 over one bean band on one thread: arg 0 the element form per
+/// texel, arg 1 the lane form per vector (what beer_law and the filter's
+/// pack run).  Printed only, not in the gated baseline.
+void BM_BeerLaw(benchmark::State& state)
+{
+    const ProjectionStack counts = bean_band();
+    std::vector<float> out(counts.span().size());
+    const std::span<const float> in = counts.span();
+    const BeerLawScalar cal{0.0f, 65536.0f};
+    const simd::VecF dark = simd::splat(cal.dark), blank = simd::splat(cal.blank);
+    for (auto _ : state) {
+        std::size_t i = 0;
+        if (state.range(0) == 1)
+            for (; i + simd::kLanes <= in.size(); i += simd::kLanes)
+                simd::store(&out[i], beer_law_lanes(simd::load(&in[i]), dark, blank));
+        for (; i < in.size(); ++i) out[i] = beer_law_texel(in[i], cal.dark, cal.blank);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["Melem/s"] = benchmark::Counter(
+        static_cast<double>(in.size()) * 1e-6 * static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_BeerLaw)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+/// The q8 extent of one bean band: arg 0 the serial Extent::add fold on
+/// one thread, arg 1 io::value_range (lane folds of fixed chunks on the
+/// worker pool).  Printed only, not in the gated baseline.
+void BM_ValueRange(benchmark::State& state)
+{
+    const ProjectionStack band = bean_band();
+    const std::span<const float> in = band.span();
+    for (auto _ : state) {
+        Extent e{in[0], in[0]};
+        if (state.range(0) == 0)
+            for (const float v : in) e.add(v);
+        else
+            e = io::value_range(in);
+        benchmark::DoNotOptimize(e);
+    }
+    state.counters["MiB/s"] = benchmark::Counter(
+        static_cast<double>(in.size_bytes()) / (1024.0 * 1024.0) *
+            static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ValueRange)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_Fft(benchmark::State& state)
 {

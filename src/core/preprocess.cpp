@@ -1,5 +1,6 @@
 #include "core/preprocess.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/parallel.hpp"
@@ -9,8 +10,9 @@ namespace {
 
 /// Elements per pool chunk: a span this short stays on the calling
 /// thread, where handing it out would cost more than the loop.  The Eq. 1
-/// loops and their inverse are element-wise, so any split gives bitwise
-/// the same result at any thread count.
+/// loops and their inverse are element-wise (an Eq. 1 lane is its element
+/// form bit for bit), so any split gives bitwise the same result at any
+/// thread count.
 constexpr index_t kGrain = index_t{1} << 15;
 
 }  // namespace
@@ -19,9 +21,15 @@ void beer_law(std::span<float> counts, const BeerLawScalar& cal)
 {
     require(cal.blank > cal.dark, "beer_law: blank must exceed dark");
     const index_t n = static_cast<index_t>(counts.size());
-    parallel::parallel_for(n, kGrain, [=](index_t i, std::size_t) {
-        float& c = counts[static_cast<std::size_t>(i)];
-        c = beer_law_texel(c, cal.dark, cal.blank);
+    const simd::VecF dark = simd::splat(cal.dark), blank = simd::splat(cal.blank);
+    parallel::parallel_for((n + kGrain - 1) / kGrain, 1, [=](index_t c, std::size_t) {
+        const std::size_t begin = static_cast<std::size_t>(c * kGrain);
+        const std::span<float> part =
+            counts.subspan(begin, std::min<std::size_t>(kGrain, counts.size() - begin));
+        std::size_t i = 0;
+        for (; i + simd::kLanes <= part.size(); i += simd::kLanes)
+            simd::store(&part[i], beer_law_lanes(simd::load(&part[i]), dark, blank));
+        for (; i < part.size(); ++i) part[i] = beer_law_texel(part[i], cal.dark, cal.blank);
     });
 }
 
@@ -32,11 +40,15 @@ void beer_law(std::span<float> counts, std::span<const float> dark, std::span<co
     require(counts.size() % dark.size() == 0,
             "beer_law: counts must be a whole number of projections");
     const std::size_t pix = dark.size();
-    const index_t n = static_cast<index_t>(counts.size());
-    parallel::parallel_for(n, kGrain, [=](index_t i, std::size_t) {
-        const std::size_t at = static_cast<std::size_t>(i);
-        const std::size_t p = at % pix;
-        counts[at] = beer_law_texel(counts[at], dark[p], blank[p]);
+    const index_t projections = static_cast<index_t>(counts.size() / pix);
+    const index_t grain = std::max<index_t>(1, kGrain / static_cast<index_t>(pix));
+    parallel::parallel_for(projections, grain, [=](index_t s, std::size_t) {
+        const std::span<float> proj = counts.subspan(static_cast<std::size_t>(s) * pix, pix);
+        std::size_t i = 0;
+        for (; i + simd::kLanes <= pix; i += simd::kLanes)
+            simd::store(&proj[i], beer_law_lanes(simd::load(&proj[i]), simd::load(&dark[i]),
+                                                 simd::load(&blank[i])));
+        for (; i < pix; ++i) proj[i] = beer_law_texel(proj[i], dark[i], blank[i]);
     });
 }
 

@@ -8,10 +8,10 @@
 // full per-pixel calibration images.
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <span>
 
+#include "core/simd.hpp"
 #include "core/types.hpp"
 #include "core/volume.hpp"
 
@@ -24,13 +24,26 @@ struct BeerLawScalar {
     float blank = 65536.0f;
 };
 
-/// Eq. 1 for one count, the element function of every Eq. 1 loop (here
-/// and in FilterEngine::apply's pack).  Counts are clamped to a tiny
-/// positive transmission so dead pixels give large-but-finite attenuation;
-/// std::log stays scalar, as a vector log would round differently.
+/// Eq. 1 for one count, the element form of every Eq. 1 loop (here and in
+/// FilterEngine::apply's pack).  Counts are clamped to a tiny positive
+/// transmission so dead pixels give large-but-finite attenuation.  The log
+/// is simd::log_, glibc's logf algorithm written out, so the bits follow
+/// this code rather than the host's libm: on every count it equals
+/// -std::log of the clamped ratio under glibc 2.36, and the clamp leaves
+/// log_ only positive normals, +inf and NaN.  The sign flips bitwise, so a
+/// count equal to blank gives -0.
 inline float beer_law_texel(float count, float dark, float blank)
 {
-    return -std::log(std::max((count - dark) / (blank - dark), 1e-6f));
+    return -simd::log_(std::max((count - dark) / (blank - dark), 1e-6f));
+}
+
+/// Eq. 1 on a vector of counts: beer_law_texel in every lane, bit for bit
+/// (the same ops in the same order, the clamp as std::max's compare).
+inline simd::VecF beer_law_lanes(simd::VecF count, simd::VecF dark, simd::VecF blank)
+{
+    const simd::VecF floor = simd::splat(1e-6f);
+    const simd::VecF t = (count - dark) / (blank - dark);
+    return -simd::log_(simd::blend(simd::cmp_gt(floor, t), floor, t));
 }
 
 /// Apply Eq. 1 in place to a span of raw counts with scalar calibration.

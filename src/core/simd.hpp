@@ -12,7 +12,9 @@
 // kLanesD lanes) carries what the analytic phantom projector needs:
 // splat_d, load/store, + - * / and negation, fmadd, sqrt_, cmp_gt, mask &,
 // blend and none.  The FFT's batches of eight run on `batch` lanes: the
-// backend's own VecF, or eight floats where VecF is wider.
+// backend's own VecF, or eight floats where VecF is wider.  Eq. 1 adds a
+// sign-flip negation and log_, glibc's logf algorithm with its table
+// written out once, whose lanes give the scalar log_'s bits.
 // Four backends, chosen at compile time:
 //
 //   * AVX-512 (16 float, 4 double lanes) — x86-64 with AVX-512F
@@ -52,9 +54,12 @@
 //     where it cannot pay.
 
 #include <array>
+#include <bit>
 #include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <type_traits>
 #include <utility>
 
@@ -87,6 +92,55 @@ inline T fmadd(T a, T b, T c)
 #endif
 }
 
+/// The natural log of glibc's logf (since 2.28), from Arm's optimized-routines
+/// (math/logf.c and math/logf_data.c, MIT OR Apache-2.0): x = 2^k z with z
+/// in [0x3f330000, 2 * 0x3f330000) as bits, c_i near the centre of z's
+/// sixteenth, log(x) = log1p(z / c_i - 1) + log(c_i) + k ln 2, the log1p
+/// a degree-4 polynomial in double, rounded once to float.  Over the
+/// positive normal floats it matches glibc 2.36's logf bit for bit whether
+/// every a*b + c below fuses or none does, so fmadd's per-target rule keeps
+/// the bits on every target (test_preprocess sweeps all 2^32 Eq. 1 inputs).
+namespace logf_data {
+inline constexpr double kInvc[16] = {
+    0x1.661ec79f8f3bep+0, 0x1.571ed4aaf883dp+0, 0x1.49539f0f010bp+0,  0x1.3c995b0b80385p+0,
+    0x1.30d190c8864a5p+0, 0x1.25e227b0b8eap+0,  0x1.1bb4a4a1a343fp+0, 0x1.12358f08ae5bap+0,
+    0x1.0953f419900a7p+0, 0x1p+0,               0x1.e608cfd9a47acp-1, 0x1.ca4b31f026aap-1,
+    0x1.b2036576afce6p-1, 0x1.9c2d163a1aa2dp-1, 0x1.886e6037841edp-1, 0x1.767dcf5534862p-1,
+};
+inline constexpr double kLogc[16] = {
+    -0x1.57bf7808caadep-2, -0x1.2bef0a7c06ddbp-2, -0x1.01eae7f513a67p-2, -0x1.b31d8a68224e9p-3,
+    -0x1.6574f0ac07758p-3, -0x1.1aa2bc79c81p-3,   -0x1.a4e76ce8c0e5ep-4, -0x1.1973c5a611cccp-4,
+    -0x1.252f438e10c1ep-5, 0x0p+0,                0x1.aa5aa5df25984p-5,  0x1.c5e53aa362eb4p-4,
+    0x1.526e57720db08p-3,  0x1.bc2860d22477p-3,   0x1.1058bc8a07ee1p-2,  0x1.4043057b6ee09p-2,
+};
+inline constexpr double kLn2 = 0x1.62e42fefa39efp-1;
+inline constexpr double kA0 = -0x1.00ea348b88334p-2;
+inline constexpr double kA1 = 0x1.5575b0be00b6ap-2;
+inline constexpr double kA2 = -0x1.ffffef20a4123p-2;
+inline constexpr std::uint32_t kOff = 0x3f330000;           ///< bits of the lowest z
+inline constexpr std::uint32_t kSignExponent = 0xff800000;  ///< the bits 2^k scales
+}  // namespace logf_data
+
+/// log(x) by the table algorithm above for a positive normal x; anything
+/// else (zero, negatives, subnormals, +inf, NaN) is std::log's.
+inline float log_(float x)
+{
+    namespace d = logf_data;
+    const std::uint32_t ix = std::bit_cast<std::uint32_t>(x);
+    if (ix - 0x00800000u >= 0x7f800000u - 0x00800000u) return std::log(x);
+    const std::uint32_t tmp = ix - d::kOff;
+    const std::size_t i = (tmp >> 19) & 15;
+    const int k = static_cast<std::int32_t>(tmp) >> 23;
+    const double z = std::bit_cast<float>(ix - (tmp & d::kSignExponent));
+    const double r = fmadd(z, d::kInvc[i], -1.0);
+    const double y0 = fmadd(static_cast<double>(k), d::kLn2, d::kLogc[i]);
+    const double r2 = r * r;
+    double y = fmadd(d::kA1, r, d::kA2);
+    y = fmadd(d::kA0, r2, y);
+    y = fmadd(y, r2, y0 + r);
+    return static_cast<float>(y);
+}
+
 #if defined(XCT_SIMD_BACKEND_AVX512) || defined(XCT_SIMD_BACKEND_AVX2)
 
 /// Eight float lanes in a ymm register: the AVX2 backend's VecF, and the
@@ -107,6 +161,8 @@ inline VecF operator+(VecF a, VecF b) { return {_mm256_add_ps(a.v, b.v)}; }
 inline VecF operator-(VecF a, VecF b) { return {_mm256_sub_ps(a.v, b.v)}; }
 inline VecF operator*(VecF a, VecF b) { return {_mm256_mul_ps(a.v, b.v)}; }
 inline VecF operator/(VecF a, VecF b) { return {_mm256_div_ps(a.v, b.v)}; }
+/// Flips the sign bit, so -(+0) is -0 and a NaN keeps its payload.
+inline VecF operator-(VecF a) { return {_mm256_xor_ps(a.v, _mm256_set1_ps(-0.0f))}; }
 
 /// a*b + c (fused when the target has FMA; one extra rounding otherwise).
 inline VecF fmadd(VecF a, VecF b, VecF c)
@@ -191,6 +247,12 @@ inline VecF operator+(VecF a, VecF b) { return {_mm512_add_ps(a.v, b.v)}; }
 inline VecF operator-(VecF a, VecF b) { return {_mm512_sub_ps(a.v, b.v)}; }
 inline VecF operator*(VecF a, VecF b) { return {_mm512_mul_ps(a.v, b.v)}; }
 inline VecF operator/(VecF a, VecF b) { return {_mm512_div_ps(a.v, b.v)}; }
+/// Flips the sign bit, so -(+0) is -0 and a NaN keeps its payload.
+inline VecF operator-(VecF a)
+{
+    return {_mm512_castsi512_ps(
+        _mm512_xor_si512(_mm512_castps_si512(a.v), _mm512_set1_epi32(INT32_MIN)))};
+}
 
 /// a*b + c (fused when the target has FMA; one extra rounding otherwise).
 inline VecF fmadd(VecF a, VecF b, VecF c)
@@ -200,6 +262,51 @@ inline VecF fmadd(VecF a, VecF b, VecF c)
 #else
     return {_mm512_add_ps(_mm512_mul_ps(a.v, b.v), c.v)};
 #endif
+}
+
+/// log_ on lanes that all hold positive normals: the table algorithm on
+/// two halves of eight doubles, each table read one two-source permute of
+/// its sixteen entries.
+inline VecF log_lanes(VecF x)
+{
+    namespace d = logf_data;
+    const __m512i ix = _mm512_castps_si512(x.v);
+    const __m512i tmp =
+        _mm512_sub_epi32(ix, _mm512_set1_epi32(static_cast<std::int32_t>(d::kOff)));
+    const __m512i i =
+        _mm512_and_si512(_mm512_maskz_srli_epi32(0xFFFF, tmp, 19), _mm512_set1_epi32(15));
+    const __m512i k = _mm512_maskz_srai_epi32(0xFFFF, tmp, 23);
+    const __m512i z = _mm512_sub_epi32(
+        ix, _mm512_and_si512(tmp, _mm512_set1_epi32(static_cast<std::int32_t>(d::kSignExponent))));
+    const __m512d invc_lo = _mm512_loadu_pd(d::kInvc), invc_hi = _mm512_loadu_pd(d::kInvc + 8);
+    const __m512d logc_lo = _mm512_loadu_pd(d::kLogc), logc_hi = _mm512_loadu_pd(d::kLogc + 8);
+    const auto fmadd_pd = [](__m512d a, __m512d b, __m512d c) {
+#if defined(__FMA__)
+        return _mm512_fmadd_pd(a, b, c);
+#else
+        return _mm512_add_pd(_mm512_mul_pd(a, b), c);
+#endif
+    };
+    const auto half = [&](__m256i ih, __m256i kh, __m256i zh) {
+        const __m512i at = _mm512_maskz_cvtepi32_epi64(0xFF, ih);
+        const __m512d r =
+            fmadd_pd(_mm512_maskz_cvtps_pd(0xFF, _mm256_castsi256_ps(zh)),
+                     _mm512_permutex2var_pd(invc_lo, at, invc_hi), _mm512_set1_pd(-1.0));
+        const __m512d y0 = fmadd_pd(_mm512_maskz_cvtepi32_pd(0xFF, kh), _mm512_set1_pd(d::kLn2),
+                                    _mm512_permutex2var_pd(logc_lo, at, logc_hi));
+        const __m512d r2 = _mm512_mul_pd(r, r);
+        __m512d y = fmadd_pd(_mm512_set1_pd(d::kA1), r, _mm512_set1_pd(d::kA2));
+        y = fmadd_pd(_mm512_set1_pd(d::kA0), r2, y);
+        y = fmadd_pd(y, r2, _mm512_add_pd(y0, r));
+        return _mm256_castps_pd(_mm512_maskz_cvtpd_ps(0xFF, y));
+    };
+    const __m256d lo = half(_mm512_maskz_extracti64x4_epi64(0xF, i, 0),
+                            _mm512_maskz_extracti64x4_epi64(0xF, k, 0),
+                            _mm512_maskz_extracti64x4_epi64(0xF, z, 0));
+    const __m256d hi = half(_mm512_maskz_extracti64x4_epi64(0xF, i, 1),
+                            _mm512_maskz_extracti64x4_epi64(0xF, k, 1),
+                            _mm512_maskz_extracti64x4_epi64(0xF, z, 1));
+    return {_mm512_castpd_ps(_mm512_maskz_insertf64x4(0xFF, _mm512_castpd256_pd512(lo), hi, 1))};
 }
 
 inline VecF floor_(VecF a) { return {_mm512_maskz_roundscale_ps(0xFFFF, a.v, _MM_FROUND_FLOOR)}; }
@@ -347,6 +454,38 @@ inline void store_i(std::int32_t* p, VecI a)
     std::memcpy(p, tmp, sizeof(tmp));
 }
 
+/// log_ on lanes that all hold positive normals: the table algorithm on
+/// two halves of four doubles, each table read one gather.
+inline VecF log_lanes(VecF x)
+{
+    namespace d = logf_data;
+    const __m256i ix = _mm256_castps_si256(x.v);
+    const __m256i tmp = _mm256_sub_epi32(ix, _mm256_set1_epi32(static_cast<std::int32_t>(d::kOff)));
+    const __m256i i = _mm256_and_si256(_mm256_srli_epi32(tmp, 19), _mm256_set1_epi32(15));
+    const __m256i k = _mm256_srai_epi32(tmp, 23);
+    const __m256 z = _mm256_castsi256_ps(_mm256_sub_epi32(
+        ix, _mm256_and_si256(tmp, _mm256_set1_epi32(static_cast<std::int32_t>(d::kSignExponent)))));
+    // The masked gather with every lane on: the plain one passes an
+    // undefined vector through, which GCC 12 warns about.
+    const auto table = [](const double* t, __m128i at) {
+        return VecD{_mm256_mask_i32gather_pd(_mm256_setzero_pd(), t, at,
+                                             _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8)};
+    };
+    const auto half = [&](__m128i ih, __m128i kh, __m128 zh) {
+        const VecD r = fmadd(VecD{_mm256_cvtps_pd(zh)}, table(d::kInvc, ih), splat_d(-1.0));
+        const VecD y0 = fmadd(VecD{_mm256_cvtepi32_pd(kh)}, splat_d(d::kLn2), table(d::kLogc, ih));
+        const VecD r2 = r * r;
+        VecD y = fmadd(splat_d(d::kA1), r, splat_d(d::kA2));
+        y = fmadd(splat_d(d::kA0), r2, y);
+        y = fmadd(y, r2, y0 + r);
+        return _mm256_cvtpd_ps(y.v);
+    };
+    return {_mm256_set_m128(half(_mm256_extracti128_si256(i, 1), _mm256_extracti128_si256(k, 1),
+                                 _mm256_extractf128_ps(z, 1)),
+                            half(_mm256_castsi256_si128(i), _mm256_castsi256_si128(k),
+                                 _mm256_castps256_ps128(z)))};
+}
+
 /// {base[idx], base[idx + 1]} per lane, for T = float or std::int32_t:
 /// two 32-bit gathers, measured faster than two 4-lane 64-bit gathers plus
 /// the permutes that split them.
@@ -391,6 +530,7 @@ inline VecF operator+(VecF a, VecF b) { return {vaddq_f32(a.v, b.v)}; }
 inline VecF operator-(VecF a, VecF b) { return {vsubq_f32(a.v, b.v)}; }
 inline VecF operator*(VecF a, VecF b) { return {vmulq_f32(a.v, b.v)}; }
 inline VecF operator/(VecF a, VecF b) { return {vdivq_f32(a.v, b.v)}; }
+inline VecF operator-(VecF a) { return {vnegq_f32(a.v)}; }
 
 inline VecF fmadd(VecF a, VecF b, VecF c) { return {vfmaq_f32(c.v, a.v, b.v)}; }
 
@@ -501,6 +641,12 @@ inline VecF operator/(VecF a, VecF b)
 {
     VecF r;
     for (int l = 0; l < kLanes; ++l) r.v[l] = a.v[l] / b.v[l];
+    return r;
+}
+inline VecF operator-(VecF a)
+{
+    VecF r;
+    for (int l = 0; l < kLanes; ++l) r.v[l] = -a.v[l];
     return r;
 }
 
@@ -757,5 +903,21 @@ inline constexpr int kWindow = 32;
 
 /// Clamp every lane to [lo, hi].
 inline VecF clamp(VecF a, VecF lo, VecF hi) { return min_(max_(a, lo), hi); }
+
+/// log_ on every lane, bit for bit: the backend's table lanes when every
+/// lane holds a positive normal, else (and on NEON and the scalar backend
+/// always) the scalar form lane by lane.
+inline VecF log_(VecF x)
+{
+#if defined(XCT_SIMD_BACKEND_AVX512) || defined(XCT_SIMD_BACKEND_AVX2)
+    if (all(cmp_ge(x, splat(std::numeric_limits<float>::min())) &
+            cmp_gt(splat(std::numeric_limits<float>::infinity()), x)))
+        return log_lanes(x);
+#endif
+    float v[kLanes];
+    store(v, x);
+    for (float& f : v) f = log_(f);
+    return load(v);
+}
 
 }  // namespace xct::simd

@@ -124,6 +124,14 @@ struct Extent {
     constexpr void add(float v) { merge(Extent{v, v}); }
 };
 
+/// The fold of `xs` from the empty extent: Extent::add over xs in order,
+/// bit for bit, in vector lanes.  Each lane folds every kLanes-th value
+/// with the same compare-and-select, and the lanes merge in lane order.
+/// Lane order can only pick a different one of tied values when they are
+/// -0 and +0, so a span whose lo or hi comes out zero is folded again
+/// left to right.
+Extent extent_of(std::span<const float> xs);
+
 /// Throw std::invalid_argument with `msg` when `cond` is false.  Used to
 /// validate public API arguments eagerly (P.7: catch run-time errors early).
 inline void require(bool cond, const std::string& msg)

@@ -9,6 +9,7 @@
 #include "core/parallel.hpp"
 #include "core/preprocess.hpp"
 #include "core/scratch.hpp"
+#include "core/simd.hpp"
 #include "fft/fft.hpp"
 #include "filter/parker.hpp"
 #include "telemetry/metrics.hpp"
@@ -221,8 +222,11 @@ void FilterEngine::apply(ProjectionStack& stack, const Prologue& pre, Extent* ex
     const std::size_t nu = static_cast<std::size_t>(nu_);
     const std::size_t block = 2 * fft::kBatch;
     const float inv_n = static_cast<float>(1.0 / static_cast<double>(n));
-    // A batch's rows are consecutive in the stack, so folding each batch
-    // and merging the parts in batch order is the serial fold (Extent).
+    const simd::VecF dark = simd::splat(beer ? beer->dark : 0.0f);
+    const simd::VecF blank = simd::splat(beer ? beer->blank : 1.0f);
+    // A batch's rows are consecutive in the stack, so folding each row,
+    // merging the rows into their batch's part and the parts in batch
+    // order is the serial fold (Extent).
     const index_t batches = (tasks + batch - 1) / batch;
     scratch::Buffer<Extent> parts(extent ? static_cast<std::size_t>(batches) : 0);
     // One lease for the call: a spectrum and a convolution block per pool
@@ -248,14 +252,26 @@ void FilterEngine::apply(ProjectionStack& stack, const Prologue& pre, Extent* ex
         float* const base = slots + slot * per_slot;
         const std::span<float> spec(base, block * n), conv(base + block * n, block * n);
 
-        // The prologue and the Eq. 2 weighting, packed straight into
-        // bit-reversed blocks.  Padding lanes, missing odd-row partners and
-        // samples past Nu stay zero and are never written back.
+        // The prologue and the Eq. 2 weighting on a vector of texels at a
+        // time (the last nu % kLanes in the element form, the same ops),
+        // scattered straight into bit-reversed blocks.  Padding lanes,
+        // missing odd-row partners and samples past Nu stay zero and are
+        // never written back.
         std::fill(spec.begin(), spec.end(), 0.0f);
         each_row([&](std::size_t lane, std::span<float> row, index_t v, index_t s) {
             const float* w = weights_.data() + v * nu_;
             const float* p = parker ? parker->view(s).data() : nullptr;
-            for (std::size_t i = 0; i < nu; ++i) {
+            std::size_t i = 0;
+            for (; i + simd::kLanes <= nu; i += simd::kLanes) {
+                simd::VecF x = simd::load(&row[i]);
+                if (beer) x = beer_law_lanes(x, dark, blank);
+                if (p) x = x * simd::load(p + i);
+                float out[simd::kLanes];
+                simd::store(out, x * simd::load(w + i));
+                for (std::size_t l = 0; l < simd::kLanes; ++l)
+                    spec[block * plan_->bitrev[i + l] + lane] = out[l];
+            }
+            for (; i < nu; ++i) {
                 float x = row[i];
                 if (beer) x = beer_law_texel(x, beer->dark, beer->blank);
                 if (p) x *= p[i];
@@ -268,10 +284,8 @@ void FilterEngine::apply(ProjectionStack& stack, const Prologue& pre, Extent* ex
         const std::size_t at = block * static_cast<std::size_t>(offset_);
         Extent part;
         each_row([&](std::size_t lane, std::span<float> row, index_t, index_t) {
-            for (std::size_t i = 0; i < nu; ++i) {
-                row[i] = conv[at + block * i + lane] * inv_n;
-                if (extent) part.add(row[i]);
-            }
+            for (std::size_t i = 0; i < nu; ++i) row[i] = conv[at + block * i + lane] * inv_n;
+            if (extent) part.merge(extent_of(row));
         });
         if (extent) parts[static_cast<std::size_t>(b)] = part;
     });

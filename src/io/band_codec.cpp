@@ -15,9 +15,9 @@ namespace {
 // The codec loops run on the worker pool with results bitwise equal to a
 // serial scan at any thread count: quantise and dequantise are
 // element-wise, and the [lo, hi] reduction folds fixed kRangeChunk
-// chunks (independent of the thread count) and merges them in order
-// (Extent), so ties between +0 and -0 and a NaN in src[0] resolve exactly
-// as in one left-to-right pass.
+// chunks (independent of the thread count, each in lanes by extent_of)
+// and merges them in order (Extent), so ties between +0 and -0 and a NaN
+// in src[0] resolve exactly as in one left-to-right pass.
 
 /// Elements per pool chunk of the element-wise loops: a band this short
 /// stays on the calling thread.
@@ -53,10 +53,9 @@ Extent value_range(std::span<const float> src)
     const index_t chunks = static_cast<index_t>((src.size() + kRangeChunk - 1) / kRangeChunk);
     scratch::Buffer<Extent> part(static_cast<std::size_t>(chunks));
     parallel::parallel_for(chunks, 1, [&](index_t c, std::size_t) {
-        const std::size_t end = std::min(src.size(), static_cast<std::size_t>(c + 1) * kRangeChunk);
-        Extent r;
-        for (std::size_t i = static_cast<std::size_t>(c) * kRangeChunk; i < end; ++i) r.add(src[i]);
-        part[static_cast<std::size_t>(c)] = r;
+        const std::size_t begin = static_cast<std::size_t>(c) * kRangeChunk;
+        part[static_cast<std::size_t>(c)] =
+            extent_of(src.subspan(begin, std::min(kRangeChunk, src.size() - begin)));
     });
     Extent r{src[0], src[0]};
     for (const Extent& p : part.span()) r.merge(p);

@@ -123,6 +123,29 @@ TEST(BenchGate, ExactMetricsPinDeterministicValues)
     EXPECT_TRUE(compare(doc(kBaseline), cur, default_rules()).pass);
 }
 
+TEST(BenchGate, LaneWidthIsExactOnlyBetweenLikeTargets)
+{
+    // The same backend at another width is a real drift...
+    Doc cur = doc(kBaseline);
+    cur["backproj"]["simd_lanes"].number = 16.0;
+    EXPECT_FALSE(compare(doc(kBaseline), cur, default_rules()).pass);
+
+    // ...but an AVX-512 run against an AVX2 baseline has 16 lanes by
+    // construction: a note that names both targets, not a failure.
+    cur["backproj"]["simd_backend"].text = "avx512";
+    const GateResult r = compare(doc(kBaseline), cur, default_rules());
+    EXPECT_TRUE(r.pass) << format(r);
+    bool noted = false;
+    for (const Finding& f : r.findings)
+        if (f.metric == "backproj.simd_lanes") {
+            noted = true;
+            EXPECT_FALSE(f.fail);
+            EXPECT_NE(f.message.find("avx2"), std::string::npos) << f.message;
+            EXPECT_NE(f.message.find("avx512"), std::string::npos) << f.message;
+        }
+    EXPECT_TRUE(noted);
+}
+
 TEST(BenchGate, CapIsAbsoluteNotRelative)
 {
     // Baseline overhead 0.4%; tripling it stays under the 2% cap...

@@ -485,6 +485,38 @@ TEST(FilterEngine, PrologueIsBitwiseBeerLawThenParkerThenApply)
     }
 }
 
+TEST(FilterEngine, PrologueIsTheElementFormAtEveryLaneTail)
+{
+    // Widths around the lane counts (4, 8, 16) and the tests' detectors,
+    // from 2, the narrowest detector a geometry accepts: the pack's lanes
+    // and its element tail must both be beer_law_texel, bit for bit, on
+    // counts of 0, negatives, equal to and above blank, NaN and +-inf
+    // (each in a row of its own, as the transform spreads them).
+    const BeerLawScalar cal{10.0f, 50000.0f};
+    const float inf = std::numeric_limits<float>::infinity();
+    const float special[] = {0.0f, -7.0f, cal.blank, 65000.0f,
+                             std::numeric_limits<float>::quiet_NaN(), inf, -inf};
+    for (const index_t nu : {2, 15, 16, 17, 84, 233, 251}) {
+        const CbctGeometry g = oracle_geo(nu, false);
+        const FilterEngine eng(g, Window::SheppLogan);
+        ProjectionStack in = raw_counts(9, Range{1, 6}, nu);
+        for (std::size_t k = 0; k < std::size(special); ++k) {
+            const std::span<float> row =
+                in.row(static_cast<index_t>(k), 1 + static_cast<index_t>(k % 5));
+            for (std::size_t u = k % 2; u < row.size(); u += 3) row[u] = special[k];
+        }
+        ProjectionStack want = in;
+        for (float& c : want.span()) c = beer_law_texel(c, cal.dark, cal.blank);
+        eng.apply(want);
+        for (const int threads : {1, 4}) {
+            testutil::ScopedThreads pin(threads);
+            ProjectionStack got = in;
+            eng.apply(got, Prologue{&cal, nullptr});
+            EXPECT_TRUE(bitwise_equal(got, want)) << "Nu=" << nu << ", " << threads << " threads";
+        }
+    }
+}
+
 TEST(FilterEngine, PrologueChecksRunBeforeTheStackIsTouched)
 {
     const CbctGeometry g = parker_geo(64, true);

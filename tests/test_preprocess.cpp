@@ -2,11 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <vector>
 
+#include "core/parallel.hpp"
 #include "core/preprocess.hpp"
 #include "scoped_threads.hpp"
 
@@ -130,6 +135,97 @@ TEST(BeerLaw, IsBitwiseSerialAtAnyThreadCount)
         EXPECT_EQ(
             std::memcmp(inverse.data(), want_inverse.data(), inverse.size() * sizeof(float)), 0)
             << threads << " threads";
+    }
+}
+
+/// The reference Eq. 1: -std::log of the clamped ratio, so the host
+/// libm's logf.
+float eq1_libm(float c, float dark, float blank)
+{
+    return -std::log(std::max((c - dark) / (blank - dark), 1e-6f));
+}
+
+std::uint32_t bits(float f) { return std::bit_cast<std::uint32_t>(f); }
+
+TEST(BeerLaw, LaneAndElementFormsAreLibmOnEveryCount)
+{
+    // Every 32-bit pattern as a count, with dark 0 and blank 1 so that the
+    // ratio is the count: every positive normal the clamp lets through,
+    // +-0, negatives, subnormals, +-inf and NaNs of both signs.  Both
+    // forms must give -std::log's bits, -0 for a count equal to blank
+    // included.  Sanitized and unoptimised builds sweep every 64th block.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || !defined(__OPTIMIZE__)
+    constexpr index_t kStride = 64;
+#else
+    constexpr index_t kStride = 1;
+#endif
+    constexpr std::size_t kBlock = std::size_t{1} << 16;
+    constexpr index_t kBlocks = index_t{1} << 16;
+    const std::size_t width = parallel::width();
+    std::vector<float> scratch(width * 2 * kBlock);
+    std::atomic<std::uint64_t> lane_bad{0}, element_bad{0};
+    std::atomic<std::uint32_t> example{0};
+    const simd::VecF dark = simd::splat(0.0f), blank = simd::splat(1.0f);
+    parallel::parallel_for(kBlocks / kStride, 1, [&](index_t b, std::size_t slot) {
+        float* const in = scratch.data() + slot * 2 * kBlock;
+        float* const lanes = in + kBlock;
+        const std::uint32_t first = static_cast<std::uint32_t>(b * kStride) << 16;
+        for (std::size_t i = 0; i < kBlock; ++i)
+            in[i] = std::bit_cast<float>(first + static_cast<std::uint32_t>(i));
+        for (std::size_t i = 0; i < kBlock; i += simd::kLanes)
+            simd::store(lanes + i, beer_law_lanes(simd::load(in + i), dark, blank));
+        std::uint64_t lane_miss = 0, element_miss = 0;
+        for (std::size_t i = 0; i < kBlock; ++i) {
+            const std::uint32_t want = bits(eq1_libm(in[i], 0.0f, 1.0f));
+            const bool lane_ok = bits(lanes[i]) == want;
+            const bool element_ok = bits(beer_law_texel(in[i], 0.0f, 1.0f)) == want;
+            lane_miss += lane_ok ? 0 : 1;
+            element_miss += element_ok ? 0 : 1;
+            if (!lane_ok || !element_ok) example = bits(in[i]);
+        }
+        lane_bad += lane_miss;
+        element_bad += element_miss;
+    });
+    EXPECT_EQ(lane_bad.load(), 0u) << "e.g. count bits 0x" << std::hex << example.load();
+    EXPECT_EQ(element_bad.load(), 0u) << "e.g. count bits 0x" << std::hex << example.load();
+    EXPECT_EQ(bits(beer_law_texel(1.0f, 0.0f, 1.0f)), bits(-0.0f));
+}
+
+TEST(BeerLaw, OverloadsAreTheElementFormAtEveryWidth)
+{
+    // Widths around the lane counts (4, 8, 16) and the detector widths of
+    // the tests, three projections each, with the counts Eq. 1 clamps or
+    // propagates: 0, negatives, equal to and above blank, NaN, +-inf.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const BeerLawScalar cal{12.0f, 65000.0f};
+    const float special[] = {0.0f, -5.0f, cal.blank, 70000.0f, nan, -nan, inf, -inf, cal.dark};
+    std::mt19937 rng(11);
+    std::uniform_real_distribution<float> dist(-50.0f, 70000.0f);
+    for (const std::size_t pix : {1, 15, 16, 17, 84, 233, 251}) {
+        std::vector<float> counts(3 * pix), dark(pix), blank(pix);
+        for (float& c : counts) c = dist(rng);
+        for (std::size_t i = 0; i < counts.size(); i += 3) counts[i] = special[(i / 3) % 9];
+        for (std::size_t p = 0; p < pix; ++p) {
+            dark[p] = static_cast<float>(p % 13);
+            blank[p] = p % 5 == 0 ? 65000.0f : 60000.0f + static_cast<float>(p % 97);
+        }
+        std::vector<float> want_scalar(counts.size()), want_pixel(counts.size());
+        for (std::size_t i = 0; i < counts.size(); ++i) {
+            want_scalar[i] = beer_law_texel(counts[i], cal.dark, cal.blank);
+            want_pixel[i] = beer_law_texel(counts[i], dark[i % pix], blank[i % pix]);
+        }
+        for (const int threads : {1, 4}) {
+            ScopedThreads pin(threads);
+            std::vector<float> scalar = counts, pixel = counts;
+            beer_law(scalar, cal);
+            beer_law(pixel, dark, blank);
+            EXPECT_EQ(std::memcmp(scalar.data(), want_scalar.data(), scalar.size() * sizeof(float)),
+                      0)
+                << "width " << pix << ", " << threads << " threads";
+            EXPECT_EQ(std::memcmp(pixel.data(), want_pixel.data(), pixel.size() * sizeof(float)), 0)
+                << "width " << pix << ", " << threads << " threads";
+        }
     }
 }
 

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <random>
 #include <vector>
 
 #include "core/scratch.hpp"
@@ -280,6 +281,40 @@ TEST(Extent, PartsMergedInOrderAreTheSerialFold)
                                                        << a << "/" << b;
             }
     }
+}
+
+TEST(Extent, LaneFoldIsTheSerialFold)
+{
+    // Rows of every length 1..70 (whole vectors, tails, both at every
+    // backend width) drawn from a pool where ties are likely: -0 and +0,
+    // NaNs of both signs, +-inf and a few finite values, plus all-zero
+    // rows of mixed signs.  extent_of is Extent::add from the empty
+    // extent, bit for bit, and so is merging it into {x0, x0}.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const float pool[] = {-0.0f, 0.0f, -0.0f, 0.0f, nan, -nan, inf, -inf, 1.5f, -2.0f, 0.25f};
+    const auto bits = [](float f) { return std::bit_cast<std::uint32_t>(f); };
+    std::mt19937 rng(17);
+    std::uniform_int_distribution<std::size_t> pick(0, std::size(pool) - 1);
+    std::uniform_int_distribution<int> zeros_only(0, 5);
+    for (std::size_t n = 1; n <= 70; ++n)
+        for (int trial = 0; trial < 200; ++trial) {
+            const bool all_zero = zeros_only(rng) == 0;
+            std::vector<float> x(n);
+            for (float& v : x) v = all_zero ? pool[pick(rng) % 4] : pool[pick(rng)];
+            Extent want;
+            for (const float v : x) want.add(v);
+            const Extent got = extent_of(x);
+            ASSERT_EQ(bits(got.lo), bits(want.lo)) << "length " << n << ", trial " << trial;
+            ASSERT_EQ(bits(got.hi), bits(want.hi)) << "length " << n << ", trial " << trial;
+            Extent serial{x[0], x[0]}, merged{x[0], x[0]};
+            for (const float v : x) serial.add(v);
+            merged.merge(got);
+            ASSERT_EQ(bits(merged.lo), bits(serial.lo)) << "length " << n << ", trial " << trial;
+            ASSERT_EQ(bits(merged.hi), bits(serial.hi)) << "length " << n << ", trial " << trial;
+        }
+    EXPECT_EQ(bits(extent_of({}).lo), bits(inf));
+    EXPECT_EQ(bits(extent_of({}).hi), bits(-inf));
 }
 
 }  // namespace

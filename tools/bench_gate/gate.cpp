@@ -22,6 +22,13 @@ std::string describe(const Value& v)
     return v.is_number ? json_number(v.number) : "\"" + v.text + "\"";
 }
 
+/// A section's simd_backend, or "" when it has none.
+std::string backend(const std::map<std::string, Value>& section)
+{
+    const auto it = section.find("simd_backend");
+    return it == section.end() ? "" : it->second.text;
+}
+
 void add(GateResult& r, const std::string& metric, bool fail, std::string message)
 {
     r.findings.push_back(Finding{metric, std::move(message), fail});
@@ -102,7 +109,9 @@ std::vector<Rule> default_rules()
         // Deterministic values: identical code => identical numbers.
         // (simd_backend is deliberately ungated: the dispatch is
         // machine-dependent, and a lost-vectorisation collapse already
-        // fails the updates_per_s and speedup gates.)
+        // fails the updates_per_s and speedup gates.  simd_lanes is exact
+        // only where the section's simd_backend equals the baseline's;
+        // compare() notes it across targets.)
         Rule{"*.warm_heap_events", Class::Exact, 0.0, 0.0},
         Rule{"*.simd_lanes", Class::Exact, 0.0, 0.0},
         Rule{"*.padded_len", Class::Exact, 0.0, 0.0},
@@ -197,6 +206,18 @@ GateResult compare(const Doc& baseline, const Doc& current, const std::vector<Ru
                 add(r, metric, true,
                     "type changed: baseline " + describe(base) + ", current " + describe(*cur));
                 continue;
+            }
+            if (key == "simd_lanes") {
+                // A lane width is a property of the compiled target: an
+                // AVX-512 run has 16 where the scalar baseline has 8.  It
+                // is pinned only between like targets.
+                const std::string was = backend(metrics), now = backend(cur_section->second);
+                if (was != now) {
+                    add(r, metric, false,
+                        "not compared across targets: baseline " + was + " " + describe(base) +
+                            " lanes, current " + now + " " + describe(*cur) + " lanes");
+                    continue;
+                }
             }
             if (rule->cls == Class::Exact) {
                 const bool same = base.is_number ? base.number == cur->number

@@ -7,7 +7,10 @@
 // match wins:
 //
 //   * Exact        — deterministic values (byte counts, lane widths,
-//                    warm_heap_events): any drift fails;
+//                    warm_heap_events): any drift fails.  A lane width
+//                    (simd_lanes) is compared only when its section's
+//                    simd_backend equals the baseline's; across targets
+//                    it is a non-failing finding naming both backends;
 //   * HigherBetter — throughputs and speedups: fail when current <
 //                    baseline * (1 - tolerance);
 //   * LowerBetter  — latencies and runtimes: fail when current >
