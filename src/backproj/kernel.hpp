@@ -19,7 +19,7 @@
 //
 // Performance layer (DESIGN.md §3e): the default backproject_streaming is
 // a column walk with an explicit-SIMD loop over i (core/simd.hpp; 16
-// lanes on AVX-512, 8 on AVX2 and the scalar lanes, 4 on NEON).  Because
+// lanes on AVX-512, 8 on AVX2, 4 on every other target).  Because
 // the detector is parallel to the rotation axis (MatrixPack::z_invariant),
 // each view computes a voxel column's detector column, depth, masks and
 // FDK weight once and walks the slab's z changing only the detector row.

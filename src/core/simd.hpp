@@ -1,38 +1,34 @@
 #pragma once
-// Portable explicit-SIMD wrapper for the hot-path kernels (DESIGN.md §3e).
+// Explicit-SIMD lanes for the hot-path kernels (DESIGN.md §3e).
 //
-// Exposes a fixed-width lane abstraction (VecF / VecI / Mask) with exactly
-// the operations the streaming back-projection inner loop needs: splat,
-// affine index arithmetic (FMA), floor, clamp, lane-wise compares feeding
-// blend masks, lane reads, int conversion, and the two ways to fetch
-// adjacent pairs (both taps of a bilinear interpolation per lane): gathers
-// from flat arrays, and picks out of one kWindow-float window per group of
-// kGroup lanes (group_lo and group_heads read a group's end lanes and its
-// first lane).  A second, double-precision lane type (VecD / MaskD,
-// kLanesD lanes) carries what the analytic phantom projector needs:
-// splat_d, load/store, + - * / and negation, fmadd, sqrt_, cmp_gt, mask &,
-// blend and none.  The FFT's batches of eight run on `batch` lanes: the
-// backend's own VecF, or eight floats where VecF is wider.  Eq. 1 adds a
-// sign-flip negation and log_, glibc's logf algorithm with its table
-// written out once, whose lanes give the scalar log_'s bits.
-// Four backends, chosen at compile time:
+// One lane type, Lanes<T, N>: N lanes of T in one GCC/Clang vector
+// extension value, whose arithmetic, compares, selects, splat, load/store,
+// lane reads and conversions are written once below for any width.  The
+// aliases name what the callers use:
+//   * VecF / VecI / Mask (kLanes lanes): the streaming back-projection's
+//     affine index arithmetic, floor, clamp, compares feeding blend masks,
+//     lane reads, int conversion and the two ways to fetch adjacent pairs
+//     (both taps of a bilinear interpolation per lane): gathers from flat
+//     arrays, and picks out of one kWindow-float window per group of
+//     kGroup lanes (group_lo and group_heads read a group's end lanes and
+//     its first lane).  Eq. 1 adds a sign flip and log_, glibc's logf
+//     algorithm with its table written out once, whose lanes give the
+//     scalar log_'s bits;
+//   * VecD / MaskD (kLanesD lanes): the analytic phantom projector's;
+//   * batch::VecF: the FFT's batches of eight, at most eight floats wide.
+// The widths follow the target ISA and never exceed its registers (GCC
+// lowers a compare or select on a wider vector lane by lane):
+//   * AVX-512F (e.g. -march=x86-64-v4): 16 float lanes, 4 double, batch 8;
+//   * AVX2 (e.g. -march=x86-64-v3): 8, 4 and 8;
+//   * every other target ("generic": x86-64's SSE2, aarch64): one 16-byte
+//     register, so 4, 2 and 4.
+// Target intrinsics remain only where a vector expression cannot say the
+// operation: fmadd's fused form on x86 FMA targets, floor_ at 256 and 512
+// bits, sqrt_ on 256-bit doubles, AVX-512's mask registers, AVX2's
+// movemask for none and all, the pair fetches and the log table reads.
+// Elsewhere per-lane work goes through a std::array.
 //
-//   * AVX-512 (16 float, 4 double lanes) — x86-64 with AVX-512F
-//     (__AVX512F__, e.g. -march=x86-64-v4): VecF / VecI / Mask are
-//     __m512 / __m512i / __mmask16; gather_pair is two 8 x 64-bit gathers,
-//     and window_pair reads a window per group of eight lanes, two 16-float
-//     loads and one two-source permute each.  VecD and the batch lanes are
-//     the AVX2 backend's;
-//   * AVX2 (8 float, 4 double lanes) — __AVX2__ without AVX-512F (e.g.
-//     -march=x86-64-v3): gather_pair is two 32-bit gathers, no windows;
-//   * NEON (4 float, 2 double lanes) — aarch64 (__ARM_NEON);
-//   * scalar fallback (8 float, 4 double lanes) — plain arrays, used when
-//     the XCT_SIMD CMake option is OFF or no vector ISA is available.  The
-//     loops are trivially auto-vectorisable, and — more importantly — the
-//     fallback keeps the *same* rounding behaviour contract, so tests and
-//     sanitizer legs exercise the identical control flow.
-//
-// Semantics contract (what the backends must agree on):
+// Semantics contract:
 //   * all lane operations are IEEE single (VecF) or double (VecD)
 //     precision, one rounding per op, so a lane computes what the same
 //     scalar op computes, bit for bit (fmadd fuses exactly when the target
@@ -40,9 +36,10 @@
 //     rounds alike at any width; the back-projection kernel is still
 //     ULP-bounded, not bitwise, against the scalar Listing-1 loop — see
 //     test_simd).  A caller that must not fuse anything else compiles
-//     with -ffp-contract=off: GCC would contract an intrinsic multiply
-//     into a following add like any other;
-//   * blend(m, a, b) selects a where m is true, b elsewhere;
+//     with -ffp-contract=off: GCC would contract a lane multiply into a
+//     following add like any other;
+//   * blend(m, a, b) selects a where m is true, b elsewhere; min_(a, b) is
+//     a < b ? a : b and max_(a, b) is a > b ? a : b, x86's operand rule;
 //   * gather_pair reads base[idx[lane]] and base[idx[lane] + 1] for every
 //     lane — callers mask/clamp indices BEFORE gathering, out-of-range
 //     lanes are not tolerated;
@@ -65,17 +62,8 @@
 
 #include <cmath>
 
-#if defined(XCT_SIMD_ENABLED) && defined(__AVX512F__)
-#define XCT_SIMD_BACKEND_AVX512 1
+#if defined(__AVX2__)
 #include <immintrin.h>
-#elif defined(XCT_SIMD_ENABLED) && defined(__AVX2__)
-#define XCT_SIMD_BACKEND_AVX2 1
-#include <immintrin.h>
-#elif defined(XCT_SIMD_ENABLED) && defined(__ARM_NEON)
-#define XCT_SIMD_BACKEND_NEON 1
-#include <arm_neon.h>
-#else
-#define XCT_SIMD_BACKEND_SCALAR 1
 #endif
 
 namespace xct::simd {
@@ -141,128 +129,256 @@ inline float log_(float x)
     return static_cast<float>(y);
 }
 
-#if defined(XCT_SIMD_BACKEND_AVX512) || defined(XCT_SIMD_BACKEND_AVX2)
+#if defined(__AVX512F__)
+inline constexpr int kLanes = 16, kLanesD = 4, kBatchLanes = 8;
+inline constexpr const char* backend_name() { return "avx512"; }
+#elif defined(__AVX2__)
+inline constexpr int kLanes = 8, kLanesD = 4, kBatchLanes = 8;
+inline constexpr const char* backend_name() { return "avx2"; }
+#else
+inline constexpr int kLanes = 4, kLanesD = 2, kBatchLanes = 4;
+inline constexpr const char* backend_name() { return "generic"; }
+#endif
 
-/// Eight float lanes in a ymm register: the AVX2 backend's VecF, and the
-/// batch lanes of both x86 backends.
-namespace ymm {
-
-inline constexpr int kLanes = 8;
-
-struct VecF {
-    __m256 v;
+/// N lanes of T in one vector-extension value.  A struct, not the raw
+/// vector: returning a raw 32-byte vector from a function in a TU without
+/// AVX warns (-Wpsabi), a struct holding one does not.
+template <class T, int N>
+struct Lanes {
+    typedef T V __attribute__((vector_size(N * sizeof(T))));
+    V v;
 };
 
-inline VecF splat(float x) { return {_mm256_set1_ps(x)}; }
-inline VecF load(const float* p) { return {_mm256_loadu_ps(p)}; }
-inline void store(float* p, VecF a) { _mm256_storeu_ps(p, a.v); }
+/// A compare's result on Lanes<T, N>: each lane all ones or all zeros.
+template <class T, int N>
+struct LaneMask {
+    using V = decltype(typename Lanes<T, N>::V{} > typename Lanes<T, N>::V{});
+    V m;
+};
 
-inline VecF operator+(VecF a, VecF b) { return {_mm256_add_ps(a.v, b.v)}; }
-inline VecF operator-(VecF a, VecF b) { return {_mm256_sub_ps(a.v, b.v)}; }
-inline VecF operator*(VecF a, VecF b) { return {_mm256_mul_ps(a.v, b.v)}; }
-inline VecF operator/(VecF a, VecF b) { return {_mm256_div_ps(a.v, b.v)}; }
-/// Flips the sign bit, so -(+0) is -0 and a NaN keeps its payload.
-inline VecF operator-(VecF a) { return {_mm256_xor_ps(a.v, _mm256_set1_ps(-0.0f))}; }
+using VecF = Lanes<float, kLanes>;
+using VecI = Lanes<std::int32_t, kLanes>;
+using VecD = Lanes<double, kLanesD>;
+using MaskD = LaneMask<double, kLanesD>;
 
-/// a*b + c (fused when the target has FMA; one extra rounding otherwise).
-inline VecF fmadd(VecF a, VecF b, VecF c)
+/// The lanes f(0), ..., f(N - 1), each written in place (so a splat of -0
+/// stays -0, which an add to a zero vector would not).
+template <class T, int N, class F>
+inline Lanes<T, N> make(F f)
 {
-#if defined(__FMA__)
-    return {_mm256_fmadd_ps(a.v, b.v, c.v)};
+    return [&]<std::size_t... L>(std::index_sequence<L...>) {
+        return Lanes<T, N>{typename Lanes<T, N>::V{f(static_cast<int>(L))...}};
+    }(std::make_index_sequence<N>{});
+}
+
+template <class T, int N>
+inline Lanes<T, N> load_n(const T* p)
+{
+    Lanes<T, N> r;
+    std::memcpy(&r.v, p, sizeof(r.v));
+    return r;
+}
+
+template <class T, int N>
+inline void store(T* p, Lanes<T, N> a)
+{
+    std::memcpy(p, &a.v, sizeof(a.v));
+}
+
+inline VecF splat(float x) { return make<float, kLanes>([x](int) { return x; }); }
+inline VecD splat_d(double x) { return make<double, kLanesD>([x](int) { return x; }); }
+inline VecI splat_i(std::int32_t x) { return make<std::int32_t, kLanes>([x](int) { return x; }); }
+inline VecF iota() { return make<float, kLanes>([](int l) { return static_cast<float>(l); }); }
+inline VecF load(const float* p) { return load_n<float, kLanes>(p); }
+inline VecD load(const double* p) { return load_n<double, kLanesD>(p); }
+inline VecI load_i(const std::int32_t* p) { return load_n<std::int32_t, kLanes>(p); }
+inline void store_i(std::int32_t* p, VecI a) { store(p, a); }
+
+/// f on every lane, through memory.
+template <class T, int N, class F>
+inline Lanes<T, N> each_lane(Lanes<T, N> a, F f)
+{
+    std::array<T, N> x;
+    store(x.data(), a);
+    for (T& e : x) e = f(e);
+    return load_n<T, N>(x.data());
+}
+
+template <class T, int N>
+inline Lanes<T, N> operator+(Lanes<T, N> a, Lanes<T, N> b) { return {a.v + b.v}; }
+template <class T, int N>
+inline Lanes<T, N> operator-(Lanes<T, N> a, Lanes<T, N> b) { return {a.v - b.v}; }
+template <class T, int N>
+inline Lanes<T, N> operator*(Lanes<T, N> a, Lanes<T, N> b) { return {a.v * b.v}; }
+template <class T, int N>
+inline Lanes<T, N> operator/(Lanes<T, N> a, Lanes<T, N> b) { return {a.v / b.v}; }
+/// Flips the sign bit, so -(+0) is -0 and a NaN keeps its payload.
+template <class T, int N>
+inline Lanes<T, N> operator-(Lanes<T, N> a) { return {-a.v}; }
+
+/// a*b + c, fused when the target has FMA; one extra rounding otherwise.
+template <class T, int N>
+inline Lanes<T, N> fmadd(Lanes<T, N> a, Lanes<T, N> b, Lanes<T, N> c)
+{
+#if defined(__FMA__) && defined(__AVX512F__)
+    if constexpr (sizeof(a) == 64 && std::is_same_v<T, float>)
+        return {_mm512_fmadd_ps(a.v, b.v, c.v)};
+    else if constexpr (sizeof(a) == 64)
+        return {_mm512_fmadd_pd(a.v, b.v, c.v)};
+#endif
+#if defined(__FMA__) && defined(__AVX2__)
+    if constexpr (sizeof(a) == 32 && std::is_same_v<T, float>)
+        return {_mm256_fmadd_ps(a.v, b.v, c.v)};
+    else if constexpr (sizeof(a) == 32)
+        return {_mm256_fmadd_pd(a.v, b.v, c.v)};
+#endif
+#if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
+    Lanes<T, N> r;
+    for (int l = 0; l < N; ++l) r.v[l] = std::fma(a.v[l], b.v[l], c.v[l]);
+    return r;
 #else
-    return {_mm256_add_ps(_mm256_mul_ps(a.v, b.v), c.v)};
+    // Where the product and c are both NaN the scalar a*b + c gives the
+    // product's (x86 returns an add's first NaN), and GCC may commute a
+    // vector add: SSE's add with the product first says so in one
+    // instruction, elsewhere a select keeps the product's.
+    typename Lanes<T, N>::V p = a.v * b.v;
+#if defined(__SSE2__) && !defined(__AVX__)
+    if constexpr (sizeof(p) == 16) {
+        if constexpr (std::is_same_v<T, float>)
+            __asm__("addps %1, %0" : "+x"(p) : "x"(c.v));
+        else
+            __asm__("addpd %1, %0" : "+x"(p) : "x"(c.v));
+        return {p};
+    }
+#endif
+    return {p != p ? p : p + c.v};
 #endif
 }
 
-}  // namespace ymm
+template <class T, int N>
+inline Lanes<T, N> floor_(Lanes<T, N> a)
+{
+#if defined(__AVX512F__)
+    if constexpr (sizeof(a) == 64)
+        return {_mm512_maskz_roundscale_ps(0xFFFF, a.v, _MM_FROUND_FLOOR)};
+#endif
+#if defined(__AVX2__)
+    if constexpr (sizeof(a) == 32) return {_mm256_floor_ps(a.v)};
+#endif
+    return each_lane(a, [](T x) { return std::floor(x); });
+}
+
+template <class T, int N>
+inline Lanes<T, N> sqrt_(Lanes<T, N> a)
+{
+#if defined(__AVX2__)
+    if constexpr (sizeof(a) == 32 && std::is_same_v<T, double>) return {_mm256_sqrt_pd(a.v)};
+#endif
+    return each_lane(a, [](T x) { return std::sqrt(x); });
+}
+
+template <class T, int N>
+inline Lanes<T, N> min_(Lanes<T, N> a, Lanes<T, N> b) { return {a.v < b.v ? a.v : b.v}; }
+template <class T, int N>
+inline Lanes<T, N> max_(Lanes<T, N> a, Lanes<T, N> b) { return {a.v > b.v ? a.v : b.v}; }
+/// Clamp every lane to [lo, hi].
+template <class T, int N>
+inline Lanes<T, N> clamp(Lanes<T, N> a, Lanes<T, N> lo, Lanes<T, N> hi)
+{
+    return min_(max_(a, lo), hi);
+}
+
+template <class T, int N>
+inline LaneMask<T, N> cmp_gt(Lanes<T, N> a, Lanes<T, N> b) { return {a.v > b.v}; }
+template <class T, int N>
+inline LaneMask<T, N> cmp_ge(Lanes<T, N> a, Lanes<T, N> b) { return {a.v >= b.v}; }
+template <class T, int N>
+inline LaneMask<T, N> cmp_le(Lanes<T, N> a, Lanes<T, N> b) { return {a.v <= b.v}; }
+template <class T, int N>
+inline LaneMask<T, N> operator&(LaneMask<T, N> a, LaneMask<T, N> b) { return {a.m & b.m}; }
+template <class T, int N>
+inline Lanes<T, N> blend(LaneMask<T, N> m, Lanes<T, N> a, Lanes<T, N> b)
+{
+    return {m.m ? a.v : b.v};
+}
+
+/// The mask's 64-bit words folded with | (every = false) or & (true).
+template <class T, int N>
+inline std::uint64_t fold_words(LaneMask<T, N> m, bool every)
+{
+    std::array<std::uint64_t, sizeof(m) / 8> w;
+    std::memcpy(w.data(), &m, sizeof(m));
+    std::uint64_t r = every ? ~std::uint64_t{0} : 0;
+    for (const std::uint64_t x : w) r = every ? r & x : r | x;
+    return r;
+}
+
+template <class T, int N>
+inline bool none(LaneMask<T, N> m)
+{
+#if defined(__AVX2__)
+    if constexpr (sizeof(m) == 32 && sizeof(T) == 4) return _mm256_movemask_ps((__m256)m.m) == 0;
+    else if constexpr (sizeof(m) == 32) return _mm256_movemask_pd((__m256d)m.m) == 0;
+#endif
+    return fold_words(m, false) == 0;
+}
+
+template <class T, int N>
+inline bool all(LaneMask<T, N> m)
+{
+#if defined(__AVX2__)
+    if constexpr (sizeof(m) == 32 && sizeof(T) == 4) return _mm256_movemask_ps((__m256)m.m) == 0xFF;
+    else if constexpr (sizeof(m) == 32) return _mm256_movemask_pd((__m256d)m.m) == 0xF;
+#endif
+    return fold_words(m, true) == ~std::uint64_t{0};
+}
+
+template <int L, class T, int N>
+    requires(L >= 0 && L < N)
+inline T lane(Lanes<T, N> a)
+{
+    return a.v[L];
+}
+
+/// Truncating float->int32 conversion (callers floor first).
+template <int N>
+inline Lanes<std::int32_t, N> to_int(Lanes<float, N> a)
+{
+    return {__builtin_convertvector(a.v, typename Lanes<std::int32_t, N>::V)};
+}
 
 /// Lanes for fixed batches of eight floats (the FFT's kBatch, sized for
-/// L1): one ymm on both x86 backends.
-namespace batch = ymm;
+/// L1): at most eight wide, so a batch is a whole number of vectors.
+namespace batch {
+inline constexpr int kLanes = kBatchLanes;
+using VecF = Lanes<float, kLanes>;
+inline VecF splat(float x) { return make<float, kLanes>([x](int) { return x; }); }
+inline VecF load(const float* p) { return load_n<float, kLanes>(p); }
+using simd::fmadd;
+using simd::store;
+}  // namespace batch
 
-inline constexpr int kLanesD = 4;
-
-struct VecD {
-    __m256d v;
-};
-struct MaskD {
-    __m256d m;
-};
-
-inline VecD splat_d(double x) { return {_mm256_set1_pd(x)}; }
-inline VecD load(const double* p) { return {_mm256_loadu_pd(p)}; }
-inline void store(double* p, VecD a) { _mm256_storeu_pd(p, a.v); }
-
-inline VecD operator+(VecD a, VecD b) { return {_mm256_add_pd(a.v, b.v)}; }
-inline VecD operator-(VecD a, VecD b) { return {_mm256_sub_pd(a.v, b.v)}; }
-inline VecD operator-(VecD a) { return {_mm256_xor_pd(a.v, _mm256_set1_pd(-0.0))}; }
-inline VecD operator*(VecD a, VecD b) { return {_mm256_mul_pd(a.v, b.v)}; }
-inline VecD operator/(VecD a, VecD b) { return {_mm256_div_pd(a.v, b.v)}; }
-inline VecD fmadd(VecD a, VecD b, VecD c)
-{
-#if defined(__FMA__)
-    return {_mm256_fmadd_pd(a.v, b.v, c.v)};
-#else
-    return {_mm256_add_pd(_mm256_mul_pd(a.v, b.v), c.v)};
-#endif
-}
-inline VecD sqrt_(VecD a) { return {_mm256_sqrt_pd(a.v)}; }
-
-inline MaskD cmp_gt(VecD a, VecD b) { return {_mm256_cmp_pd(a.v, b.v, _CMP_GT_OQ)}; }
-inline MaskD operator&(MaskD a, MaskD b) { return {_mm256_and_pd(a.m, b.m)}; }
-inline bool none(MaskD m) { return _mm256_movemask_pd(m.m) == 0; }
-inline VecD blend(MaskD m, VecD a, VecD b) { return {_mm256_blendv_pd(b.v, a.v, m.m)}; }
-
-#endif
-
-#if defined(XCT_SIMD_BACKEND_AVX512)
+#if defined(__AVX512F__)
 
 // Where the plain intrinsic passes an undefined vector through its write
 // mask, the all-lanes masked form stands in: the same instruction, without
 // the pass-through GCC 12 warns about (-Wmaybe-uninitialized).
 
-inline constexpr int kLanes = 16;
-inline constexpr const char* backend_name() { return "avx512"; }
-
-struct VecF {
-    __m512 v;
-};
-struct VecI {
-    __m512i v;
-};
+/// The float lanes' compares write a mask register, a bit per lane.
 struct Mask {
     __mmask16 m;
 };
 
-inline VecF splat(float x) { return {_mm512_set1_ps(x)}; }
-inline VecF iota()
-{
-    return {_mm512_setr_ps(0.0f, 1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f, 7.0f, 8.0f, 9.0f, 10.0f,
-                           11.0f, 12.0f, 13.0f, 14.0f, 15.0f)};
-}
-inline VecF load(const float* p) { return {_mm512_loadu_ps(p)}; }
-inline void store(float* p, VecF a) { _mm512_storeu_ps(p, a.v); }
-
-inline VecF operator+(VecF a, VecF b) { return {_mm512_add_ps(a.v, b.v)}; }
-inline VecF operator-(VecF a, VecF b) { return {_mm512_sub_ps(a.v, b.v)}; }
-inline VecF operator*(VecF a, VecF b) { return {_mm512_mul_ps(a.v, b.v)}; }
-inline VecF operator/(VecF a, VecF b) { return {_mm512_div_ps(a.v, b.v)}; }
-/// Flips the sign bit, so -(+0) is -0 and a NaN keeps its payload.
-inline VecF operator-(VecF a)
-{
-    return {_mm512_castsi512_ps(
-        _mm512_xor_si512(_mm512_castps_si512(a.v), _mm512_set1_epi32(INT32_MIN)))};
-}
-
-/// a*b + c (fused when the target has FMA; one extra rounding otherwise).
-inline VecF fmadd(VecF a, VecF b, VecF c)
-{
-#if defined(__FMA__)
-    return {_mm512_fmadd_ps(a.v, b.v, c.v)};
-#else
-    return {_mm512_add_ps(_mm512_mul_ps(a.v, b.v), c.v)};
-#endif
-}
+inline Mask cmp_gt(VecF a, VecF b) { return {_mm512_cmp_ps_mask(a.v, b.v, _CMP_GT_OQ)}; }
+inline Mask cmp_ge(VecF a, VecF b) { return {_mm512_cmp_ps_mask(a.v, b.v, _CMP_GE_OQ)}; }
+inline Mask cmp_le(VecF a, VecF b) { return {_mm512_cmp_ps_mask(a.v, b.v, _CMP_LE_OQ)}; }
+inline Mask operator&(Mask a, Mask b) { return {_mm512_kand(a.m, b.m)}; }
+inline bool none(Mask m) { return m.m == 0; }
+/// Expected to hold, as at the kernel's window tests and log_'s table path:
+/// at GCC 12's default estimate the register allocator spills two vectors
+/// inside the kernel's window path, fdk-tomo29's hot path.
+inline bool all(Mask m) { return __builtin_expect(m.m == 0xFFFF, 1); }
+inline VecF blend(Mask m, VecF a, VecF b) { return {_mm512_mask_blend_ps(m.m, b.v, a.v)}; }
 
 /// log_ on lanes that all hold positive normals: the table algorithm on
 /// two halves of eight doubles, each table read one two-source permute of
@@ -280,25 +396,19 @@ inline VecF log_lanes(VecF x)
         ix, _mm512_and_si512(tmp, _mm512_set1_epi32(static_cast<std::int32_t>(d::kSignExponent))));
     const __m512d invc_lo = _mm512_loadu_pd(d::kInvc), invc_hi = _mm512_loadu_pd(d::kInvc + 8);
     const __m512d logc_lo = _mm512_loadu_pd(d::kLogc), logc_hi = _mm512_loadu_pd(d::kLogc + 8);
-    const auto fmadd_pd = [](__m512d a, __m512d b, __m512d c) {
-#if defined(__FMA__)
-        return _mm512_fmadd_pd(a, b, c);
-#else
-        return _mm512_add_pd(_mm512_mul_pd(a, b), c);
-#endif
-    };
+    using D8 = Lanes<double, 8>;
+    const auto c = [](double v) { return make<double, 8>([v](int) { return v; }); };
     const auto half = [&](__m256i ih, __m256i kh, __m256i zh) {
         const __m512i at = _mm512_maskz_cvtepi32_epi64(0xFF, ih);
-        const __m512d r =
-            fmadd_pd(_mm512_maskz_cvtps_pd(0xFF, _mm256_castsi256_ps(zh)),
-                     _mm512_permutex2var_pd(invc_lo, at, invc_hi), _mm512_set1_pd(-1.0));
-        const __m512d y0 = fmadd_pd(_mm512_maskz_cvtepi32_pd(0xFF, kh), _mm512_set1_pd(d::kLn2),
-                                    _mm512_permutex2var_pd(logc_lo, at, logc_hi));
-        const __m512d r2 = _mm512_mul_pd(r, r);
-        __m512d y = fmadd_pd(_mm512_set1_pd(d::kA1), r, _mm512_set1_pd(d::kA2));
-        y = fmadd_pd(_mm512_set1_pd(d::kA0), r2, y);
-        y = fmadd_pd(y, r2, _mm512_add_pd(y0, r));
-        return _mm256_castps_pd(_mm512_maskz_cvtpd_ps(0xFF, y));
+        const D8 r = fmadd(D8{_mm512_maskz_cvtps_pd(0xFF, _mm256_castsi256_ps(zh))},
+                           D8{_mm512_permutex2var_pd(invc_lo, at, invc_hi)}, c(-1.0));
+        const D8 y0 = fmadd(D8{_mm512_maskz_cvtepi32_pd(0xFF, kh)}, c(d::kLn2),
+                            D8{_mm512_permutex2var_pd(logc_lo, at, logc_hi)});
+        const D8 r2 = r * r;
+        D8 y = fmadd(c(d::kA1), r, c(d::kA2));
+        y = fmadd(c(d::kA0), r2, y);
+        y = fmadd(y, r2, y0 + r);
+        return _mm256_castps_pd(_mm512_maskz_cvtpd_ps(0xFF, y.v));
     };
     const __m256d lo = half(_mm512_maskz_extracti64x4_epi64(0xF, i, 0),
                             _mm512_maskz_extracti64x4_epi64(0xF, k, 0),
@@ -309,34 +419,6 @@ inline VecF log_lanes(VecF x)
     return {_mm512_castpd_ps(_mm512_maskz_insertf64x4(0xFF, _mm512_castpd256_pd512(lo), hi, 1))};
 }
 
-inline VecF floor_(VecF a) { return {_mm512_maskz_roundscale_ps(0xFFFF, a.v, _MM_FROUND_FLOOR)}; }
-inline VecF min_(VecF a, VecF b) { return {_mm512_maskz_min_ps(0xFFFF, a.v, b.v)}; }
-inline VecF max_(VecF a, VecF b) { return {_mm512_maskz_max_ps(0xFFFF, a.v, b.v)}; }
-
-inline Mask cmp_gt(VecF a, VecF b) { return {_mm512_cmp_ps_mask(a.v, b.v, _CMP_GT_OQ)}; }
-inline Mask cmp_ge(VecF a, VecF b) { return {_mm512_cmp_ps_mask(a.v, b.v, _CMP_GE_OQ)}; }
-inline Mask cmp_le(VecF a, VecF b) { return {_mm512_cmp_ps_mask(a.v, b.v, _CMP_LE_OQ)}; }
-inline Mask operator&(Mask a, Mask b) { return {_mm512_kand(a.m, b.m)}; }
-inline bool none(Mask m) { return m.m == 0; }
-inline VecF blend(Mask m, VecF a, VecF b) { return {_mm512_mask_blend_ps(m.m, b.v, a.v)}; }
-
-inline bool all(Mask m) { return m.m == 0xFFFF; }
-template <int L>
-    requires(L >= 0 && L < kLanes)
-inline float lane(VecF a)
-{
-    if constexpr (L == 0) return _mm512_cvtss_f32(a.v);
-    const __m128 quarter = _mm512_maskz_extractf32x4_ps(0xF, a.v, L / 4);
-    return _mm_cvtss_f32(_mm_permute_ps(quarter, L % 4));
-}
-
-/// Truncating float->int32 conversion (callers floor first).
-inline VecI to_int(VecF a) { return {_mm512_maskz_cvttps_epi32(0xFFFF, a.v)}; }
-inline VecI splat_i(std::int32_t x) { return {_mm512_set1_epi32(x)}; }
-inline VecI operator+(VecI a, VecI b) { return {_mm512_add_epi32(a.v, b.v)}; }
-inline VecI load_i(const std::int32_t* p) { return {_mm512_loadu_si512(p)}; }
-inline void store_i(std::int32_t* p, VecI a) { _mm512_storeu_si512(p, a.v); }
-
 /// {base[idx], base[idx + 1]} per lane, for T = float or std::int32_t.
 template <typename T>
     requires std::is_same_v<T, float> || std::is_same_v<T, std::int32_t>
@@ -345,20 +427,19 @@ inline auto gather_pair(const T* base, VecI idx)
     // One unaligned 64-bit element per lane, eight lanes per gather; its
     // low half is base[idx] (x86 is little-endian), and two two-source
     // permutes collect the low and the high halves of both gathers.
+    const __m512i at = (__m512i)idx.v;
     const __m512i q0 = _mm512_mask_i32gather_epi64(
-        _mm512_setzero_si512(), 0xFF, _mm512_maskz_extracti64x4_epi64(0xF, idx.v, 0), base, 4);
+        _mm512_setzero_si512(), 0xFF, _mm512_maskz_extracti64x4_epi64(0xF, at, 0), base, 4);
     const __m512i q1 = _mm512_mask_i32gather_epi64(
-        _mm512_setzero_si512(), 0xFF, _mm512_maskz_extracti64x4_epi64(0xF, idx.v, 1), base, 4);
+        _mm512_setzero_si512(), 0xFF, _mm512_maskz_extracti64x4_epi64(0xF, at, 1), base, 4);
     const __m512i even =
         _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
     const __m512i odd =
         _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31);
     const __m512i lo = _mm512_permutex2var_epi32(q0, even, q1);
     const __m512i hi = _mm512_permutex2var_epi32(q0, odd, q1);
-    if constexpr (std::is_same_v<T, float>)
-        return std::pair{VecF{_mm512_castsi512_ps(lo)}, VecF{_mm512_castsi512_ps(hi)}};
-    else
-        return std::pair{VecI{lo}, VecI{hi}};
+    using L = Lanes<T, kLanes>;
+    return std::pair{L{(typename L::V)lo}, L{(typename L::V)hi}};
 }
 
 /// Lanes per window group (window_pair reads one window per group), and
@@ -368,13 +449,16 @@ inline constexpr int kGroups = kLanes / kGroup;
 inline constexpr bool kWindowLoads = true;
 
 /// Per window group, the lower of its first and last lane, in each of its
-/// lanes; and lane 0 of every group.
+/// lanes; and lane 0 of every group.  The shuffles are vector expressions,
+/// not permute intrinsics: GCC does not sink a target builtin (it may
+/// throw), so the kernel would pay for them outside its window branch too.
 inline VecF group_lo(VecF a)
 {
-    const __m512i first = _mm512_setr_epi32(0, 0, 0, 0, 0, 0, 0, 0, 8, 8, 8, 8, 8, 8, 8, 8);
-    const __m512i last = _mm512_setr_epi32(7, 7, 7, 7, 7, 7, 7, 7, 15, 15, 15, 15, 15, 15, 15, 15);
-    return min_(VecF{_mm512_maskz_permutexvar_ps(0xFFFF, first, a.v)},
-                VecF{_mm512_maskz_permutexvar_ps(0xFFFF, last, a.v)});
+    const VecF first{__builtin_shufflevector(a.v, a.v, 0, 0, 0, 0, 0, 0, 0, 0, 8, 8, 8, 8, 8, 8,
+                                             8, 8)};
+    const VecF last{__builtin_shufflevector(a.v, a.v, 7, 7, 7, 7, 7, 7, 7, 7, 15, 15, 15, 15, 15,
+                                            15, 15, 15)};
+    return min_(first, last);
 }
 inline std::array<float, kGroups> group_heads(VecF a) { return {lane<0>(a), lane<8>(a)}; }
 
@@ -385,9 +469,11 @@ inline std::array<float, kGroups> group_heads(VecF a) { return {lane<0>(a), lane
 inline std::pair<VecF, VecF> window_pair(const std::array<const float*, kGroups>& w,
                                          VecI idx)
 {
-    const __m512i next = _mm512_add_epi32(idx.v, _mm512_set1_epi32(1));
-    const __m512i pick0 = _mm512_maskz_shuffle_i32x4(0xFFFF, idx.v, next, 0x44);
-    const __m512i pick1 = _mm512_maskz_shuffle_i32x4(0xFFFF, idx.v, next, 0xEE);
+    const VecI next = idx + splat_i(1);
+    const __m512i at = (__m512i)idx.v;
+    const __m512i at1 = (__m512i)next.v;
+    const __m512i pick0 = _mm512_maskz_shuffle_i32x4(0xFFFF, at, at1, 0x44);
+    const __m512i pick1 = _mm512_maskz_shuffle_i32x4(0xFFFF, at, at1, 0xEE);
     const __m512 p0 =
         _mm512_permutex2var_ps(_mm512_loadu_ps(w[0]), pick0, _mm512_loadu_ps(w[0] + 16));
     const __m512 p1 =
@@ -396,63 +482,11 @@ inline std::pair<VecF, VecF> window_pair(const std::array<const float*, kGroups>
             VecF{_mm512_maskz_shuffle_f32x4(0xFFFF, p0, p1, 0xEE)}};
 }
 
-#elif defined(XCT_SIMD_BACKEND_AVX2)
+#else
 
-using ymm::fmadd;
-using ymm::kLanes;
-using ymm::load;
-using ymm::splat;
-using ymm::store;
-using ymm::VecF;
-inline constexpr const char* backend_name() { return "avx2"; }
+using Mask = LaneMask<float, kLanes>;
 
-struct VecI {
-    __m256i v;
-};
-struct Mask {
-    __m256 m;
-};
-
-inline VecF iota()
-{
-    return {_mm256_setr_ps(0.0f, 1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f, 7.0f)};
-}
-
-inline VecF floor_(VecF a) { return {_mm256_floor_ps(a.v)}; }
-inline VecF min_(VecF a, VecF b) { return {_mm256_min_ps(a.v, b.v)}; }
-inline VecF max_(VecF a, VecF b) { return {_mm256_max_ps(a.v, b.v)}; }
-
-inline Mask cmp_gt(VecF a, VecF b) { return {_mm256_cmp_ps(a.v, b.v, _CMP_GT_OQ)}; }
-inline Mask cmp_ge(VecF a, VecF b) { return {_mm256_cmp_ps(a.v, b.v, _CMP_GE_OQ)}; }
-inline Mask cmp_le(VecF a, VecF b) { return {_mm256_cmp_ps(a.v, b.v, _CMP_LE_OQ)}; }
-inline Mask operator&(Mask a, Mask b) { return {_mm256_and_ps(a.m, b.m)}; }
-inline bool none(Mask m) { return _mm256_movemask_ps(m.m) == 0; }
-inline VecF blend(Mask m, VecF a, VecF b) { return {_mm256_blendv_ps(b.v, a.v, m.m)}; }
-
-inline bool all(Mask m) { return _mm256_movemask_ps(m.m) == 0xFF; }
-template <int L>
-    requires(L >= 0 && L < kLanes)
-inline float lane(VecF a)
-{
-    const __m128 half = L < 4 ? _mm256_castps256_ps128(a.v) : _mm256_extractf128_ps(a.v, 1);
-    return _mm_cvtss_f32(_mm_permute_ps(half, L % 4));
-}
-
-/// Truncating float->int32 conversion (callers floor first).
-inline VecI to_int(VecF a) { return {_mm256_cvttps_epi32(a.v)}; }
-inline VecI splat_i(std::int32_t x) { return {_mm256_set1_epi32(x)}; }
-inline VecI operator+(VecI a, VecI b) { return {_mm256_add_epi32(a.v, b.v)}; }
-inline VecI load_i(const std::int32_t* p)
-{
-    return {_mm256_setr_epi32(p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7])};
-}
-inline void store_i(std::int32_t* p, VecI a)
-{
-    // Bit-preserving spill through the float view (no pointer punning).
-    float tmp[kLanes];
-    _mm256_storeu_ps(tmp, _mm256_castsi256_ps(a.v));
-    std::memcpy(p, tmp, sizeof(tmp));
-}
+#if defined(__AVX2__)
 
 /// log_ on lanes that all hold positive normals: the table algorithm on
 /// two halves of four doubles, each table read one gather.
@@ -494,391 +528,33 @@ template <typename T>
 inline auto gather_pair(const T* base, VecI idx)
 {
     const auto* b = static_cast<const int*>(static_cast<const void*>(base));
-    const __m256i lo = _mm256_i32gather_epi32(b, idx.v, 4);
-    const __m256i hi = _mm256_i32gather_epi32(b + 1, idx.v, 4);
-    if constexpr (std::is_same_v<T, float>)
-        return std::pair{VecF{_mm256_castsi256_ps(lo)}, VecF{_mm256_castsi256_ps(hi)}};
-    else
-        return std::pair{VecI{lo}, VecI{hi}};
+    const __m256i at = (__m256i)idx.v;
+    const __m256i lo = _mm256_i32gather_epi32(b, at, 4);
+    const __m256i hi = _mm256_i32gather_epi32(b + 1, at, 4);
+    using L = Lanes<T, kLanes>;
+    return std::pair{L{(typename L::V)lo}, L{(typename L::V)hi}};
 }
 
-#elif defined(XCT_SIMD_BACKEND_NEON)
+#else
 
-inline constexpr int kLanes = 4;
-inline constexpr const char* backend_name() { return "neon"; }
-
-struct VecF {
-    float32x4_t v;
-};
-struct VecI {
-    int32x4_t v;
-};
-struct Mask {
-    uint32x4_t m;
-};
-
-inline VecF splat(float x) { return {vdupq_n_f32(x)}; }
-inline VecF iota()
-{
-    const float lanes[4] = {0.0f, 1.0f, 2.0f, 3.0f};
-    return {vld1q_f32(lanes)};
-}
-inline VecF load(const float* p) { return {vld1q_f32(p)}; }
-inline void store(float* p, VecF a) { vst1q_f32(p, a.v); }
-
-inline VecF operator+(VecF a, VecF b) { return {vaddq_f32(a.v, b.v)}; }
-inline VecF operator-(VecF a, VecF b) { return {vsubq_f32(a.v, b.v)}; }
-inline VecF operator*(VecF a, VecF b) { return {vmulq_f32(a.v, b.v)}; }
-inline VecF operator/(VecF a, VecF b) { return {vdivq_f32(a.v, b.v)}; }
-inline VecF operator-(VecF a) { return {vnegq_f32(a.v)}; }
-
-inline VecF fmadd(VecF a, VecF b, VecF c) { return {vfmaq_f32(c.v, a.v, b.v)}; }
-
-inline VecF floor_(VecF a) { return {vrndmq_f32(a.v)}; }
-inline VecF min_(VecF a, VecF b) { return {vminq_f32(a.v, b.v)}; }
-inline VecF max_(VecF a, VecF b) { return {vmaxq_f32(a.v, b.v)}; }
-
-inline Mask cmp_gt(VecF a, VecF b) { return {vcgtq_f32(a.v, b.v)}; }
-inline Mask cmp_ge(VecF a, VecF b) { return {vcgeq_f32(a.v, b.v)}; }
-inline Mask cmp_le(VecF a, VecF b) { return {vcleq_f32(a.v, b.v)}; }
-inline Mask operator&(Mask a, Mask b) { return {vandq_u32(a.m, b.m)}; }
-inline bool none(Mask m) { return vmaxvq_u32(m.m) == 0; }
-inline VecF blend(Mask m, VecF a, VecF b) { return {vbslq_f32(m.m, a.v, b.v)}; }
-inline bool all(Mask m) { return vminvq_u32(m.m) != 0; }
-template <int L>
-    requires(L >= 0 && L < kLanes)
-inline float lane(VecF a) { return vgetq_lane_f32(a.v, L); }
-
-inline VecI to_int(VecF a) { return {vcvtq_s32_f32(a.v)}; }
-inline VecI splat_i(std::int32_t x) { return {vdupq_n_s32(x)}; }
-inline VecI operator+(VecI a, VecI b) { return {vaddq_s32(a.v, b.v)}; }
-inline VecI load_i(const std::int32_t* p) { return {vld1q_s32(p)}; }
-inline void store_i(std::int32_t* p, VecI a) { vst1q_s32(p, a.v); }
-
-inline constexpr int kLanesD = 2;
-
-struct VecD {
-    float64x2_t v;
-};
-struct MaskD {
-    uint64x2_t m;
-};
-
-inline VecD splat_d(double x) { return {vdupq_n_f64(x)}; }
-inline VecD load(const double* p) { return {vld1q_f64(p)}; }
-inline void store(double* p, VecD a) { vst1q_f64(p, a.v); }
-
-inline VecD operator+(VecD a, VecD b) { return {vaddq_f64(a.v, b.v)}; }
-inline VecD operator-(VecD a, VecD b) { return {vsubq_f64(a.v, b.v)}; }
-inline VecD operator-(VecD a) { return {vnegq_f64(a.v)}; }
-inline VecD operator*(VecD a, VecD b) { return {vmulq_f64(a.v, b.v)}; }
-inline VecD operator/(VecD a, VecD b) { return {vdivq_f64(a.v, b.v)}; }
-inline VecD fmadd(VecD a, VecD b, VecD c) { return {vfmaq_f64(c.v, a.v, b.v)}; }
-inline VecD sqrt_(VecD a) { return {vsqrtq_f64(a.v)}; }
-
-inline MaskD cmp_gt(VecD a, VecD b) { return {vcgtq_f64(a.v, b.v)}; }
-inline MaskD operator&(MaskD a, MaskD b) { return {vandq_u64(a.m, b.m)}; }
-inline bool none(MaskD m) { return vmaxvq_u32(vreinterpretq_u32_u64(m.m)) == 0; }
-inline VecD blend(MaskD m, VecD a, VecD b) { return {vbslq_f64(m.m, a.v, b.v)}; }
-
-#else  // scalar fallback
-
-inline constexpr int kLanes = 8;
-inline constexpr const char* backend_name() { return "scalar"; }
-
-struct VecF {
-    float v[kLanes];
-};
-struct VecI {
-    std::int32_t v[kLanes];
-};
-struct Mask {
-    bool m[kLanes];
-};
-
-inline VecF splat(float x)
-{
-    VecF r;
-    for (int l = 0; l < kLanes; ++l) r.v[l] = x;
-    return r;
-}
-inline VecF iota()
-{
-    VecF r;
-    for (int l = 0; l < kLanes; ++l) r.v[l] = static_cast<float>(l);
-    return r;
-}
-inline VecF load(const float* p)
-{
-    VecF r;
-    for (int l = 0; l < kLanes; ++l) r.v[l] = p[l];
-    return r;
-}
-inline void store(float* p, VecF a)
-{
-    for (int l = 0; l < kLanes; ++l) p[l] = a.v[l];
-}
-
-inline VecF operator+(VecF a, VecF b)
-{
-    VecF r;
-    for (int l = 0; l < kLanes; ++l) r.v[l] = a.v[l] + b.v[l];
-    return r;
-}
-inline VecF operator-(VecF a, VecF b)
-{
-    VecF r;
-    for (int l = 0; l < kLanes; ++l) r.v[l] = a.v[l] - b.v[l];
-    return r;
-}
-inline VecF operator*(VecF a, VecF b)
-{
-    VecF r;
-    for (int l = 0; l < kLanes; ++l) r.v[l] = a.v[l] * b.v[l];
-    return r;
-}
-inline VecF operator/(VecF a, VecF b)
-{
-    VecF r;
-    for (int l = 0; l < kLanes; ++l) r.v[l] = a.v[l] / b.v[l];
-    return r;
-}
-inline VecF operator-(VecF a)
-{
-    VecF r;
-    for (int l = 0; l < kLanes; ++l) r.v[l] = -a.v[l];
-    return r;
-}
-
-inline VecF fmadd(VecF a, VecF b, VecF c)
-{
-    VecF r;
-    for (int l = 0; l < kLanes; ++l) r.v[l] = fmadd(a.v[l], b.v[l], c.v[l]);
-    return r;
-}
-
-inline VecF floor_(VecF a)
-{
-    VecF r;
-    for (int l = 0; l < kLanes; ++l) r.v[l] = std::floor(a.v[l]);
-    return r;
-}
-inline VecF min_(VecF a, VecF b)
-{
-    VecF r;
-    for (int l = 0; l < kLanes; ++l) r.v[l] = a.v[l] < b.v[l] ? a.v[l] : b.v[l];
-    return r;
-}
-inline VecF max_(VecF a, VecF b)
-{
-    VecF r;
-    for (int l = 0; l < kLanes; ++l) r.v[l] = a.v[l] > b.v[l] ? a.v[l] : b.v[l];
-    return r;
-}
-
-inline Mask cmp_gt(VecF a, VecF b)
-{
-    Mask r;
-    for (int l = 0; l < kLanes; ++l) r.m[l] = a.v[l] > b.v[l];
-    return r;
-}
-inline Mask cmp_ge(VecF a, VecF b)
-{
-    Mask r;
-    for (int l = 0; l < kLanes; ++l) r.m[l] = a.v[l] >= b.v[l];
-    return r;
-}
-inline Mask cmp_le(VecF a, VecF b)
-{
-    Mask r;
-    for (int l = 0; l < kLanes; ++l) r.m[l] = a.v[l] <= b.v[l];
-    return r;
-}
-inline Mask operator&(Mask a, Mask b)
-{
-    Mask r;
-    for (int l = 0; l < kLanes; ++l) r.m[l] = a.m[l] && b.m[l];
-    return r;
-}
-inline bool none(Mask m)
-{
-    for (int l = 0; l < kLanes; ++l)
-        if (m.m[l]) return false;
-    return true;
-}
-inline VecF blend(Mask m, VecF a, VecF b)
-{
-    VecF r;
-    for (int l = 0; l < kLanes; ++l) r.v[l] = m.m[l] ? a.v[l] : b.v[l];
-    return r;
-}
-inline bool all(Mask m)
-{
-    for (int l = 0; l < kLanes; ++l)
-        if (!m.m[l]) return false;
-    return true;
-}
-template <int L>
-    requires(L >= 0 && L < kLanes)
-inline float lane(VecF a) { return a.v[L]; }
-
-inline VecI to_int(VecF a)
-{
-    VecI r;
-    for (int l = 0; l < kLanes; ++l) r.v[l] = static_cast<std::int32_t>(a.v[l]);
-    return r;
-}
-inline VecI splat_i(std::int32_t x)
-{
-    VecI r;
-    for (int l = 0; l < kLanes; ++l) r.v[l] = x;
-    return r;
-}
-inline VecI operator+(VecI a, VecI b)
-{
-    VecI r;
-    for (int l = 0; l < kLanes; ++l) r.v[l] = a.v[l] + b.v[l];
-    return r;
-}
-inline VecI load_i(const std::int32_t* p)
-{
-    VecI r;
-    for (int l = 0; l < kLanes; ++l) r.v[l] = p[l];
-    return r;
-}
-inline void store_i(std::int32_t* p, VecI a)
-{
-    for (int l = 0; l < kLanes; ++l) p[l] = a.v[l];
-}
-
-inline constexpr int kLanesD = 4;
-
-struct VecD {
-    double v[kLanesD];
-};
-struct MaskD {
-    bool m[kLanesD];
-};
-
-inline VecD splat_d(double x)
-{
-    VecD r;
-    for (int l = 0; l < kLanesD; ++l) r.v[l] = x;
-    return r;
-}
-inline VecD load(const double* p)
-{
-    VecD r;
-    for (int l = 0; l < kLanesD; ++l) r.v[l] = p[l];
-    return r;
-}
-inline void store(double* p, VecD a)
-{
-    for (int l = 0; l < kLanesD; ++l) p[l] = a.v[l];
-}
-
-inline VecD operator+(VecD a, VecD b)
-{
-    VecD r;
-    for (int l = 0; l < kLanesD; ++l) r.v[l] = a.v[l] + b.v[l];
-    return r;
-}
-inline VecD operator-(VecD a, VecD b)
-{
-    VecD r;
-    for (int l = 0; l < kLanesD; ++l) r.v[l] = a.v[l] - b.v[l];
-    return r;
-}
-inline VecD operator-(VecD a)
-{
-    VecD r;
-    for (int l = 0; l < kLanesD; ++l) r.v[l] = -a.v[l];
-    return r;
-}
-inline VecD operator*(VecD a, VecD b)
-{
-    VecD r;
-    for (int l = 0; l < kLanesD; ++l) r.v[l] = a.v[l] * b.v[l];
-    return r;
-}
-inline VecD operator/(VecD a, VecD b)
-{
-    VecD r;
-    for (int l = 0; l < kLanesD; ++l) r.v[l] = a.v[l] / b.v[l];
-    return r;
-}
-inline VecD fmadd(VecD a, VecD b, VecD c)
-{
-    VecD r;
-    for (int l = 0; l < kLanesD; ++l) r.v[l] = fmadd(a.v[l], b.v[l], c.v[l]);
-    return r;
-}
-inline VecD sqrt_(VecD a)
-{
-    VecD r;
-    for (int l = 0; l < kLanesD; ++l) r.v[l] = std::sqrt(a.v[l]);
-    return r;
-}
-
-inline MaskD cmp_gt(VecD a, VecD b)
-{
-    MaskD r;
-    for (int l = 0; l < kLanesD; ++l) r.m[l] = a.v[l] > b.v[l];
-    return r;
-}
-inline MaskD operator&(MaskD a, MaskD b)
-{
-    MaskD r;
-    for (int l = 0; l < kLanesD; ++l) r.m[l] = a.m[l] && b.m[l];
-    return r;
-}
-inline bool none(MaskD m)
-{
-    for (int l = 0; l < kLanesD; ++l)
-        if (m.m[l]) return false;
-    return true;
-}
-inline VecD blend(MaskD m, VecD a, VecD b)
-{
-    VecD r;
-    for (int l = 0; l < kLanesD; ++l) r.v[l] = m.m[l] ? a.v[l] : b.v[l];
-    return r;
-}
-
-#endif
-
-#if defined(XCT_SIMD_BACKEND_NEON) || defined(XCT_SIMD_BACKEND_SCALAR)
 /// {base[idx], base[idx + 1]} per lane, for T = float or std::int32_t, by
 /// plain indexing (so sanitizers see every read).
 template <typename T>
     requires std::is_same_v<T, float> || std::is_same_v<T, std::int32_t>
 inline auto gather_pair(const T* base, VecI idx)
 {
-    std::int32_t ix[kLanes];
-    store_i(ix, idx);
-    T lo[kLanes], hi[kLanes];
-    for (int l = 0; l < kLanes; ++l) {
+    std::array<std::int32_t, kLanes> ix;
+    store(ix.data(), idx);
+    std::array<T, kLanes> lo, hi;
+    for (std::size_t l = 0; l < ix.size(); ++l) {
         lo[l] = base[ix[l]];
         hi[l] = base[ix[l] + 1];
     }
-    if constexpr (std::is_same_v<T, float>)
-        return std::pair{load(lo), load(hi)};
-    else
-        return std::pair{load_i(lo), load_i(hi)};
+    return std::pair{load_n<T, kLanes>(lo.data()), load_n<T, kLanes>(hi.data())};
 }
 
-/// The batch lanes are the backend's own: kBatch is a whole number of them.
-namespace batch {
-using simd::fmadd;
-using simd::kLanes;
-using simd::load;
-using simd::splat;
-using simd::store;
-using simd::VecF;
-}  // namespace batch
 #endif
 
-#if !defined(XCT_SIMD_BACKEND_AVX512)
 /// One window group spans every lane.
 inline constexpr int kGroup = kLanes;
 inline constexpr int kGroups = 1;
@@ -896,28 +572,23 @@ inline std::pair<VecF, VecF> window_pair(const std::array<const float*, kGroups>
 {
     return gather_pair(w[0], idx);
 }
+
 #endif
 
 /// Floats window_pair may read from each group's base pointer.
 inline constexpr int kWindow = 32;
 
-/// Clamp every lane to [lo, hi].
-inline VecF clamp(VecF a, VecF lo, VecF hi) { return min_(max_(a, lo), hi); }
-
-/// log_ on every lane, bit for bit: the backend's table lanes when every
-/// lane holds a positive normal, else (and on NEON and the scalar backend
-/// always) the scalar form lane by lane.
+/// log_ on every lane, bit for bit: the target's table lanes when every
+/// lane holds a positive normal, else (and on the generic target always)
+/// the scalar form lane by lane.
 inline VecF log_(VecF x)
 {
-#if defined(XCT_SIMD_BACKEND_AVX512) || defined(XCT_SIMD_BACKEND_AVX2)
+#if defined(__AVX2__)
     if (all(cmp_ge(x, splat(std::numeric_limits<float>::min())) &
             cmp_gt(splat(std::numeric_limits<float>::infinity()), x)))
         return log_lanes(x);
 #endif
-    float v[kLanes];
-    store(v, x);
-    for (float& f : v) f = log_(f);
-    return load(v);
+    return each_lane(x, [](float f) { return log_(f); });
 }
 
 }  // namespace xct::simd

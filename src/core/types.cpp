@@ -36,8 +36,8 @@ Mat44 multiply(const Mat44& a, const Mat44& b)
 
 Extent extent_of(std::span<const float> xs)
 {
-    // x < lo ? x : lo and hi < x ? x : hi as a compare and a blend, not
-    // min_ / max_, whose NaN and signed-zero rules differ by backend.
+    // x < lo ? x : lo and hi < x ? x : hi as a compare and a blend: a NaN
+    // x, or x of the other zero sign, keeps the bound.
     simd::VecF lo = simd::splat(Extent{}.lo), hi = simd::splat(Extent{}.hi);
     std::size_t i = 0;
     for (; i + simd::kLanes <= xs.size(); i += simd::kLanes) {

@@ -15,7 +15,7 @@
 namespace xct::fft {
 
 /// The batched transforms' lanes: eight floats wide at most, so a batch of
-/// kBatch is a whole number of vectors on every backend.
+/// kBatch is a whole number of vectors on every target.
 namespace lanes = simd::batch;
 
 index_t next_pow2(index_t n)

@@ -200,13 +200,8 @@ Registry& registry()
 void record_process_memory()
 {
     rusage ru{};
-    if (::getrusage(RUSAGE_SELF, &ru) == 0) {
-        // Add the difference, so the counter stays monotonic and a second
-        // call does not count the faults twice.
-        Counter& faults = registry().counter(names::kMetricProcessMinorFaults);
-        const auto now = static_cast<std::uint64_t>(ru.ru_minflt);
-        if (now > faults.value()) faults.add(now - faults.value());
-    }
+    if (::getrusage(RUSAGE_SELF, &ru) == 0)
+        registry().gauge(names::kMetricProcessMinorFaults).set(static_cast<double>(ru.ru_minflt));
     std::ifstream status("/proc/self/status");
     for (std::string line; std::getline(status, line);)
         if (line.rfind("VmHWM:", 0) == 0) {

@@ -161,10 +161,11 @@ private:
 /// The process-wide registry every subsystem feeds.
 Registry& registry();
 
-/// Record this process's own memory use into registry(): its minor page
-/// faults so far (`process.minor_faults`, getrusage's ru_minflt) and its
-/// resident high-water mark (`process.peak_rss_mib`, VmHWM of
-/// /proc/self/status — ru_maxrss would carry the spawner's peak across
+/// Record this process's own memory use into two registry() gauges: its
+/// minor page faults so far (`process.minor_faults`, getrusage's ru_minflt;
+/// an operating-system statistic that differs between two runs, so not a
+/// counter) and its resident high-water mark (`process.peak_rss_mib`, VmHWM
+/// of /proc/self/status — ru_maxrss would carry the spawner's peak across
 /// exec).  Idempotent; call it just before a snapshot is written.
 void record_process_memory();
 

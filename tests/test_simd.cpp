@@ -45,7 +45,7 @@ TEST(SimdWrapper, BackendIsReported)
 {
     EXPECT_GT(simd::kLanes, 0);
     const std::string name = simd::backend_name();
-    EXPECT_TRUE(name == "avx512" || name == "avx2" || name == "neon" || name == "scalar") << name;
+    EXPECT_TRUE(name == "avx512" || name == "avx2" || name == "generic") << name;
     EXPECT_EQ(simd::kGroups * simd::kGroup, simd::kLanes);
 }
 
@@ -259,15 +259,12 @@ TEST(SimdWrapper, LaneAndAll)
     check(std::integral_constant<int, simd::kLanes - 1>{});
 }
 
-TEST(SimdWrapper, FloatLanesMatchScalarOpsBitForBit)
+/// FloatLanesMatchScalarOpsBitForBit's op list on lanes of type L, read
+/// and broadcast by `load` and `splat` (simd's own, or simd::batch's).
+template <class L>
+void float_lanes_match_scalar_ops(L (*load)(const float*), L (*splat)(float))
 {
-    // Every float-lane operation against the same operation on each lane's
-    // floats, bit for bit, at the backend's width (16 lanes on AVX-512).
-    // Operands mix -0, denormals, infinities and a NaN with ordinary
-    // values, drawn at run time so that no result folds at compile time.
-    // min_ and max_ return their second operand when the compare fails
-    // (either is NaN, or both are zero), as x86's do.
-    constexpr int W = simd::kLanes;
+    constexpr int W = sizeof(L) / sizeof(float);
     const float inf = std::numeric_limits<float>::infinity();
     const std::vector<float> pool{0.0f,
                                   -0.0f,
@@ -294,32 +291,31 @@ TEST(SimdWrapper, FloatLanesMatchScalarOpsBitForBit)
             b[l] = pool[pick(rng)];
             c[l] = pool[pick(rng)];
         }
-        const simd::VecF va = simd::load(a.data()), vb = simd::load(b.data());
-        const simd::VecF vc = simd::load(c.data());
-        const auto expect = [&](simd::VecF got, auto op, const char* name) {
+        const L va = load(a.data()), vb = load(b.data()), vc = load(c.data());
+        const auto expect = [&](L got, auto op, const char* name) {
             std::array<float, W> out{};
             simd::store(out.data(), got);
             for (std::size_t l = 0; l < out.size(); ++l)
                 ASSERT_EQ(bits(out[l]), bits(op(a[l], b[l], c[l])))
-                    << name << " lane " << l << ": " << a[l] << ", " << b[l] << ", " << c[l];
+                    << name << " lane " << l << " of " << W << ": " << a[l] << ", " << b[l]
+                    << ", " << c[l];
         };
         const auto min = [](float x, float y) { return x < y ? x : y; };
         const auto max = [](float x, float y) { return x > y ? x : y; };
-        expect(simd::splat(a[0]), [&](float, float, float) { return a[0]; }, "splat");
+        expect(splat(a[0]), [&](float, float, float) { return a[0]; }, "splat");
         expect(va + vb, [](float x, float y, float) { return x + y; }, "+");
         expect(va - vb, [](float x, float y, float) { return x - y; }, "-");
+        expect(-va, [](float x, float, float) { return -x; }, "negate");
         expect(va * vb, [](float x, float y, float) { return x * y; }, "*");
         expect(va / vb, [](float x, float y, float) { return x / y; }, "/");
         expect(simd::fmadd(va, vb, vc),
                [](float x, float y, float z) { return simd::fmadd(x, y, z); }, "fmadd");
         expect(simd::floor_(va), [](float x, float, float) { return std::floor(x); }, "floor_");
-#if !defined(XCT_SIMD_BACKEND_NEON)  // vminq/vmaxq: IEEE NaN and signed-zero rules
         expect(simd::min_(va, vb), [&](float x, float y, float) { return min(x, y); }, "min_");
         expect(simd::max_(va, vb), [&](float x, float y, float) { return max(x, y); }, "max_");
         expect(
             simd::clamp(va, vb, vc),
             [&](float x, float y, float z) { return min(max(x, y), z); }, "clamp");
-#endif
         expect(
             simd::blend(simd::cmp_gt(va, vb), va, vc),
             [](float x, float y, float z) { return x > y ? x : z; }, "blend(cmp_gt)");
@@ -337,20 +333,48 @@ TEST(SimdWrapper, FloatLanesMatchScalarOpsBitForBit)
         ASSERT_EQ(simd::none(simd::cmp_gt(va, vb)), !any) << "trial " << trial;
         ASSERT_EQ(simd::all(simd::cmp_ge(va, vc)), every) << "trial " << trial;
     }
-    // iota, and to_int on finite operands in int32 range (the kernel
-    // floors first; fractions truncate toward zero).
-    std::array<float, W> out{};
-    simd::store(out.data(), simd::iota());
-    for (int l = 0; l < W; ++l) ASSERT_EQ(out[static_cast<std::size_t>(l)], static_cast<float>(l));
+    // Negation flips the sign bit alone: of +-0, and of NaNs whose payloads
+    // it keeps.
+    const std::array<std::uint32_t, 4> flip{0x00000000u, 0x80000000u, 0x7fc12345u, 0xffc54321u};
+    std::array<float, W> in{}, out{};
+    for (std::size_t l = 0; l < in.size(); ++l) in[l] = std::bit_cast<float>(flip[l % flip.size()]);
+    simd::store(out.data(), -load(in.data()));
+    for (std::size_t l = 0; l < in.size(); ++l)
+        ASSERT_EQ(bits(out[l]), bits(in[l]) ^ 0x80000000u) << "negate lane " << l << " of " << W;
+    // to_int on finite operands in int32 range (the kernel floors first;
+    // fractions truncate toward zero).
     const std::vector<float> finite{0.0f, -0.0f, 1e-39f, 0.999f, -1.5f, 33.75f, -1e9f, 2.1e9f};
-    std::array<float, W> in{};
     std::array<std::int32_t, W> got{};
     for (std::size_t i = 0; i < finite.size(); ++i) {
         for (std::size_t l = 0; l < in.size(); ++l) in[l] = finite[(i + l) % finite.size()];
-        simd::store_i(got.data(), simd::to_int(simd::load(in.data())));
+        simd::store(got.data(), simd::to_int(load(in.data())));
         for (std::size_t l = 0; l < in.size(); ++l)
             ASSERT_EQ(got[l], static_cast<std::int32_t>(in[l])) << "to_int of " << in[l];
     }
+}
+
+TEST(SimdWrapper, FloatLanesMatchScalarOpsBitForBit)
+{
+    // Every float-lane operation against the same operation on each lane's
+    // floats, bit for bit, at both float widths: the kernel's VecF (16
+    // lanes on AVX-512) and the FFT's batch lanes (8 there, whose fused
+    // fmadd is another instruction).  Operands mix -0, denormals,
+    // infinities and a NaN with ordinary values, drawn at run time so that
+    // no result folds at compile time.  min_ and max_ return their second
+    // operand when the compare fails (either is NaN, or both are zero), as
+    // x86's do.
+    {
+        SCOPED_TRACE("simd::VecF");
+        float_lanes_match_scalar_ops<simd::VecF>(&simd::load, &simd::splat);
+    }
+    {
+        SCOPED_TRACE("simd::batch::VecF");
+        float_lanes_match_scalar_ops<simd::batch::VecF>(&simd::batch::load, &simd::batch::splat);
+    }
+    std::array<float, simd::kLanes> out{};
+    simd::store(out.data(), simd::iota());
+    for (int l = 0; l < simd::kLanes; ++l)
+        ASSERT_EQ(out[static_cast<std::size_t>(l)], static_cast<float>(l));
 }
 
 TEST(SimdWrapper, DoubleLanesMatchScalarOpsBitForBit)

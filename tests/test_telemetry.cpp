@@ -220,13 +220,13 @@ TEST(FleetObserve, FillsLogBucketedStageHistograms)
 TEST(ProcessMemory, RecordsFaultsAndPeakRssOnce)
 {
     record_process_memory();
-    const std::uint64_t faults = registry().counter(names::kMetricProcessMinorFaults).value();
+    const double faults = registry().gauge(names::kMetricProcessMinorFaults).value();
     const double rss = registry().gauge(names::kMetricProcessPeakRssMib).value();
-    EXPECT_GT(faults, 0u);
+    EXPECT_GT(faults, 0.0);
     EXPECT_GT(rss, 0.0);
-    // A second call adds only the faults taken since, never the total again.
+    // A second call reads the faults so far again, never their sum.
     record_process_memory();
-    const std::uint64_t again = registry().counter(names::kMetricProcessMinorFaults).value();
+    const double again = registry().gauge(names::kMetricProcessMinorFaults).value();
     EXPECT_GE(again, faults);
     EXPECT_LT(again, 2 * faults);
     EXPECT_GE(registry().gauge(names::kMetricProcessPeakRssMib).value(), rss);
