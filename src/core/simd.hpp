@@ -239,18 +239,8 @@ inline Lanes<T, N> fmadd(Lanes<T, N> a, Lanes<T, N> b, Lanes<T, N> c)
 #else
     // Where the product and c are both NaN the scalar a*b + c gives the
     // product's (x86 returns an add's first NaN), and GCC may commute a
-    // vector add: SSE's add with the product first says so in one
-    // instruction, elsewhere a select keeps the product's.
-    typename Lanes<T, N>::V p = a.v * b.v;
-#if defined(__SSE2__) && !defined(__AVX__)
-    if constexpr (sizeof(p) == 16) {
-        if constexpr (std::is_same_v<T, float>)
-            __asm__("addps %1, %0" : "+x"(p) : "x"(c.v));
-        else
-            __asm__("addpd %1, %0" : "+x"(p) : "x"(c.v));
-        return {p};
-    }
-#endif
+    // vector add, so a select keeps the product's.
+    const typename Lanes<T, N>::V p = a.v * b.v;
     return {p != p ? p : p + c.v};
 #endif
 }
@@ -426,12 +416,20 @@ inline auto gather_pair(const T* base, VecI idx)
 {
     // One unaligned 64-bit element per lane, eight lanes per gather; its
     // low half is base[idx] (x86 is little-endian), and two two-source
-    // permutes collect the low and the high halves of both gathers.
+    // permutes collect the low and the high halves of both gathers.  Their
+    // mask is kxnor's all ones, not the constant 0xFF: for a constant full
+    // mask GCC drops the zero a gather merges into, and the gather then
+    // waits on whatever its register held before (in the kernel, the
+    // previous k's interpolation: fdk-bean-q8's slab, whose taps are all
+    // gathers, ran 9 % slower).  GCC 12 folds the kxnor only after it has
+    // kept the zero; a compare that holds in every lane keeps it too, but
+    // cost that slab 4 %.
     const __m512i at = (__m512i)idx.v;
+    const __mmask8 every = static_cast<__mmask8>(_kxnor_mask16(0, 0));
     const __m512i q0 = _mm512_mask_i32gather_epi64(
-        _mm512_setzero_si512(), 0xFF, _mm512_maskz_extracti64x4_epi64(0xF, at, 0), base, 4);
+        _mm512_setzero_si512(), every, _mm512_maskz_extracti64x4_epi64(0xF, at, 0), base, 4);
     const __m512i q1 = _mm512_mask_i32gather_epi64(
-        _mm512_setzero_si512(), 0xFF, _mm512_maskz_extracti64x4_epi64(0xF, at, 1), base, 4);
+        _mm512_setzero_si512(), every, _mm512_maskz_extracti64x4_epi64(0xF, at, 1), base, 4);
     const __m512i even =
         _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
     const __m512i odd =
