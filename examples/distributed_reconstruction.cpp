@@ -7,7 +7,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <string_view>
 
 #include "core/names.hpp"
@@ -47,17 +46,12 @@ int main(int argc, char** argv)
 
     const auto factory = [&](RankId) { return std::make_unique<recon::PhantomSource>(head, g); };
 
-    // Stored slabs land in a bandwidth-accounted PFS directory.
-    io::Pfs pfs(std::filesystem::temp_directory_path() / "xct_distributed_example",
-                /*load_gbps=*/2.0, /*store_gbps=*/28.5);
     const double t0 = telemetry::flight::wall_now();
-    const recon::DistributedResult r = recon::reconstruct_distributed(cfg, factory, &pfs);
+    const recon::DistributedResult r = recon::reconstruct_distributed(cfg, factory);
 
     const Volume truth = phantom::voxelize(head, g);
     std::printf("  flat-region RMSE vs phantom: %.4f\n", recon::rmse_flat(r.volume, truth, 4));
-    std::printf("  wall %.3f s; PFS stored %.1f MiB (modelled %.4f s at 28.5 GB/s)\n",
-                r.wall_seconds, static_cast<double>(pfs.store_stats().bytes) / (1024.0 * 1024.0),
-                pfs.store_stats().seconds);
+    std::printf("  wall %.3f s\n", r.wall_seconds);
 
     std::printf("\n  per-rank stage busy seconds (group/rank = world layout):\n");
     std::printf("  %-6s %-8s %-8s %-8s %-8s %-8s\n", "rank", "load", "filter", "bp", "mpi",

@@ -265,20 +265,11 @@ DistributedResult reconstruct_distributed(const DistributedConfig& cfg,
 }
 
 DistributedResult reconstruct_distributed(const DistributedConfig& cfg,
-                                          const SourceFactory& make_source, io::Pfs* pfs)
+                                          const SourceFactory& make_source)
 {
     cfg.geometry.validate();
     Volume volume(cfg.geometry.vol);
-    const Storer in_memory = volume_storer(volume);
-    DistributedResult result =
-        reconstruct_distributed(cfg, make_source, [&](const Volume& slab, const SlabPlan& plan) {
-            in_memory(slab, plan);
-            // Pfs is internally thread-safe; group roots store concurrently.
-            if (pfs != nullptr)
-                pfs->store_volume("slab_" + std::to_string(plan.slab.lo) + "_" +
-                                      std::to_string(plan.slab.hi) + ".xvol",
-                                  slab);
-        });
+    DistributedResult result = reconstruct_distributed(cfg, make_source, volume_storer(volume));
     result.volume = std::move(volume);
     return result;
 }

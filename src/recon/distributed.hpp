@@ -31,7 +31,6 @@
 #include <filesystem>
 #include <optional>
 
-#include "io/pfs.hpp"
 #include "minimpi/comm.hpp"
 #include "recon/rank_pipeline.hpp"
 
@@ -71,10 +70,8 @@ struct DistributedResult {
 DistributedResult reconstruct_distributed(const DistributedConfig& cfg,
                                           const SourceFactory& make_source, const Storer& store);
 
-/// reconstruct_distributed into memory (result.volume).  When `pfs` is
-/// non-null every group root additionally stores its reduced slabs there
-/// (bandwidth-accounted), one file per slab.
+/// reconstruct_distributed into memory (result.volume).
 DistributedResult reconstruct_distributed(const DistributedConfig& cfg,
-                                          const SourceFactory& make_source, io::Pfs* pfs = nullptr);
+                                          const SourceFactory& make_source);
 
 }  // namespace xct::recon

@@ -1,51 +1,20 @@
 #include "recon/source.hpp"
 
-#include <cmath>
 #include <memory>
-#include <random>
 
 namespace xct::recon {
 
 PhantomSource::PhantomSource(std::vector<phantom::Ellipsoid> ellipsoids, const CbctGeometry& g,
-                             std::optional<BeerLawScalar> emit_counts,
-                             std::optional<PoissonNoise> noise)
-    : ellipsoids_(std::move(ellipsoids)), geometry_(g), emit_counts_(emit_counts), noise_(noise)
+                             std::optional<BeerLawScalar> emit_counts)
+    : ellipsoids_(std::move(ellipsoids)), geometry_(g), emit_counts_(emit_counts)
 {
     geometry_.validate();
-    require(!noise_ || emit_counts_,
-            "PhantomSource: Poisson noise requires raw-count emission (it is photon noise)");
-    if (noise_) require(noise_->photons_blank > 0.0, "PhantomSource: photons_blank must be positive");
 }
 
 ProjectionStack PhantomSource::load(Range views, Range band)
 {
     ProjectionStack p = phantom::forward_project(ellipsoids_, geometry_, views, band);
-    if (!emit_counts_) return p;
-
-    if (!noise_) {
-        inverse_beer_law(p.span(), *emit_counts_);
-        return p;
-    }
-
-    // Noisy photon counts.  RNG seeded per (view, row) so the realisation
-    // is independent of the requested band/view split.
-    const float dark = emit_counts_->dark;
-    const float span = emit_counts_->blank - dark;
-    const double n0 = noise_->photons_blank;
-    for (index_t s = 0; s < p.views(); ++s) {
-        const index_t global_s = views.lo + s;
-        for (index_t v = band.lo; v < band.hi; ++v) {
-            std::mt19937_64 rng(noise_->seed ^ (static_cast<std::uint64_t>(global_s) << 32) ^
-                                static_cast<std::uint64_t>(v) * 0x9e3779b97f4a7c15ull);
-            auto row = p.row(s, v);
-            for (float& x : row) {
-                const double lambda = n0 * std::exp(-static_cast<double>(x));
-                std::poisson_distribution<long long> pois(lambda);
-                const double photons = static_cast<double>(pois(rng));
-                x = dark + static_cast<float>(span * photons / n0);
-            }
-        }
-    }
+    if (emit_counts_) inverse_beer_law(p.span(), *emit_counts_);
     return p;
 }
 
@@ -79,48 +48,14 @@ ProjectionStack PfsSource::load(Range views, Range band)
     return pfs_->load_stack_rows(rel_, views, band);
 }
 
-ViewDirSource::ViewDirSource(std::filesystem::path dir, bool counts)
-    : dir_(std::move(dir)), counts_(counts)
-{
-    require(io::count_views(dir_) > 0, "ViewDirSource: no view files in " + dir_.string());
-}
-
-ProjectionStack ViewDirSource::load(Range views, Range band)
-{
-    return io::load_views(dir_, views, band);
-}
-
 SourceFactory make_shared_pfs_factory(io::Pfs& pfs, std::string rel, bool counts)
 {
     // Pfs is internally thread-safe (atomic statistics; each load opens its
     // own stream), so the sources the factory hands out can share it with
     // no external locking.
-    struct Shared {
-        io::Pfs* pfs;
-        std::string rel;
-        bool counts;
-    };
-    auto shared = std::make_shared<Shared>();
-    shared->pfs = &pfs;
-    shared->rel = std::move(rel);
-    shared->counts = counts;
-    require(pfs.exists(shared->rel), "make_shared_pfs_factory: no such stack: " + shared->rel);
-
-    class SharedPfsSource final : public ProjectionSource {
-    public:
-        explicit SharedPfsSource(std::shared_ptr<Shared> s) : s_(std::move(s)) {}
-        ProjectionStack load(Range views, Range band) override
-        {
-            return s_->pfs->load_stack_rows(s_->rel, views, band);
-        }
-        bool raw_counts() const override { return s_->counts; }
-
-    private:
-        std::shared_ptr<Shared> s_;
-    };
-
-    return [shared](RankId) -> std::unique_ptr<ProjectionSource> {
-        return std::make_unique<SharedPfsSource>(shared);
+    require(pfs.exists(rel), "make_shared_pfs_factory: no such stack: " + rel);
+    return [&pfs, rel = std::move(rel), counts](RankId) -> std::unique_ptr<ProjectionSource> {
+        return std::make_unique<PfsSource>(pfs, rel, counts);
     };
 }
 

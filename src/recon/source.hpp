@@ -29,25 +29,13 @@ public:
     virtual bool raw_counts() const { return false; }
 };
 
-/// Photon (shot) noise model for synthetic raw counts: the detector
-/// registers Poisson(photons_blank * exp(-P)) photons per pixel.  Noise is
-/// seeded per (view, row) so the same pixel receives the same noise no
-/// matter which rank loads it or how the band is split — reconstructions
-/// stay decomposition-invariant even with noise on.
-struct PoissonNoise {
-    double photons_blank = 1e5;  ///< expected photons through air
-    std::uint64_t seed = 1;
-};
-
 /// Analytic phantom source: generates exact line integrals on demand; with
 /// a calibration attached it emits synthetic photon counts instead
-/// (inverse Beer law), optionally with Poisson shot noise, exercising the
-/// full preprocessing path.
+/// (inverse Beer law), exercising the full preprocessing path.
 class PhantomSource final : public ProjectionSource {
 public:
     PhantomSource(std::vector<phantom::Ellipsoid> ellipsoids, const CbctGeometry& g,
-                  std::optional<BeerLawScalar> emit_counts = std::nullopt,
-                  std::optional<PoissonNoise> noise = std::nullopt);
+                  std::optional<BeerLawScalar> emit_counts = std::nullopt);
 
     ProjectionStack load(Range views, Range band) override;
     bool raw_counts() const override { return emit_counts_.has_value(); }
@@ -56,7 +44,6 @@ private:
     std::vector<phantom::Ellipsoid> ellipsoids_;
     CbctGeometry geometry_;
     std::optional<BeerLawScalar> emit_counts_;
-    std::optional<PoissonNoise> noise_;
 };
 
 /// Serves sub-projections out of a resident full stack (tests, benches).
@@ -103,30 +90,9 @@ private:
     bool counts_;
 };
 
-/// Factory producing per-rank sources that all read one Pfs-resident
+/// Factory producing per-rank PfsSources that all read one Pfs-resident
 /// stack concurrently (Pfs is internally thread-safe), mirroring ranks
 /// sharing a node's NVMe.
 SourceFactory make_shared_pfs_factory(io::Pfs& pfs, std::string rel, bool counts = false);
-
-}  // namespace xct::recon
-
-#include "io/view_store.hpp"
-
-namespace xct::recon {
-
-/// Serves sub-projections from a scanner-style per-view directory
-/// (io::export_views layout): each rank opens only its own view files and
-/// reads only its row band from each.
-class ViewDirSource final : public ProjectionSource {
-public:
-    ViewDirSource(std::filesystem::path dir, bool counts = false);
-
-    ProjectionStack load(Range views, Range band) override;
-    bool raw_counts() const override { return counts_; }
-
-private:
-    std::filesystem::path dir_;
-    bool counts_;
-};
 
 }  // namespace xct::recon

@@ -100,33 +100,4 @@ void write_metrics_csv(const std::filesystem::path& path, const MetricsSnapshot&
     write_metrics_csv(os, s);
 }
 
-void write_metrics_json(std::ostream& os, const MetricsSnapshot& s)
-{
-    os << "{\n  \"counters\": {";
-    for (std::size_t i = 0; i < s.counters.size(); ++i)
-        os << (i ? "," : "") << "\n    " << json_quote(s.counters[i].name) << ": "
-           << s.counters[i].value;
-    os << "\n  },\n  \"gauges\": {";
-    for (std::size_t i = 0; i < s.gauges.size(); ++i)
-        os << (i ? "," : "") << "\n    " << json_quote(s.gauges[i].name) << ": "
-           << json_number(s.gauges[i].value);
-    os << "\n  },\n  \"histograms\": {";
-    for (std::size_t i = 0; i < s.histograms.size(); ++i) {
-        const auto& h = s.histograms[i];
-        os << (i ? "," : "") << "\n    " << json_quote(h.name) << ": {\"bounds\": [";
-        for (std::size_t b = 0; b < h.bounds.size(); ++b)
-            os << (b ? "," : "") << json_number(h.bounds[b]);
-        os << "], \"counts\": [";
-        for (std::size_t b = 0; b < h.counts.size(); ++b) os << (b ? "," : "") << h.counts[b];
-        os << "], \"count\": " << h.count << ", \"sum\": " << json_number(h.sum) << "}";
-    }
-    os << "\n  }\n}\n";
-}
-
-void write_metrics_json(const std::filesystem::path& path, const MetricsSnapshot& s)
-{
-    auto os = open_out(path);
-    write_metrics_json(os, s);
-}
-
 }  // namespace xct::telemetry

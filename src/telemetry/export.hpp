@@ -6,8 +6,8 @@
 //     microsecond ts/dur from `t0`) per flight-ring span, pid = rank,
 //     tid = lane, plus process_name metadata per rank.  Loadable in
 //     Perfetto (ui.perfetto.dev) and chrome://tracing.
-//   * write_metrics_csv / write_metrics_json — flat dumps of a
-//     MetricsSnapshot (histograms expanded into .le_<bound> rows).
+//   * write_metrics_csv — flat dump of a MetricsSnapshot (histograms
+//     expanded into .le_<bound> rows).
 
 #include <filesystem>
 #include <ostream>
@@ -29,8 +29,5 @@ void write_chrome_trace(const std::filesystem::path& path,
 /// and `<name>.sum` rows.
 void write_metrics_csv(std::ostream& os, const MetricsSnapshot& s);
 void write_metrics_csv(const std::filesystem::path& path, const MetricsSnapshot& s);
-
-void write_metrics_json(std::ostream& os, const MetricsSnapshot& s);
-void write_metrics_json(const std::filesystem::path& path, const MetricsSnapshot& s);
 
 }  // namespace xct::telemetry

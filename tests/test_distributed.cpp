@@ -2,10 +2,13 @@
 // single-rank reconstruction through the segmented reduction (the paper's
 // correctness bar: <= 1e-5 against the reference).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <mutex>
 
+#include "io/raw_io.hpp"
 #include "recon/distributed.hpp"
 #include "recon/fdk.hpp"
 
@@ -109,31 +112,30 @@ TEST(Distributed, SequentialPipelinesAlsoAgree)
                     ref.span()[static_cast<std::size_t>(i)], 2e-5f);
 }
 
-TEST(Distributed, StoresSlabsToPfs)
+TEST(Distributed, FileStorerMatchesTheInMemoryVolumeBitwise)
 {
+    // xct_recon's Ng x Nr output path: both group roots pwrite their
+    // disjoint reduced slabs into one VolumeWriter, concurrently.
     const CbctGeometry g = geo(24, 36);
     const auto ph = make_phantom(g);
-    const auto dir = std::filesystem::temp_directory_path() / "xct_dist_pfs_test";
-    std::filesystem::remove_all(dir);
-    io::Pfs pfs(dir, 10.0, 10.0);
-
     DistributedConfig cfg;
     cfg.geometry = g;
     cfg.layout = GroupLayout{2, 2};
     cfg.batches = 3;
-    const DistributedResult r = reconstruct_distributed(cfg, phantom_factory(ph, g), &pfs);
+    const DistributedResult mem = reconstruct_distributed(cfg, phantom_factory(ph, g));
 
-    // Every stored slab round-trips to the assembled volume.
-    EXPECT_GT(pfs.store_stats().bytes, 0u);
-    index_t slices_seen = 0;
-    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-        if (entry.path().extension() != ".xvol") continue;  // skip digest sidecars
-        const Volume slab = io::read_volume(entry.path());
-        slices_seen += slab.size().z;
+    const auto path = std::filesystem::temp_directory_path() /
+                      ("xct_dist_file_storer_" + std::to_string(::getpid()) + ".xvol");
+    {
+        io::VolumeWriter writer(path, g.vol);
+        reconstruct_distributed(cfg, phantom_factory(ph, g), file_storer(writer));
+        writer.commit();
     }
-    EXPECT_EQ(slices_seen, g.vol.z);
-    std::filesystem::remove_all(dir);
-    (void)r;
+    const Volume file = io::read_volume(path);
+    std::filesystem::remove(path);
+    ASSERT_EQ(file.size(), mem.volume.size());
+    EXPECT_EQ(std::memcmp(file.span().data(), mem.volume.span().data(), file.span().size_bytes()),
+              0);
 }
 
 TEST(Distributed, PerRankStatsReported)

@@ -1,14 +1,12 @@
-// Extension-feature tests: ROI reconstruction, Poisson noise, slab
-// stitching and the shared-Pfs source factory.
+// Extension-feature tests: ROI reconstruction and the shared-Pfs source
+// factory.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include "io/raw_io.hpp"
-#include "io/stitch.hpp"
 #include "recon/distributed.hpp"
 #include "recon/fdk.hpp"
 
@@ -116,129 +114,6 @@ TEST(Roi, RejectsBadRanges)
                  std::invalid_argument);
 }
 
-TEST(PoissonNoise, RequiresCountEmission)
-{
-    const CbctGeometry g = geo();
-    const auto ph = phantom::shepp_logan_3d(4.0);
-    EXPECT_THROW(PhantomSource(ph, g, std::nullopt, PoissonNoise{1e4, 7}), std::invalid_argument);
-}
-
-TEST(PoissonNoise, RealisationIsBandSplitInvariant)
-{
-    // The same pixel must get the same noise no matter how the load is
-    // split — otherwise distributed reconstructions would differ.
-    const CbctGeometry g = geo();
-    const auto ph = phantom::shepp_logan_3d(g.dx * 13.0);
-    const BeerLawScalar cal{0.0f, 65536.0f};
-    PhantomSource a(ph, g, cal, PoissonNoise{1e4, 99});
-    PhantomSource b(ph, g, cal, PoissonNoise{1e4, 99});
-
-    const ProjectionStack whole = a.load(Range{0, 8}, Range{0, g.nv});
-    const ProjectionStack upper = b.load(Range{0, 8}, Range{0, g.nv / 2});
-    const ProjectionStack lower = b.load(Range{0, 8}, Range{g.nv / 2, g.nv});
-    for (index_t s = 0; s < 8; ++s)
-        for (index_t v = 0; v < g.nv; ++v)
-            for (index_t u = 0; u < g.nu; ++u) {
-                const float want = v < g.nv / 2 ? upper.at(s, v, u) : lower.at(s, v, u);
-                ASSERT_FLOAT_EQ(whole.at(s, v, u), want);
-            }
-}
-
-TEST(PoissonNoise, MorePhotonsMeansLessNoise)
-{
-    const CbctGeometry g = geo();
-    const auto ph = phantom::shepp_logan_3d(g.dx * 13.0);
-    const BeerLawScalar cal{0.0f, 65536.0f};
-    PhantomSource clean(ph, g, cal);
-    PhantomSource noisy_lo(ph, g, cal, PoissonNoise{1e3, 5});
-    PhantomSource noisy_hi(ph, g, cal, PoissonNoise{1e6, 5});
-
-    const ProjectionStack ref = clean.load(Range{0, 4}, Range{0, g.nv});
-    const ProjectionStack lo = noisy_lo.load(Range{0, 4}, Range{0, g.nv});
-    const ProjectionStack hi = noisy_hi.load(Range{0, 4}, Range{0, g.nv});
-    auto dev = [&](const ProjectionStack& p) {
-        double acc = 0.0;
-        for (index_t i = 0; i < p.count(); ++i) {
-            const double d = static_cast<double>(p.span()[static_cast<std::size_t>(i)]) -
-                             static_cast<double>(ref.span()[static_cast<std::size_t>(i)]);
-            acc += d * d;
-        }
-        return acc;
-    };
-    EXPECT_GT(dev(lo), 10.0 * dev(hi));
-    EXPECT_GT(dev(hi), 0.0);
-}
-
-TEST(PoissonNoise, NoisyReconstructionStillRecovers)
-{
-    const CbctGeometry g = geo(32, 64);
-    const auto ph = phantom::shepp_logan_3d(g.dx * static_cast<double>(g.vol.x) / 2.4);
-    const BeerLawScalar cal{0.0f, 65536.0f};
-    PhantomSource src(ph, g, cal, PoissonNoise{1e5, 3});
-    RankConfig cfg;
-    cfg.geometry = g;
-    cfg.beer = cal;
-    const FdkResult r = reconstruct_fdk(cfg, src);
-    const Volume truth = phantom::voxelize(ph, g);
-    EXPECT_LT(rmse_flat(r.volume, truth, 4), 0.08);  // noisy but recognisable
-}
-
-TEST(Stitch, RoundTripsDistributedSlabs)
-{
-    const CbctGeometry g = geo(24, 36);
-    const auto ph = phantom::shepp_logan_3d(g.dx * static_cast<double>(g.vol.x) / 2.4);
-    const auto dir = std::filesystem::temp_directory_path() / "xct_stitch_test";
-    std::filesystem::remove_all(dir);
-    io::Pfs pfs(dir, 10.0, 10.0);
-
-    DistributedConfig cfg;
-    cfg.geometry = g;
-    cfg.layout = GroupLayout{3, 1};
-    cfg.batches = 2;
-    const auto factory = [&](RankId) { return std::make_unique<PhantomSource>(ph, g); };
-    const DistributedResult r = reconstruct_distributed(cfg, factory, &pfs);
-
-    const Volume stitched = io::stitch_slabs(dir);
-    ASSERT_EQ(stitched.size(), r.volume.size());
-    for (index_t i = 0; i < stitched.count(); ++i)
-        ASSERT_FLOAT_EQ(stitched.span()[static_cast<std::size_t>(i)],
-                        r.volume.span()[static_cast<std::size_t>(i)]);
-    std::filesystem::remove_all(dir);
-}
-
-TEST(Stitch, DetectsGapsAndOverlaps)
-{
-    const auto dir = std::filesystem::temp_directory_path() / "xct_stitch_bad";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    Volume slab(Dim3{4, 4, 4});
-    io::write_volume(dir / "slab_0_4.xvol", slab);
-    io::write_volume(dir / "slab_8_12.xvol", slab);  // gap at [4, 8)
-    EXPECT_THROW(io::stitch_slabs(dir), std::invalid_argument);
-    io::write_volume(dir / "slab_2_6.xvol", slab);  // overlap with [0, 4)
-    EXPECT_THROW(io::discover_slabs(dir), std::invalid_argument);
-    std::filesystem::remove_all(dir);
-}
-
-TEST(Stitch, IgnoresForeignFiles)
-{
-    const auto dir = std::filesystem::temp_directory_path() / "xct_stitch_mixed";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    Volume slab(Dim3{4, 4, 3}, 2.0f);
-    io::write_volume(dir / "slab_0_3.xvol", slab);
-    io::write_volume(dir / "other.xvol", slab);
-    {
-        std::ofstream junk(dir / "notes.txt");
-        junk << "hi";
-    }
-    const auto slabs = io::discover_slabs(dir);
-    ASSERT_EQ(slabs.size(), 1u);
-    const Volume v = io::stitch_slabs(dir);
-    EXPECT_EQ(v.size().z, 3);
-    std::filesystem::remove_all(dir);
-}
-
 TEST(SharedPfsFactory, DistributedMatchesReference)
 {
     const CbctGeometry g = geo(24, 36);
@@ -263,51 +138,6 @@ TEST(SharedPfsFactory, DistributedMatchesReference)
     for (index_t i = 0; i < ref.volume.count(); ++i)
         ASSERT_NEAR(r.volume.span()[static_cast<std::size_t>(i)],
                     ref.volume.span()[static_cast<std::size_t>(i)], 2e-5f);
-    std::filesystem::remove_all(dir);
-}
-
-TEST(ViewDirSource, RoundTripsAndReconstructs)
-{
-    const CbctGeometry g = geo(24, 36);
-    const auto ph = phantom::shepp_logan_3d(g.dx * static_cast<double>(g.vol.x) / 2.4);
-    const auto dir = std::filesystem::temp_directory_path() / "xct_viewdir_test";
-    std::filesystem::remove_all(dir);
-    {
-        PhantomSource gen(ph, g);
-        io::export_views(dir, gen.load(Range{0, g.num_proj}, Range{0, g.nv}));
-    }
-    EXPECT_EQ(io::count_views(dir), g.num_proj);
-
-    // Partial loads agree with regeneration.
-    PhantomSource gen2(ph, g);
-    const ProjectionStack want = gen2.load(Range{3, 7}, Range{5, 20});
-    ViewDirSource src(dir);
-    const ProjectionStack got = src.load(Range{3, 7}, Range{5, 20});
-    for (index_t s = 0; s < 4; ++s)
-        for (index_t v = 5; v < 20; ++v)
-            for (index_t u = 0; u < g.nu; ++u) ASSERT_FLOAT_EQ(got.at(s, v, u), want.at(s, v, u));
-
-    // End-to-end reconstruction from the view directory.
-    PhantomSource ref_src(ph, g);
-    RankConfig one;
-    one.geometry = g;
-    const FdkResult ref = reconstruct_fdk(one, ref_src);
-    ViewDirSource file_src(dir);
-    RankConfig two;
-    two.geometry = g;
-    const FdkResult r = reconstruct_fdk(two, file_src);
-    for (index_t i = 0; i < ref.volume.count(); ++i)
-        ASSERT_NEAR(r.volume.span()[static_cast<std::size_t>(i)],
-                    ref.volume.span()[static_cast<std::size_t>(i)], 1e-5f);
-    std::filesystem::remove_all(dir);
-}
-
-TEST(ViewDirSource, RejectsEmptyDirectory)
-{
-    const auto dir = std::filesystem::temp_directory_path() / "xct_viewdir_empty";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    EXPECT_THROW(ViewDirSource{dir}, std::invalid_argument);
     std::filesystem::remove_all(dir);
 }
 

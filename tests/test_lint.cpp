@@ -4,12 +4,14 @@
 // set — no magic violation counts to keep in sync with fixture edits.
 // The clean fixture and the real tree stay silent, the names registry
 // parses with both exact and prefix entries, and the whole-program rules
-// (lockorder, deadname) are exercised on synthetic file sets.
+// (lockorder, deadname) are exercised on synthetic file sets.  src/ must
+// also stay within its non-blank line budget.
 //
 // XCT_LINT_REPO_ROOT is injected by tests/CMakeLists.txt so the suite
 // works from any build directory.
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -154,6 +156,22 @@ TEST(LintTree, RealTreeIsClean)
 {
     const auto vs = xct_lint::lint_tree(repo_root(), {"src", "tools", "bench"});
     EXPECT_TRUE(vs.empty()) << xct_lint::format(vs);
+}
+
+TEST(LintTree, SrcStaysWithinTheLineBudget)
+{
+    // Counted as bench/e2e reports repo.src_nonblank_lines: every regular
+    // file under src/, one per line holding a character that is not blank.
+    constexpr std::uint64_t kBudget = 15500;  // ROADMAP's line budget
+    std::uint64_t n = 0;
+    for (const auto& e : std::filesystem::recursive_directory_iterator(repo_root() + "/src")) {
+        if (!e.is_regular_file()) continue;
+        std::ifstream f(e.path());
+        std::string line;
+        while (std::getline(f, line))
+            if (line.find_first_not_of(" \t\r\f\v") != std::string::npos) ++n;
+    }
+    EXPECT_LE(n, kBudget) << "src/ holds " << n << " non-blank lines";
 }
 
 TEST(LintCompileDb, SyntheticDbOverRealTuIsClean)

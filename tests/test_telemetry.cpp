@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <sstream>
 #include <thread>
 
@@ -354,21 +353,6 @@ TEST(Export, MetricsCsvListsEveryInstrument)
     EXPECT_NE(csv.find("lat.le_inf,histogram,5\n"), std::string::npos);
     EXPECT_NE(csv.find("lat.count,histogram,12\n"), std::string::npos);
     EXPECT_NE(csv.find("lat.sum,histogram,18.000000\n"), std::string::npos);
-}
-
-TEST(Export, MetricsJsonIsWellFormed)
-{
-    MetricsSnapshot s;
-    s.counters.push_back({"a.b", 1});
-    s.gauges.push_back({"c.d", 2.5});
-    s.gauges.push_back({"odd \"name\"\x01", std::nan("")});
-    s.histograms.push_back({"h", {0.5}, {1, 0}, 1, 0.25});
-    std::ostringstream os;
-    write_metrics_json(os, s);
-    const Json j = Json::parse(os.str());
-    EXPECT_EQ(j.at("gauges").at("c.d").as_number("c.d"), 2.5);
-    EXPECT_EQ(j.at("gauges").at("odd \"name\"\x01").type, Json::Type::Null);
-    EXPECT_NE(os.str().find("\"a.b\": 1"), std::string::npos);
 }
 
 }  // namespace
